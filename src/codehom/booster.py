@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, ParameterError, UsageError
-from .circuit import Circuit, leaf_assignment
-from .field import mul_arrays
+from .circuit import Circuit, leaf_assignment, walk_gtree
 from .linalg import Vector, matmul_arrays
 from .reencrypt import aux_gen_basic
 from .scheme import Ciphertext, Params, PublicKey, SecretKey, keygen
@@ -209,9 +208,9 @@ def boost_aux_gen(
 def boost_arrays(aux: BoostAux, C: np.ndarray) -> np.ndarray:
     """Boost raw part blocks: C is (..., k, n_src), result (..., k, n_tgt).
 
-    The G-tree is walked level by level with all outputs (and any batch)
-    folded into one array, pairing adjacent wires exactly as the gate
-    list does; each level ends with its stacked reencryption.
+    The G-tree is walked by walk_gtree with all outputs (and any batch)
+    folded into one array; each tree level ends with its stacked
+    reencryption.
     """
     spec = aux.source_params.field
     k = aux.graph.k
@@ -225,14 +224,8 @@ def boost_arrays(aux: BoostAux, C: np.ndarray) -> np.ndarray:
         return matmul_arrays(spec, v[..., None, :], Z)[..., 0, :]
 
     X = np.moveaxis(C[..., aux.graph.adjacency, :], -2, 0)  # (b, ..., k, n_src)
-    V = reenc(aux.links[0], X)
-    V = V[aux.assignment]
-    one = spec.dtype(1)
-    for l in range(1, aux.tree_depth + 1):
-        V = mul_arrays(spec, V[0::2], V[1::2])
-        V ^= one
-        V = reenc(aux.links[l], V)
-    return V[0]
+    V = reenc(aux.links[0], X)[aux.assignment]
+    return walk_gtree(spec, V, lambda level, V: reenc(aux.links[level], V))
 
 
 def boost(aux: BoostAux, parts: list[Ciphertext]) -> list[Ciphertext]:

@@ -1,19 +1,25 @@
-"""Circuit IR, netlist parsing, layering, and the two internal builders.
+"""Circuit IR, netlist parsing, scheduling, layering, and the two builders.
 
 Gate kinds: XOR, AND, G, COPY, CONST0, CONST1, where G(x,y) = 1 - xy
 (equal to 1 + xy here, characteristic 2). On {0,1} values XOR and AND
 are the boolean gates and G is NAND.
 
-Layering prepares a circuit for chain evaluation: dummy gates (an AND
-with the constant one) are inserted until every input-to-output path
-crosses the same number of level-consuming gates, one per layer. Which
-gates consume a level depends on the evaluator: a plain chain reencrypts
-only after multiplicative gates, the replicated scheme boosts after
-additions too, so layerize takes count_xor.
+One schedule and one interpreter serve hom_eval, chain evaluation and
+batched plain evaluation: compile_schedule places each gate on a level
+(see Schedule), and run_schedule takes the level-crossing step as a
+parameter. Which gates consume a level depends on the evaluator: a plain
+chain reencrypts only after multiplicative gates, the replicated scheme
+boosts after additions too, hence count_xor. eval_plain is the
+field-element reference the array paths are checked against.
+
+Layering writes the levels into the netlist instead: dummy gates (an
+AND with the constant one) are inserted until every input-to-output
+path crosses the same number of level-consuming gates, one per layer.
 
 CORR_d is the full G-tree self-corrector; APXMAJ is the randomly wired
 approximate majority, built by sample-and-verify since the existence
-argument it comes from is probabilistic.
+argument it comes from is probabilistic. walk_gtree evaluates such a
+tree from its leaf row, the shape in which the boost runs it.
 """
 
 from __future__ import annotations
@@ -174,22 +180,13 @@ def eval_plain_array(spec: FieldSpec, c: Circuit, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=spec.dtype)
     if X.shape[0] != len(c.inputs):
         raise UsageError(f"circuit takes {len(c.inputs)} inputs, got {X.shape[0]}")
-    batch = X.shape[1:]
-    one = spec.dtype(1)
-    vals = {name: X[i] for i, name in enumerate(c.inputs)}
-    for g in c.gates:
-        if g.kind == "XOR":
-            v = vals[g.args[0]] ^ vals[g.args[1]]
-        elif g.kind == "AND":
-            v = mul_arrays(spec, vals[g.args[0]], vals[g.args[1]])
-        elif g.kind == "G":
-            v = one ^ mul_arrays(spec, vals[g.args[0]], vals[g.args[1]])
-        elif g.kind == "COPY":
-            v = vals[g.args[0]]
-        else:
-            v = np.full(batch, 0 if g.kind == "CONST0" else 1, dtype=spec.dtype)
-        vals[g.id] = v
-    return np.stack([vals[o] for o in c.outputs])
+    # one level: with the identity as crossing, placement cannot matter
+    s = compile_schedule(c, False, 1)
+    outs = run_schedule(
+        spec, s, X, lambda level, W: W,
+        lambda v: np.full(X.shape[1:], v, dtype=spec.dtype),
+    )
+    return np.stack(outs)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +334,120 @@ def check_layering(lc: LayeredCircuit) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The compiled schedule and its array interpreter.
+# ---------------------------------------------------------------------------
+
+
+def _xor_any(a, b):
+    # operands are arrays or the constant bits 0 and 1 as Python ints
+    if isinstance(a, int):
+        a, b = b, a
+    if isinstance(a, int) or not isinstance(b, int):
+        return a ^ b
+    return a if b == 0 else a ^ a.dtype.type(b)
+
+
+def _mul_any(spec, a, b):
+    if isinstance(a, int):
+        a, b = b, a
+    if not isinstance(b, int):
+        return mul_arrays(spec, a, b)
+    if isinstance(a, int):
+        return a & b
+    return a if b == 1 else np.zeros_like(a)
+
+
+def _gate(spec, kind: str, a, b):
+    # XOR, AND or G on arrays or on the constant bits 0 and 1
+    if kind == "XOR":
+        return _xor_any(a, b)
+    v = _mul_any(spec, a, b)
+    return _xor_any(v, 1) if kind == "G" else v
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """A circuit's output cone compiled for evaluation over level crossings.
+
+    The level convention of every evaluator: inputs cross at level 0 and
+    arrive at level 1. A gate whose deepest operand has burnt j levels
+    runs at level j+1; AND and G burn a level, XOR only under count_xor.
+    After each level l < levels the wires still needed later cross to
+    level l+1 together, and outputs are carried up to the last level.
+    When the depth equals the level count, the last layer runs bare: no
+    crossing follows it. Constant-only wires are folded into `consts`
+    and never cross; COPY gates resolve to the wire they copy.
+    """
+
+    inputs: tuple[str, ...]
+    consts: dict[str, int]
+    outputs: tuple[str, ...]
+    runs: tuple[tuple[Gate, ...], ...]  # runs[l]: gates run at level l; runs[0] is empty
+    carries: tuple[tuple[str, ...], ...]  # carries[l]: wires crossing after level l
+    depth: int
+    levels: int
+
+
+def compile_schedule(c: Circuit, count_xor: bool, levels: int) -> Schedule:
+    """Place c on levels 1..levels; gates deeper than that pile onto the last."""
+    if levels < 1:
+        raise UsageError(f"evaluation needs at least one level, got {levels}")
+    cone = _output_cone(c)
+    consts: dict[str, int] = {}
+    root: dict[str, str] = {}
+    burnt = dict.fromkeys(c.inputs, 0)
+    made = dict.fromkeys(c.inputs, 1)
+    need: dict[str, int] = {}
+    runs: list[list[Gate]] = [[] for _ in range(levels + 1)]
+    for g in c.gates:
+        if g.id not in cone:
+            continue
+        args = tuple(root.get(a, a) for a in g.args)
+        if g.kind.startswith("CONST"):
+            consts[g.id] = int(g.kind[-1])
+        elif g.kind == "COPY":
+            root[g.id] = args[0]
+        elif all(a in consts for a in args):
+            consts[g.id] = _gate(None, g.kind, consts[args[0]], consts[args[1]])
+        else:
+            base = max(burnt[a] for a in args if a not in consts)
+            burnt[g.id] = base + (1 if count_xor or g.kind in MULT_KINDS else 0)
+            made[g.id] = run = min(base + 1, levels)
+            runs[run].append(Gate(g.id, g.kind, args))
+            for a in args:
+                need[a] = max(need.get(a, 0), run)
+    outputs = tuple(root.get(o, o) for o in c.outputs)
+    need.update(dict.fromkeys(outputs, levels))
+    carries: list[list[str]] = [list(c.inputs)] + [[] for _ in range(levels - 1)]
+    for w, level in made.items():
+        for l in range(level, need.get(w, 0)):
+            carries[l].append(w)
+    depth = max((burnt[o] for o in outputs if o not in consts), default=0)
+    return Schedule(c.inputs, consts, outputs, tuple(map(tuple, runs)),
+                    tuple(map(tuple, carries)), depth, levels)
+
+
+def run_schedule(spec: FieldSpec, s: Schedule, X, cross, const_block) -> list:
+    """Interpret a schedule on arrays; one array per output.
+
+    X stacks the inputs on axis 0. cross(l, W) moves stacked wires from
+    level l to l+1: a boost, a reencryption link, or the identity.
+    const_block(bit) builds the array of an output folded to a constant.
+    """
+    vals: dict[str, np.ndarray] = {}
+    if s.inputs:
+        vals.update(zip(s.inputs, cross(0, X)))
+    for level in range(1, s.levels + 1):
+        for g in s.runs[level]:
+            a, b = (s.consts[w] if w in s.consts else vals[w] for w in g.args)
+            vals[g.id] = _gate(spec, g.kind, a, b)
+        if level < s.levels and s.carries[level]:
+            W = cross(level, np.stack([vals[w] for w in s.carries[level]]))
+            vals.update(zip(s.carries[level], W))
+    return [const_block(s.consts[o]) if o in s.consts else vals[o] for o in s.outputs]
+
+
+# ---------------------------------------------------------------------------
 # CORR and APXMAJ builders.
 # ---------------------------------------------------------------------------
 
@@ -386,10 +497,23 @@ def leaf_assignment(c: Circuit) -> np.ndarray:
     return np.asarray(leaves)
 
 
+def walk_gtree(spec: FieldSpec, V: np.ndarray, cross) -> np.ndarray:
+    """Evaluate a full G-tree from its leaf rows V (2^d, ...); returns the root.
+
+    Tree level l pairs V[2i] with V[2i+1], as build_corr wires them, then
+    calls cross(l, V) on the halved stack.
+    """
+    one = spec.dtype(1)
+    for level in range(1, len(V).bit_length()):
+        V = mul_arrays(spec, V[0::2], V[1::2])
+        V ^= one
+        V = cross(level, V)
+    return V[0]
+
+
 def _wire_leaves(m: int, assignment: np.ndarray) -> Circuit:
-    # CORR tree whose leaves read the given input indices.
-    d = 2 * int(np.log2(m)) + 4
-    tree = build_corr(d)
+    # CORR tree over m inputs whose leaves read the given input indices
+    tree = build_corr(len(assignment).bit_length() - 1)
     names = [f"x{int(j)}" for j in assignment]
     remap = dict(zip(tree.inputs, names))
     gates = [
@@ -415,15 +539,17 @@ def verify_apxmaj(
 ) -> bool:
     """Check the 7/8-agreement contract.
 
-    Boolean patterns with at most m/8 disagreements are enumerated
-    exhaustively when there are few enough, sampled otherwise; then
-    `trials` patterns get their disagreeing coordinates replaced by
-    random nonzero field values.
+    The tree runs through walk_gtree from its leaf_assignment, the
+    pairing convention the boost runs. Boolean patterns with at most m/8
+    disagreements are enumerated exhaustively when there are few enough,
+    sampled otherwise; then `trials` patterns get their disagreeing
+    coordinates replaced by random nonzero field values.
     """
     if spec is None:
         spec = FieldSpec(4)
     flips = m // 8
     n_pat = 2 * sum(comb(m, j) for j in range(flips + 1))
+    leaves = leaf_assignment(c)
     if n_pat <= exhaustive_cap:
         cases = list(_agreement_patterns(m, flips))
     else:
@@ -440,7 +566,7 @@ def verify_apxmaj(
         for i in pos:
             X[i, t] = 1 - b
         want[t] = b
-    if not np.array_equal(eval_plain_array(spec, c, X)[0], want):
+    if not np.array_equal(walk_gtree(spec, X[leaves], lambda l, V: V), want):
         return False
     if trials > 0:
         X = np.empty((m, trials), dtype=spec.dtype)
@@ -453,7 +579,7 @@ def verify_apxmaj(
                 pos = rng.choice(m, size=j, replace=False)
                 X[pos, t] = random_nonzero(spec, rng, j)
             want[t] = b
-        if not np.array_equal(eval_plain_array(spec, c, X)[0], want):
+        if not np.array_equal(walk_gtree(spec, X[leaves], lambda l, V: V), want):
             return False
     return True
 

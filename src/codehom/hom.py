@@ -8,11 +8,12 @@ the decodable one (15k/16); Boost is the repair step, recomputing every
 part as an expander-routed approximate majority of the others while
 moving the whole bundle to the next level key.
 
-Evaluation follows the template: inputs are boosted into level 1,
-layer-j gates run at level j, and each layer's results are boosted to
-level j+1, except that a circuit using all d layers runs its last layer
-bare, landing in the decodable space of level d, where the final-level
-secret key votes just as well.
+Evaluation follows the level convention of circuit.Schedule, with a
+boost as the crossing step: inputs are boosted into level 1, layer-j
+gates run at level j, and each layer's results are boosted to level
+j+1, except that a circuit using all d layers runs its last layer bare,
+landing in the decodable space of level d, where the final-level secret
+key votes just as well.
 
 Addition of parts is itself only proto-homomorphic here (two 31/32
 bundles XOR to a 15/16 one), so by default XOR layers burn a boost
@@ -27,17 +28,15 @@ reproduces values fixed by G(v, v) = 1 + v*v, which pins 0 and 1.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, UsageError
 from .booster import boost_arrays, boost_aux_gen, build_expander
-from .circuit import MULT_KINDS, Circuit, Gate, LayeredCircuit, build_apxmaj
+from .circuit import Circuit, LayeredCircuit, build_apxmaj, compile_schedule, run_schedule
 from .field import FieldElement, FieldSpec
 from .linalg import Vector
-from .reencrypt import _mul_any, _xor_any
 from .scheme import (
     Ciphertext,
     Params,
@@ -260,17 +259,7 @@ def boost_depth(c: Circuit, count_xor: bool = True) -> int:
     Every XOR, AND and G burns a level by default; with count_xor off
     only the multiplicative kinds do, and the result equals mult_depth.
     """
-    bd: dict[str, int | None] = {w: 0 for w in c.inputs}
-    for g in c.gates:
-        ops = [bd[a] for a in g.args if bd[a] is not None]
-        if not ops:
-            bd[g.id] = None  # pure constant, valid at every level
-        elif g.kind == "COPY":
-            bd[g.id] = ops[0]
-        else:
-            burn = 1 if (g.kind in MULT_KINDS or count_xor) else 0
-            bd[g.id] = max(ops) + burn
-    return max((bd[o] for o in c.outputs if bd.get(o) is not None), default=0)
+    return compile_schedule(c, count_xor, 1).depth
 
 
 def hom_eval(
@@ -300,105 +289,19 @@ def hom_eval(
     for i, kc in enumerate(inputs):
         if kc.spec != spec or kc.k != hk.k or kc.n != p.n:
             raise UsageError(f"input {i} does not match the keys: {kc!r}")
+    s = compile_schedule(c, count_xor, d)
+    if s.depth > d:
+        raise UsageError(f"circuit needs {s.depth} boosted layers, keys provide {d}")
+    if trace is not None:
+        for level in range(d + 1):
+            if s.runs[level]:
+                trace.append(("gates", level, len(s.runs[level])))
+            if level < d and s.carries[level]:
+                trace.append(("boost", level, len(s.carries[level])))
 
-    need = set(c.outputs)
-    for g in reversed(c.gates):
-        if g.id in need:
-            need.update(g.args)
-    cone = [g for g in c.gates if g.id in need]
-
-    # fold constants, resolve copies, assign each gate its run level
-    const_val: dict[str, int] = {}
-    root: dict[str, str] = {}
-    bd: dict[str, int] = {w: 0 for w in c.inputs}
-    runs: list[tuple[Gate, int]] = []  # gate with rooted args, run level
-    deepest = 0
-    for g in cone:
-        if g.kind.startswith("CONST"):
-            const_val[g.id] = int(g.kind[-1])
-            continue
-        args = tuple(root.get(a, a) for a in g.args)
-        ops = [bd[a] for a in args if a not in const_val]
-        if not ops:
-            cv = [const_val[a] for a in args]
-            if g.kind == "XOR":
-                const_val[g.id] = cv[0] ^ cv[1]
-            elif g.kind == "AND":
-                const_val[g.id] = cv[0] & cv[1]
-            elif g.kind == "G":
-                const_val[g.id] = 1 ^ (cv[0] & cv[1])
-            else:  # COPY
-                const_val[g.id] = cv[0]
-            continue
-        if g.kind == "COPY":
-            root[g.id] = args[0]
-            continue
-        burn = 1 if (g.kind in MULT_KINDS or count_xor) else 0
-        base = max(ops)
-        deepest = max(deepest, base + burn)
-        runs.append((Gate(g.id, g.kind, args), min(base + 1, d)))
-        bd[g.id] = base + burn
-    if deepest > d:
-        raise UsageError(f"circuit needs {deepest} boosted layers, keys provide {d}")
-
-    by_run: dict[int, list[Gate]] = defaultdict(list)
-    for g, run in runs:
-        by_run[run].append(g)
-    last_need: dict[str, int] = {}
-    for g, run in runs:
-        for a in g.args:
-            if a not in const_val:
-                last_need[a] = max(last_need.get(a, 0), run)
-    out_roots = [root.get(o, o) for o in c.outputs]
-    for w in out_roots:
-        if w not in const_val:
-            last_need[w] = d
-
-    vals: dict[str, np.ndarray] = {}
-    if c.inputs:
-        X = np.stack([kc.P for kc in inputs])
-        if trace is not None:
-            trace.append(("boost", 0, len(inputs)))
-        B = boost_arrays(hk.boosts[0], X)
-        for i, w in enumerate(c.inputs):
-            vals[w] = B[i]
-    lvl = {w: 1 for w in c.inputs}
-
-    def fetch(a):
-        return const_val[a] if a in const_val else vals[a]
-
-    for ell in range(1, d + 1):
-        here = by_run.get(ell, ())
-        if here and trace is not None:
-            trace.append(("gates", ell, len(here)))
-        for g in here:
-            a = fetch(g.args[0])
-            b = fetch(g.args[1])
-            if g.kind == "XOR":
-                r = _xor_any(a, b)
-            else:
-                r = _mul_any(spec, a, b)
-                if g.kind == "G":
-                    r = _xor_any(r, 1)
-            vals[g.id] = r
-            lvl[g.id] = ell
-        if ell == d:
-            break
-        carry = [w for w, lw in lvl.items() if lw == ell and last_need.get(w, 0) > ell]
-        if carry:
-            W = np.stack([vals[w] for w in carry])
-            if trace is not None:
-                trace.append(("boost", ell, len(carry)))
-            Bc = boost_arrays(hk.boosts[ell], W)
-            for i, w in enumerate(carry):
-                vals[w] = Bc[i]
-                lvl[w] = ell + 1
-
-    out = []
-    for w in out_roots:
-        if w in const_val:
-            block = np.full((hk.k, p.n), const_val[w], dtype=spec.dtype)
-        else:
-            block = vals[w]
-        out.append(KCiphertext(spec, block))
-    return out
+    X = np.stack([kc.P for kc in inputs]) if inputs else None
+    blocks = run_schedule(
+        spec, s, X, lambda level, W: boost_arrays(hk.boosts[level], W),
+        lambda v: np.full((hk.k, p.n), v, dtype=spec.dtype),
+    )
+    return [KCiphertext(spec, block) for block in blocks]

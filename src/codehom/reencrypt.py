@@ -6,13 +6,13 @@ a linear map: ReEnc(c) = sum_i c_i z_i. When every z_i is a valid target
 encryption of y_i ("good" aux), linearity gives ReEnc(c) in Enc'(<y,c>)
 for arbitrary c, so a link repairs proto-homomorphic damage exactly.
 
-chain evaluation convention: a chain with L links spans levels 0..L.
-Link 0 reencrypts the raw inputs (level 0 -> 1); the gates of layer j
-run at level j and their outputs cross link j. A layered circuit with D
-layers therefore wants D+1 links. One fewer is accepted: the last layer
-then stays unreencrypted ("bare"), which still decrypts correctly at
-level L but no longer lands in the encryption space. Leftover links
-drain the outputs upward so the result always lives at the top level.
+chain evaluation convention: circuit.Schedule's, link l being the
+crossing after level l of a chain spanning levels 0..L. Link 0
+reencrypts the raw inputs; the gates of layer j run at level j and their
+outputs cross link j. D layers therefore want D+1 links. One fewer is
+accepted: the last layer then stays unreencrypted ("bare"), which still
+decrypts correctly at level L but no longer lands in the encryption
+space. Leftover links drain the outputs upward to the top level.
 
 The length-preserving construction rebuilds each z_i from encrypted key
 BITS: every bit is encrypted 2^d times, pushed through the CORR_d
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UsageError
-from .circuit import Circuit, LayeredCircuit, build_corr, layerize
+from .circuit import Circuit, LayeredCircuit, build_corr, compile_schedule, run_schedule
+from .circuit import _mul_any, _xor_any  # noqa: F401  perfbench traces them at this path
 from .field import FieldSpec, mul_arrays
 from .linalg import Vector, matmul_arrays
 from .scheme import (
@@ -210,99 +211,40 @@ def chain_keygen(
 # ---------------------------------------------------------------------------
 
 
-def _as_layered(c: Circuit | LayeredCircuit, count_xor: bool = False) -> LayeredCircuit:
-    return c if isinstance(c, LayeredCircuit) else layerize(c, count_xor=count_xor)
-
-
-def _xor_any(a, b):
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-        return int(a) ^ int(b)
-    if isinstance(a, (int, np.integer)):
-        a, b = b, a
-    if isinstance(b, (int, np.integer)):
-        return a if b == 0 else a ^ a.dtype.type(b)
-    return a ^ b
-
-
-def _mul_any(spec, a, b):
-    # constants here are only the gate constants 0 and 1
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-        return int(a) & int(b)
-    if isinstance(a, (int, np.integer)):
-        a, b = b, a
-    if isinstance(b, (int, np.integer)):
-        return a if b == 1 else np.zeros_like(a)
-    return mul_arrays(spec, a, b)
-
-
 def chain_eval_arrays(
     level_params: list[Params],
     links: list[np.ndarray],
-    lc: LayeredCircuit,
+    c: Circuit | LayeredCircuit,
     X: np.ndarray,
 ) -> list[np.ndarray]:
-    """Evaluate a layered circuit through a chain, batched.
+    """Evaluate a circuit through a chain, batched.
 
     X is (inputs, *batch, n_0); each link is (n_i, n_{i+1}) or carries
     extra leading batch axes that broadcast against *batch. Returns one
-    (*batch, n_top) array per circuit output, where n_top is the final
-    level (one less than the link count only in the bare case).
+    (*batch, n_top) array per circuit output, n_top being the length of
+    the top level. A raw circuit levels only its AND and G gates; a
+    LayeredCircuit levels the gates it was layered for.
     """
     spec = level_params[0].field
-    L = lc.n_layers
-    n_links = len(links)
-    if n_links < L:
-        raise UsageError(f"circuit needs {L} layers but the chain has only {n_links} links")
-    bare = n_links == L
+    count_xor = False
+    if isinstance(c, LayeredCircuit):
+        c, count_xor = c.circuit, c.counts_xor
+    s = compile_schedule(c, count_xor, len(links))
+    if s.depth > len(links):
+        raise UsageError(f"circuit needs {s.depth} layers but the chain has only {len(links)} links")
     X = np.asarray(X, dtype=spec.dtype)
-    if X.shape[0] != len(lc.circuit.inputs):
-        raise UsageError(f"circuit takes {len(lc.circuit.inputs)} inputs, got {X.shape[0]}")
+    if X.shape[0] != len(c.inputs):
+        raise UsageError(f"circuit takes {len(c.inputs)} inputs, got {X.shape[0]}")
     if X.shape[-1] != level_params[0].n:
         raise UsageError(f"inputs have length {X.shape[-1]}, level 0 expects {level_params[0].n}")
 
-    def reenc(link, v):
-        return matmul_arrays(spec, v[..., None, :], link)[..., 0, :]
+    def cross(level, W):
+        # wires as matrix rows, so link batch axes broadcast against *batch
+        rows = matmul_arrays(spec, np.moveaxis(W, 0, -2), links[level])
+        return np.moveaxis(rows, -2, 0)
 
-    vals: dict[str, np.ndarray | int] = {}
-    for i, name in enumerate(lc.circuit.inputs):
-        vals[name] = reenc(links[0], X[i])
-    for g in lc.circuit.gates:
-        if g.kind == "CONST0":
-            vals[g.id] = 0
-            continue
-        if g.kind == "CONST1":
-            vals[g.id] = 1
-            continue
-        a = vals[g.args[0]]
-        if g.kind == "COPY":
-            vals[g.id] = a
-            continue
-        b = vals[g.args[1]]
-        if g.kind == "XOR":
-            v = _xor_any(a, b)
-        else:
-            v = _mul_any(spec, a, b)
-            if g.kind == "G":
-                v = _xor_any(v, 1)
-        if g.id in lc.gate_layers and not isinstance(v, int):
-            layer = lc.gate_layers[g.id]
-            if not (bare and layer == L):
-                v = reenc(links[layer], v)
-        vals[g.id] = v
-
-    top = L if bare else L + 1
-    batch = X.shape[1:-1]
-    outs = []
-    for o in lc.circuit.outputs:
-        v = vals[o]
-        if isinstance(v, int):
-            shape = batch + (level_params[-1].n,)
-            outs.append(np.full(shape, v, dtype=spec.dtype))
-            continue
-        for j in range(top, n_links):
-            v = reenc(links[j], v)
-        outs.append(v)
-    return outs
+    top_shape = X.shape[1:-1] + (level_params[-1].n,)
+    return run_schedule(spec, s, X, cross, lambda v: np.full(top_shape, v, dtype=spec.dtype))
 
 
 def basic_eval(
@@ -313,18 +255,15 @@ def basic_eval(
     Inputs are level-0 ciphertexts; they only need to decrypt correctly
     there. The result lives at the top level.
     """
-    lc = _as_layered(c)
     spec = chain.levels[0][0].field
     n0 = chain.levels[0][0].n
-    if len(inputs) != len(lc.circuit.inputs):
-        raise UsageError(f"circuit takes {len(lc.circuit.inputs)} inputs, got {len(inputs)}")
     for ct in inputs:
         if ct.v.len != n0:
             raise UsageError(f"input length {ct.v.len}, level 0 expects {n0}")
     X = np.stack([ct.v.data for ct in inputs]) if inputs else np.zeros((0, n0), dtype=spec.dtype)
     params = [p for p, _, _ in chain.levels]
     links = [a.Z for a in chain.aux]
-    outs = chain_eval_arrays(params, links, lc, X)
+    outs = chain_eval_arrays(params, links, c, X)
     return [Ciphertext(Vector(spec, o)) for o in outs]
 
 
@@ -398,9 +337,8 @@ def aux_gen_preserving(
     ms = np.repeat(bits.reshape(-1), copies).astype(spec.dtype)  # (n*k*copies,)
     C = encrypt_batch(levels[0][1], ms, rng, eta=bit_eta)
     X = C.reshape(n * k, copies, sizes[0]).transpose(1, 0, 2)  # (copies, n*k, n0)
-    lc = layerize(build_corr(d))
     params = [p for p, _, _ in chain.levels]
-    zij = chain_eval_arrays(params, [a.Z for a in chain.aux], lc, X)[0]  # (n*k, n)
+    zij = chain_eval_arrays(params, [a.Z for a in chain.aux], build_corr(d), X)[0]  # (n*k, n)
     zij = zij.reshape(n, k, n)
     # gamma^j, j = 0..k-1
     gpow = np.empty(k, dtype=spec.dtype)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataFormatError, ParameterError, UsageError
 from .booster import BoostAux, ExpanderGraph
-from .circuit import format_netlist, parse_netlist
+from .circuit import _wire_leaves, format_netlist
 from .field import FieldSpec
 from .hom import HomKeys, KCiphertext
 from .linalg import Matrix, Vector
@@ -192,11 +192,9 @@ def decode_boost_aux(doc) -> BoostAux:
     adjacency = np.asarray(_get(doc, "adjacency"), dtype=np.int64)
     if adjacency.shape != (k, b) or adjacency.min() < 0 or adjacency.max() >= k:
         raise DataFormatError(f"adjacency must be {k}x{b} with entries below {k}")
+    if (np.diff(np.sort(adjacency, axis=1), axis=1) == 0).any():
+        raise DataFormatError("every adjacency row must hold distinct entries")
     graph = ExpanderGraph(k, b, adjacency, float(_get(doc, "lambda_measured")))
-    try:
-        circuit = parse_netlist(_get(doc, "circuit"))
-    except UsageError as e:
-        raise DataFormatError(f"bad majority circuit: {e}") from None
     level_params = [decode_params(d) for d in _get(doc, "level_params")]
     if len(level_params) < 2:
         raise DataFormatError("a boost needs at least source and target parameters")
@@ -211,6 +209,18 @@ def decode_boost_aux(doc) -> BoostAux:
             f"{len(level_params)} levels need {len(level_params) - 1} links, "
             f"got {len(raw_links)}"
         )
+    if len(assignment) != 2 ** (len(raw_links) - 1):
+        raise DataFormatError(
+            f"a tree over {len(raw_links)} links has {2 ** (len(raw_links) - 1)} leaves, "
+            f"assignment maps {len(assignment)}"
+        )
+    # the stored netlist is redundant with the assignment; it must agree
+    try:
+        circuit = _wire_leaves(b, assignment)
+    except UsageError as e:
+        raise DataFormatError(f"bad majority tree: {e}") from None
+    if _get(doc, "circuit") != format_netlist(circuit):
+        raise DataFormatError("majority circuit disagrees with its leaf assignment")
     links = []
     for l, raw in enumerate(raw_links):
         L = _field_array(spec, raw, f"links[{l}]", 3)
@@ -300,6 +310,13 @@ def load_hom_keys(directory) -> HomKeys:
         for i in range(depth + 1)
     ]
     boosts = [decode_boost_aux(load_json(d / f"boost{i}.json")) for i in range(depth)]
+    for i, (pk, sk) in enumerate(levels):
+        if pk.params != params or sk.params != params:
+            raise DataFormatError(f"level {i} keys do not match the parameters in meta.json")
+    for i, aux in enumerate(boosts):
+        if (aux.source_params != levels[i][0].params
+                or aux.target_params != levels[i + 1][0].params):
+            raise DataFormatError(f"boost {i} does not link level {i} to level {i + 1}")
     try:
         return HomKeys(params, k, levels, boosts)
     except UsageError as e:

@@ -1,6 +1,7 @@
 """End-to-end command-line flows, exit codes, and determinism."""
 
 import json
+import shutil
 
 import pytest
 
@@ -158,6 +159,22 @@ def test_bad_netlist_is_data_error(mini_keys, tmp_path, capsys):
     code, _, _ = run(capsys, "hom-eval", "--keys", mini_keys, "--circuit", net,
                      "--inputs", ct, "--out", tmp_path / "r")
     assert code == 3
+
+
+def test_tampered_boost_file_is_data_error(mini_keys, tmp_path, capsys):
+    net = tmp_path / "and.net"
+    net.write_text("inputs x0 x1\nt = AND x0 x1\noutputs t\n")
+    ct = tmp_path / "m.kct.json"
+    run(capsys, "hom-encrypt", "--keys", mini_keys, "--m", "1", "--out", ct, "--seed", 2)
+    keys = tmp_path / "keys"
+    shutil.copytree(mini_keys, keys)
+    doc = json.loads((keys / "boost0.json").read_text())
+    doc["assignment"] = doc["assignment"][: len(doc["assignment"]) // 2]
+    (keys / "boost0.json").write_text(json.dumps(doc))
+    code, _, err = run(capsys, "hom-eval", "--keys", keys, "--circuit", net,
+                       "--inputs", ct, ct, "--out", tmp_path / "r")
+    assert code == 3
+    assert "assignment" in err
 
 
 def test_analyze_rank_deterministic_branch(capsys):

@@ -9,7 +9,15 @@ the inputs decrypt to) reduces to that.
 import numpy as np
 import pytest
 
-from codehom.circuit import build_corr, eval_plain, eval_plain_array, layerize, mult_depth, parse_netlist
+from codehom.circuit import (
+    build_corr,
+    compile_schedule,
+    eval_plain,
+    eval_plain_array,
+    layerize,
+    mult_depth,
+    parse_netlist,
+)
 from codehom.errors import ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_elements
 from codehom.homops import const_ct
@@ -320,6 +328,67 @@ def test_chain_eval_batched_matches_single(flat3):
         cts = [Ciphertext(Vector(GF256, X[i, t])) for i in range(3)]
         (single,) = basic_eval(flat3, lc, cts)
         assert np.array_equal(single.v.data, batch_out[t])
+
+
+def test_chain_raw_circuit_matches_layerized():
+    # carrying a wire across a link computes exactly what a dummy AND-one
+    # plus its reencryption does, so a raw circuit needs no layering;
+    # noisy links make any moved or missing reencryption show in the bytes
+    rng = np.random.default_rng(19)
+    noisy = Params(n=16, r=6, s=3, field=GF16, eta=0.05)
+    chain = chain_keygen(16, 0.0, 4, rng, base=noisy, aux_eta=0.05)
+    params = [p for p, _, _ in chain.levels]
+    links = [a.Z for a in chain.aux]
+    compared = {False: 0, True: 0}
+    for _ in range(80):
+        c = random_circuit(rng, n_inputs=3, n_gates=10, p_const=0.15)
+        X = rng.integers(16, size=(3, 4, 16), dtype=np.uint8)
+        folded = compile_schedule(c, False, 1).consts
+        for count_xor in (False, True):
+            lc = layerize(c, count_xor=count_xor)
+            if lc.n_layers > len(links):
+                continue
+            # layerize puts constant-only AND/G gates on a layer and lifts
+            # their consumers over it; the schedule folds them instead
+            if set(lc.gate_layers) & set(folded):
+                continue
+            # the raw path levels AND and G only, as layerize does without
+            # count_xor; with it, only XOR-free circuits level alike
+            if count_xor and any(g.kind == "XOR" for g in lc.circuit.gates):
+                continue
+            raw = chain_eval_arrays(params, links, c, X)
+            layered = chain_eval_arrays(params, links, lc, X)
+            assert len(raw) == len(layered) == len(c.outputs)
+            for a, b in zip(raw, layered):
+                assert a.shape == b.shape == (4, 16)
+                assert np.array_equal(a, b)
+            compared[count_xor] += 1
+    assert compared[False] >= 70 and compared[True] >= 25
+
+
+def test_chain_raw_circuit_folds_constant_layers():
+    # layerize puts the constant-only AND chain on three layers, so the
+    # circuit needs four, more than the chain's two links; the raw
+    # circuit folds the chain and needs one
+    circ = parse_netlist(
+        """
+        inputs x0
+        k = CONST1
+        a = AND k k
+        b = AND a a
+        c = AND b b
+        o = G x0 c
+        outputs o
+        """
+    )
+    chain = chain_keygen(16, 0.0, 2, np.random.default_rng(20), base=BASE16)
+    params = [p for p, _, _ in chain.levels]
+    links = [a.Z for a in chain.aux]
+    X = encrypt_batch(chain.levels[0][1], np.arange(16), np.random.default_rng(21))[None]
+    with pytest.raises(UsageError, match="layers"):
+        chain_eval_arrays(params, links, layerize(circ), X)
+    (out,) = chain_eval_arrays(params, links, circ, X)
+    assert np.array_equal(decrypt_batch(chain.levels[-1][2], out), np.arange(16) ^ 1)
 
 
 def test_corr2_block_failure_bound():

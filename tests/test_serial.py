@@ -162,3 +162,42 @@ def test_rejects_bad_link_shape(hom_keys):
     doc["links"][0] = doc["links"][0][:-1]
     with pytest.raises(DataFormatError, match=r"links\[0\]"):
         serial.decode_boost_aux(doc)
+
+
+def test_rejects_truncated_assignment(hom_keys):
+    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    doc["assignment"] = doc["assignment"][: len(doc["assignment"]) // 2]
+    with pytest.raises(DataFormatError, match="assignment"):
+        serial.decode_boost_aux(doc)
+
+
+def test_rejects_netlist_disagreeing_with_assignment(hom_keys):
+    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    doc["circuit"] = doc["circuit"].replace(" = G ", " = AND ", 5)
+    assert doc["circuit"].count(" = AND ") == 5
+    with pytest.raises(DataFormatError, match="disagrees"):
+        serial.decode_boost_aux(doc)
+
+
+def test_rejects_repeated_adjacency_entries(hom_keys):
+    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    row = doc["adjacency"][3]
+    row[1] = row[0]
+    with pytest.raises(DataFormatError, match="distinct"):
+        serial.decode_boost_aux(doc)
+
+
+def test_key_directory_must_match_meta(hom_keys, tmp_path):
+    keys = tmp_path / "keys"
+    serial.save_hom_keys(hom_keys, keys)
+    small, _ = keygen(Params(n=8, r=6, s=3, field=GF16, eta=0.0), rng(6))
+    good_pk = (keys / "level0.pk.json").read_text()
+    serial.save_public_key(small, keys / "level0.pk.json")
+    with pytest.raises(DataFormatError, match="level 0"):
+        serial.load_hom_keys(keys)
+    (keys / "level0.pk.json").write_text(good_pk)
+    doc = serial.load_json(keys / "boost0.json")
+    doc["level_params"][-1]["eta"] = 0.01
+    serial.save_json(doc, keys / "boost0.json")
+    with pytest.raises(DataFormatError, match="boost 0"):
+        serial.load_hom_keys(keys)
