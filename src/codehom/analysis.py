@@ -273,10 +273,10 @@ def _boost_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     p = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.0)
     k, bad = 32, 2
     graph = build_expander(k, 16, 0.6, rng)
-    apx = build_apxmaj(16, rng, verify_trials=60, spec=p.field)
+    leaves = build_apxmaj(16, rng, verify_trials=60, spec=p.field)
     pk0, sk0 = keygen(p, rng)
     pk1, sk1 = keygen(p, rng)
-    aux = boost_aux_gen(sk0, pk1, graph, apx, rng, mid_n=4)
+    aux = boost_aux_gen(sk0, pk1, graph, leaves, rng, mid_n=4)
     failures = 0
     for _ in range(trials):
         m = int(rng.integers(2))

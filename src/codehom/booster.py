@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, ParameterError, UsageError
-from .circuit import Circuit, leaf_assignment, walk_gtree
+from .circuit import walk_gtree
 from .linalg import Vector, matmul_arrays
 from .reencrypt import aux_gen_basic
 from .scheme import Ciphertext, Params, PublicKey, SecretKey, keygen
@@ -122,16 +122,17 @@ def heavy_output_bound(graph: ExpanderGraph) -> float:
 class BoostAux:
     """Per-output majority chains, flattened for stacked evaluation.
 
-    links[l] holds all k outputs' level-l reencryption arrays stacked
-    as (k, n_l, n_{l+1}); the chains share sizes and differ in keys.
-    Internal secret keys are not retained.
+    The majority tree is its leaf row: assignment[i] is the input, among
+    an output's b graph neighbours, that leaf i reads. links[l] holds all
+    k outputs' level-l reencryption arrays stacked as (k, n_l, n_{l+1});
+    the chains share sizes and differ in keys. Internal secret keys are
+    not retained.
     """
 
-    __slots__ = ("graph", "circuit", "assignment", "level_params", "links")
+    __slots__ = ("graph", "assignment", "level_params", "links")
 
-    def __init__(self, graph, circuit, assignment, level_params, links):
+    def __init__(self, graph, assignment, level_params, links):
         self.graph = graph
-        self.circuit = circuit
         self.assignment = assignment
         self.level_params = level_params
         self.links = links
@@ -155,17 +156,30 @@ class BoostAux:
         )
 
 
+def leaf_row_depth(leaves: np.ndarray, b: int) -> int:
+    """Depth d of the majority tree with this leaf row over b inputs.
+
+    UsageError unless the row is a 1-D integer array of length 2^d, d
+    even and >= 2 as build_corr requires, reading only inputs below b.
+    """
+    d = leaves.size.bit_length() - 1
+    if (leaves.ndim != 1 or leaves.dtype.kind not in "iu"
+            or d < 2 or d % 2 or leaves.size != 1 << d):
+        raise UsageError("leaf row must be a 1-D integer array of length 2^d, d even and >= 2")
+    if leaves.min() < 0 or leaves.max() >= b:
+        raise UsageError(f"leaf row reads inputs outside [0, {b}), the graph degree")
+    return d
+
+
 def boost_aux_gen(
     sk: SecretKey,
     pk_next: PublicKey,
     graph: ExpanderGraph,
-    apxmaj: Circuit,
+    leaves: np.ndarray,
     rng: np.random.Generator,
     mid_n: int = 8,
-    mid_r: int | None = None,
-    aux_eta: float | None = None,
 ) -> BoostAux:
-    """One fresh chain per output, threading the majority circuit.
+    """One fresh chain per output, threading the majority tree with this leaf row.
 
     The chain runs source key, tree_depth midway keys of length mid_n,
     target key; every layer of the G-tree crosses one link. mid_n only
@@ -175,17 +189,13 @@ def boost_aux_gen(
     p_tgt = pk_next.params
     if p_src.field != p_tgt.field:
         raise UsageError("source and target keys must share one field")
-    if len(apxmaj.inputs) != graph.b:
-        raise UsageError(
-            f"majority circuit reads {len(apxmaj.inputs)} wires, graph degree is {graph.b}"
-        )
+    assignment = np.asarray(leaves)
+    d_tree = leaf_row_depth(assignment, graph.b)
     if mid_n < p_src.s:
         raise ParameterError(f"midway length {mid_n} is below the trapdoor size {p_src.s}")
-    assignment = leaf_assignment(apxmaj)
-    d_tree = int(np.log2(len(assignment)))
     p_mid = Params(
         n=mid_n,
-        r=mid_r if mid_r is not None else max(p_src.s, mid_n // 2),
+        r=max(p_src.s, mid_n // 2),
         s=p_src.s,
         field=p_src.field,
         eta=p_src.eta,
@@ -199,10 +209,10 @@ def boost_aux_gen(
         sk_prev = sk
         for l in range(d_tree):
             pk_mid, sk_mid = keygen(p_mid, rng)
-            links[l][j] = aux_gen_basic(sk_prev, pk_mid, rng, eta=aux_eta).Z
+            links[l][j] = aux_gen_basic(sk_prev, pk_mid, rng).Z
             sk_prev = sk_mid
-        links[d_tree][j] = aux_gen_basic(sk_prev, pk_next, rng, eta=aux_eta).Z
-    return BoostAux(graph, apxmaj, assignment, level_params, links)
+        links[d_tree][j] = aux_gen_basic(sk_prev, pk_next, rng).Z
+    return BoostAux(graph, assignment, level_params, links)
 
 
 def boost_arrays(aux: BoostAux, C: np.ndarray) -> np.ndarray:

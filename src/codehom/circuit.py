@@ -18,8 +18,10 @@ path crosses the same number of level-consuming gates, one per layer.
 
 CORR_d is the full G-tree self-corrector; APXMAJ is the randomly wired
 approximate majority, built by sample-and-verify since the existence
-argument it comes from is probabilistic. walk_gtree evaluates such a
-tree from its leaf row, the shape in which the boost runs it.
+argument it comes from is probabilistic. A G-tree is given by its leaf
+row alone: leaf i reads input leaves[i], and walk_gtree pairs the leaves
+as build_corr wires them. build_apxmaj returns that row; gtree_circuit
+writes it out as a netlist for the reference evaluators.
 """
 
 from __future__ import annotations
@@ -471,32 +473,6 @@ def build_corr(d: int) -> Circuit:
     return Circuit(inputs, gates, [prev[0]])
 
 
-def leaf_assignment(c: Circuit) -> np.ndarray:
-    """Recover which input each leaf of a leaf-wired G-tree reads.
-
-    Inverse of the wiring step in build_apxmaj; the identity tree from
-    build_corr round-trips too. The builder emits the bottom tree level
-    first, so the leaf order is the prefix of gates whose operands are
-    both inputs.
-    """
-    input_ix = {name: i for i, name in enumerate(c.inputs)}
-    leaves: list[int] = []
-    for g in c.gates:
-        if g.kind != "G":
-            raise UsageError(f"gate {g.id!r} is {g.kind}, not part of a G-tree")
-        if g.args[0] in input_ix or g.args[1] in input_ix:
-            if not (g.args[0] in input_ix and g.args[1] in input_ix):
-                raise UsageError(f"gate {g.id!r} mixes a leaf with an internal wire")
-            leaves.append(input_ix[g.args[0]])
-            leaves.append(input_ix[g.args[1]])
-        else:
-            break
-    m = len(leaves)
-    if m < 4 or m & (m - 1) or c.size != m - 1:
-        raise UsageError("not a full G-tree over its leaf row")
-    return np.asarray(leaves)
-
-
 def walk_gtree(spec: FieldSpec, V: np.ndarray, cross) -> np.ndarray:
     """Evaluate a full G-tree from its leaf rows V (2^d, ...); returns the root.
 
@@ -511,11 +487,10 @@ def walk_gtree(spec: FieldSpec, V: np.ndarray, cross) -> np.ndarray:
     return V[0]
 
 
-def _wire_leaves(m: int, assignment: np.ndarray) -> Circuit:
-    # CORR tree over m inputs whose leaves read the given input indices
-    tree = build_corr(len(assignment).bit_length() - 1)
-    names = [f"x{int(j)}" for j in assignment]
-    remap = dict(zip(tree.inputs, names))
+def gtree_circuit(m: int, leaves: np.ndarray) -> Circuit:
+    """The netlist of the G-tree over inputs x0..x{m-1} whose leaf i reads leaves[i]."""
+    tree = build_corr(len(leaves).bit_length() - 1)
+    remap = {name: f"x{int(j)}" for name, j in zip(tree.inputs, leaves)}
     gates = [
         Gate(g.id, g.kind, tuple(remap.get(a, a) for a in g.args)) for g in tree.gates
     ]
@@ -529,32 +504,33 @@ def _agreement_patterns(m: int, flips: int):
                 yield b, pos
 
 
+_EXHAUSTIVE_CAP = 100_000  # most boolean patterns verify_apxmaj enumerates
+
+
 def verify_apxmaj(
-    c: Circuit,
+    leaves: np.ndarray,
     m: int,
     trials: int,
     rng: np.random.Generator,
     spec: FieldSpec | None = None,
-    exhaustive_cap: int = 100_000,
 ) -> bool:
-    """Check the 7/8-agreement contract.
+    """Check the 7/8-agreement contract of the G-tree with this leaf row.
 
-    The tree runs through walk_gtree from its leaf_assignment, the
-    pairing convention the boost runs. Boolean patterns with at most m/8
-    disagreements are enumerated exhaustively when there are few enough,
-    sampled otherwise; then `trials` patterns get their disagreeing
-    coordinates replaced by random nonzero field values.
+    The tree runs through walk_gtree, the pairing convention the boost
+    runs. Boolean patterns with at most m/8 disagreements are enumerated
+    exhaustively when there are few enough, sampled otherwise; then
+    `trials` patterns get their disagreeing coordinates replaced by
+    random nonzero field values.
     """
     if spec is None:
         spec = FieldSpec(4)
     flips = m // 8
     n_pat = 2 * sum(comb(m, j) for j in range(flips + 1))
-    leaves = leaf_assignment(c)
-    if n_pat <= exhaustive_cap:
+    if n_pat <= _EXHAUSTIVE_CAP:
         cases = list(_agreement_patterns(m, flips))
     else:
         cases = []
-        for _ in range(exhaustive_cap):
+        for _ in range(_EXHAUSTIVE_CAP):
             b = int(rng.integers(2))
             j = int(rng.integers(flips + 1))
             pos = tuple(rng.choice(m, size=j, replace=False)) if j else ()
@@ -587,24 +563,19 @@ def verify_apxmaj(
 def build_apxmaj(
     m: int,
     rng: np.random.Generator,
-    retries: int = 64,
     verify_trials: int = 200,
     spec: FieldSpec | None = None,
-) -> Circuit:
-    """Approximate majority on m wires: a randomly wired CORR_{2 log m + 4}.
+) -> np.ndarray:
+    """Approximate majority on m wires: the leaf row of a randomly wired CORR_{2 log m + 4}.
 
     Random wiring satisfies the agreement contract with overwhelming
     probability but not certainty, so each sample is verified and
-    resampled on failure.
+    resampled on failure, up to 64 times.
     """
     if m < 8 or m & (m - 1) != 0:
         raise ParameterError(f"input count must be a power of two >= 8, got {m}")
-    failures = 0
-    for _ in range(retries):
-        c = _wire_leaves(m, rng.integers(m, size=16 * m * m))
-        if verify_apxmaj(c, m, verify_trials, rng, spec=spec):
-            return c
-        failures += 1
-    raise ConstructionError(
-        f"no verified wiring for m={m} after {retries} attempts ({failures} rejected)"
-    )
+    for _ in range(64):
+        leaves = rng.integers(m, size=16 * m * m)
+        if verify_apxmaj(leaves, m, verify_trials, rng, spec=spec):
+            return leaves
+    raise ConstructionError(f"no verified wiring for m={m} after 64 attempts")

@@ -106,9 +106,6 @@ class BoostConfig:
     b: int = 16
     lambda_target: float = 0.6
     mid_n: int = 8
-    mid_r: int | None = None
-    expander_retries: int = 64
-    apxmaj_retries: int = 64
     verify_trials: int = 200
 
 
@@ -174,8 +171,8 @@ def hom_keygen(
 ) -> HomKeys:
     """Sample d+1 independent level keys and the boost between each pair.
 
-    The expander and the majority circuit are sampled once and shared:
-    they carry no key material, only wiring.
+    The expander and the majority tree, given by its leaf row, are
+    sampled once and shared: they carry no key material, only wiring.
     """
     if k < 32:
         raise ParameterError(f"part count k={k} is below 32; the 15/16 and 31/32 "
@@ -183,16 +180,11 @@ def hom_keygen(
     if d < 1:
         raise ParameterError(f"depth must be >= 1, got {d}")
     cfg = cfg or BoostConfig()
-    graph = build_expander(k, cfg.b, cfg.lambda_target, rng, cfg.expander_retries)
-    apxmaj = build_apxmaj(
-        cfg.b, rng, retries=cfg.apxmaj_retries, verify_trials=cfg.verify_trials, spec=p.field
-    )
+    graph = build_expander(k, cfg.b, cfg.lambda_target, rng)
+    leaves = build_apxmaj(cfg.b, rng, verify_trials=cfg.verify_trials, spec=p.field)
     levels = [keygen(p, rng) for _ in range(d + 1)]
     boosts = [
-        boost_aux_gen(
-            levels[i][1], levels[i + 1][0], graph, apxmaj, rng,
-            mid_n=cfg.mid_n, mid_r=cfg.mid_r,
-        )
+        boost_aux_gen(levels[i][1], levels[i + 1][0], graph, leaves, rng, mid_n=cfg.mid_n)
         for i in range(d)
     ]
     return HomKeys(p, k, levels, boosts)

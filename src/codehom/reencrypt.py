@@ -68,23 +68,15 @@ class AuxKeyInfo:
         return f"AuxKeyInfo({self.source_n} -> {self.target_n})"
 
 
-class PreservingAux:
+class PreservingAux(AuxKeyInfo):
     """Length-preserving link, built bitwise through CORR_{corr_depth}."""
 
-    __slots__ = ("Z", "corr_depth", "chain", "source_n", "target_n", "target_params")
+    __slots__ = ("corr_depth", "chain")
 
     def __init__(self, Z: np.ndarray, corr_depth: int, chain: "ChainKeys", target_params: Params):
-        self.Z = Z
+        super().__init__(Z, target_params)
         self.corr_depth = corr_depth
         self.chain = chain
-        self.source_n = Z.shape[0]
-        self.target_n = Z.shape[1]
-        self.target_params = target_params
-
-    @property
-    def z(self) -> list[Ciphertext]:
-        spec = self.target_params.field
-        return [Ciphertext(Vector(spec, row)) for row in self.Z]
 
     def __repr__(self):
         return f"PreservingAux(n={self.source_n}, corr_depth={self.corr_depth})"
@@ -132,12 +124,12 @@ def aux_gen_basic(
     return AuxKeyInfo(Z, pk_next.params)
 
 
-def aux_is_good(aux: AuxKeyInfo | PreservingAux, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
+def aux_is_good(aux: AuxKeyInfo, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
     """Membership audit with both secret keys: every z_i in Enc'(y_i)."""
     return bool(enc_membership_batch(sk_tgt, sk_src.y_dec.data, aux.Z).all())
 
 
-def reencrypt(aux: AuxKeyInfo | PreservingAux, c: Ciphertext) -> Ciphertext:
+def reencrypt(aux: AuxKeyInfo, c: Ciphertext) -> Ciphertext:
     if c.v.len != aux.source_n:
         raise UsageError(f"ciphertext length {c.v.len}, link expects {aux.source_n}")
     spec = aux.target_params.field
@@ -145,7 +137,7 @@ def reencrypt(aux: AuxKeyInfo | PreservingAux, c: Ciphertext) -> Ciphertext:
     return Ciphertext(Vector(spec, out))
 
 
-def reencrypt_batch(aux: AuxKeyInfo | PreservingAux, C: np.ndarray) -> np.ndarray:
+def reencrypt_batch(aux: AuxKeyInfo, C: np.ndarray) -> np.ndarray:
     spec = aux.target_params.field
     return matmul_arrays(spec, np.asarray(C, dtype=spec.dtype), aux.Z)
 

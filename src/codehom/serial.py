@@ -6,9 +6,11 @@ and diffable. A replicated ciphertext nests one complete ciphertext
 envelope per part. A full key set is a directory, one file per level
 key and per boost, under a meta file naming the shape.
 
-Loaders validate structure and value ranges and raise DataFormatError;
-a file that parses as JSON but violates a constructor invariant counts
-as malformed data too.
+Loaders validate types, structure and value ranges and raise
+DataFormatError; a file that parses as JSON but violates a constructor
+invariant counts as malformed data too. A boost file holds the majority
+tree as its leaf row alone; files that also carry the tree's netlist
+under "circuit" still load, and that field is ignored.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, ParameterError, UsageError
-from .booster import BoostAux, ExpanderGraph
-from .circuit import _wire_leaves, format_netlist
+from .booster import BoostAux, ExpanderGraph, leaf_row_depth, second_singular_value
 from .field import FieldSpec
 from .hom import HomKeys, KCiphertext
 from .linalg import Matrix, Vector
@@ -45,14 +46,42 @@ def _get(doc: dict, key: str):
         raise DataFormatError(f"missing field {key!r}") from None
 
 
-def _field_array(spec: FieldSpec, data, what: str, ndim: int) -> np.ndarray:
-    # bounds-check on a wide dtype first so nothing wraps on the cast
+def _int(doc: dict, key: str) -> int:
+    v = _get(doc, key)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DataFormatError(f"{key} must be an integer, got {type(v).__name__}")
+    return v
+
+
+def _float(doc: dict, key: str) -> float:
+    v = _get(doc, key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise DataFormatError(f"{key} must be a number, got {type(v).__name__}")
+    return float(v)
+
+
+def _list(doc: dict, key: str) -> list:
+    v = _get(doc, key)
+    if not isinstance(v, list):
+        raise DataFormatError(f"{key} must be a list, got {type(v).__name__}")
+    return v
+
+
+def _int_array(data, what: str, ndim: int) -> np.ndarray:
+    # int64 throughout, so later bounds checks see every value unwrapped
     try:
-        A = np.asarray(data, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise DataFormatError(f"{what} must be nested integer lists") from None
+        A = np.asarray(data)
+    except ValueError:
+        A = None  # ragged nesting
+    if A is None or (A.size and A.dtype.kind != "i"):
+        raise DataFormatError(f"{what} must be nested integer lists")
     if A.ndim != ndim:
         raise DataFormatError(f"{what} must be {ndim}-dimensional, got shape {A.shape}")
+    return A.astype(np.int64, copy=False)
+
+
+def _field_array(spec: FieldSpec, data, what: str, ndim: int) -> np.ndarray:
+    A = _int_array(data, what, ndim)
     if A.size and (A.min() < 0 or A.max() >= spec.q):
         raise DataFormatError(f"{what} holds values outside [0, {spec.q})")
     return A.astype(spec.dtype)
@@ -71,14 +100,14 @@ def decode_params(doc) -> Params:
         raise DataFormatError("params must be a JSON object")
     try:
         return Params(
-            n=int(_get(doc, "n")),
-            r=int(_get(doc, "r")),
-            s=int(_get(doc, "s")),
-            field=FieldSpec(int(_get(doc, "field_k"))),
-            eta=float(_get(doc, "eta")),
-            alpha=doc.get("alpha"),
+            n=_int(doc, "n"),
+            r=_int(doc, "r"),
+            s=_int(doc, "s"),
+            field=FieldSpec(_int(doc, "field_k")),
+            eta=_float(doc, "eta"),
+            alpha=None if doc.get("alpha") is None else _float(doc, "alpha"),
         )
-    except (ParameterError, UsageError, TypeError, ValueError) as e:
+    except (ParameterError, UsageError) as e:
         raise DataFormatError(f"invalid parameters: {e}") from None
 
 
@@ -138,8 +167,8 @@ def encode_ciphertext(ct: Ciphertext) -> dict:
 def decode_ciphertext(doc) -> Ciphertext:
     _expect(doc, "ct")
     try:
-        spec = FieldSpec(int(_get(doc, "field_k")))
-    except (ParameterError, UsageError, TypeError, ValueError) as e:
+        spec = FieldSpec(_int(doc, "field_k"))
+    except (ParameterError, UsageError) as e:
         raise DataFormatError(f"invalid field: {e}") from None
     c = _field_array(spec, _get(doc, "c"), "c", 1)
     if c.size == 0:
@@ -179,7 +208,6 @@ def encode_boost_aux(aux: BoostAux) -> dict:
         "b": g.b,
         "lambda_measured": g.lambda_measured,
         "adjacency": g.adjacency.tolist(),
-        "circuit": format_netlist(aux.circuit),
         "assignment": aux.assignment.tolist(),
         "level_params": [encode_params(p) for p in aux.level_params],
         "links": [link.tolist() for link in aux.links],
@@ -188,39 +216,36 @@ def encode_boost_aux(aux: BoostAux) -> dict:
 
 def decode_boost_aux(doc) -> BoostAux:
     _expect(doc, "boost-aux")
-    k, b = int(_get(doc, "k")), int(_get(doc, "b"))
-    adjacency = np.asarray(_get(doc, "adjacency"), dtype=np.int64)
+    k, b = _int(doc, "k"), _int(doc, "b")
+    if not 1 <= b <= k:
+        raise DataFormatError(f"graph degree b={b} must lie in [1, k={k}]")
+    adjacency = _int_array(_get(doc, "adjacency"), "adjacency", 2)
     if adjacency.shape != (k, b) or adjacency.min() < 0 or adjacency.max() >= k:
         raise DataFormatError(f"adjacency must be {k}x{b} with entries below {k}")
     if (np.diff(np.sort(adjacency, axis=1), axis=1) == 0).any():
         raise DataFormatError("every adjacency row must hold distinct entries")
-    graph = ExpanderGraph(k, b, adjacency, float(_get(doc, "lambda_measured")))
-    level_params = [decode_params(d) for d in _get(doc, "level_params")]
-    if len(level_params) < 2:
-        raise DataFormatError("a boost needs at least source and target parameters")
-    spec = level_params[0].field
-    assignment = np.asarray(_get(doc, "assignment"), dtype=np.int64)
-    if assignment.ndim != 1 or (assignment.size and
-                                (assignment.min() < 0 or assignment.max() >= b)):
-        raise DataFormatError(f"assignment must map leaves to inputs below {b}")
-    raw_links = _get(doc, "links")
+    lam = _float(doc, "lambda_measured")
+    if not abs(lam - second_singular_value(adjacency, k, b)) <= 1e-9:
+        raise DataFormatError(f"lambda_measured {lam} is not the adjacency's second singular value")
+    graph = ExpanderGraph(k, b, adjacency, lam)
+    level_params = [decode_params(d) for d in _list(doc, "level_params")]
+    raw_links = _list(doc, "links")
     if len(raw_links) != len(level_params) - 1:
         raise DataFormatError(
             f"{len(level_params)} levels need {len(level_params) - 1} links, "
             f"got {len(raw_links)}"
         )
+    assignment = _int_array(_get(doc, "assignment"), "assignment", 1)
     if len(assignment) != 2 ** (len(raw_links) - 1):
         raise DataFormatError(
             f"a tree over {len(raw_links)} links has {2 ** (len(raw_links) - 1)} leaves, "
             f"assignment maps {len(assignment)}"
         )
-    # the stored netlist is redundant with the assignment; it must agree
     try:
-        circuit = _wire_leaves(b, assignment)
+        leaf_row_depth(assignment, b)
     except UsageError as e:
-        raise DataFormatError(f"bad majority tree: {e}") from None
-    if _get(doc, "circuit") != format_netlist(circuit):
-        raise DataFormatError("majority circuit disagrees with its leaf assignment")
+        raise DataFormatError(f"bad assignment: {e}") from None
+    spec = level_params[0].field
     links = []
     for l, raw in enumerate(raw_links):
         L = _field_array(spec, raw, f"links[{l}]", 3)
@@ -228,7 +253,7 @@ def decode_boost_aux(doc) -> BoostAux:
         if L.shape != want:
             raise DataFormatError(f"links[{l}] must have shape {want}, got {L.shape}")
         links.append(L)
-    return BoostAux(graph, circuit, assignment, level_params, links)
+    return BoostAux(graph, assignment, level_params, links)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +329,7 @@ def load_hom_keys(directory) -> HomKeys:
     meta = load_json(d / "meta.json")
     _expect(meta, "hom-keys")
     params = decode_params(_get(meta, "params"))
-    k, depth = int(_get(meta, "k")), int(_get(meta, "depth"))
+    k, depth = _int(meta, "k"), _int(meta, "depth")
     levels = [
         (load_public_key(d / f"level{i}.pk.json"), load_secret_key(d / f"level{i}.sk.json"))
         for i in range(depth + 1)

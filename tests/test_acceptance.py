@@ -37,7 +37,9 @@ from codehom.booster import (
     heavy_output_bound,
     second_singular_value,
 )
-from codehom.circuit import build_apxmaj, build_corr, eval_plain, eval_plain_array, layerize, mult_depth
+from codehom.circuit import (
+    build_apxmaj, build_corr, eval_plain, eval_plain_array, gtree_circuit, layerize, mult_depth,
+)
 from codehom.field import FieldElement, FieldSpec, inv_arrays, mul_arrays, random_elements
 from codehom.hom import BoostConfig, enc_k_threshold, hdec, hom_encrypt, hom_eval, hom_keygen
 from codehom.homops import ct_add, ct_mul
@@ -285,7 +287,7 @@ def test_c07_approximate_majority():
     and the exact 16*m^2 - 1 gate count at m=8."""
     rng = np.random.default_rng(107)
     m = 8
-    apx = build_apxmaj(m, rng, spec=GF4)
+    apx = gtree_circuit(m, build_apxmaj(m, rng, spec=GF4))
     patterns = []
     want = []
     for b in (0, 1):
@@ -385,14 +387,15 @@ def test_c10_boost_scaling_in_k():
     rng = np.random.default_rng(110)
     pk_src, sk_src = keygen(p, rng)
     pk_tgt, sk_tgt = keygen(p, rng)
-    apx = build_apxmaj(16, rng, spec=spec)
+    leaves = build_apxmaj(16, rng, spec=spec)
+    apx = gtree_circuit(16, leaves)
     m = 1
     rates = []
     mirror_all = True
     for k, trials in ((32, 400), (64, 200), (128, 100)):
         graph = build_expander(k, 16, 0.6, rng)
         assert graph.lambda_measured <= 0.6
-        aux = boost_aux_gen(sk_src, pk_tgt, graph, apx, rng, mid_n=8)
+        aux = boost_aux_gen(sk_src, pk_tgt, graph, leaves, rng, mid_n=8)
         fails = 0
         done = 0
         while done < trials:

@@ -14,7 +14,7 @@ from codehom.booster import (
     heavy_output_bound,
     second_singular_value,
 )
-from codehom.circuit import build_apxmaj, build_corr, eval_plain_array, layerize
+from codehom.circuit import build_apxmaj, eval_plain_array, gtree_circuit, layerize
 from codehom.errors import ConstructionError, ParameterError, UsageError
 from codehom.field import FieldSpec
 from codehom.linalg import Vector
@@ -166,11 +166,26 @@ def test_aux_validation(maj8, graph16):
     with pytest.raises(UsageError, match="field"):
         boost_aux_gen(sk0, pk_other, graph16, maj8, rng)
     pk1, _ = keygen(P_TGT, rng)
-    wide = build_corr(4)  # 16 inputs, graph degree is 8
+    wide = np.arange(16)  # leaves read 16 inputs, graph degree is 8
     with pytest.raises(UsageError, match="degree"):
         boost_aux_gen(sk0, pk1, graph16, wide, rng)
     with pytest.raises(ParameterError, match="trapdoor"):
         boost_aux_gen(sk0, pk1, graph16, maj8, rng, mid_n=2)
+
+
+def test_aux_rejects_bad_leaf_rows(graph16):
+    rng = np.random.default_rng(2)
+    _, sk0 = keygen(P_SRC, rng)
+    pk1, _ = keygen(P_TGT, rng)
+    for bad in (np.zeros(8, dtype=np.int64),  # depth 3 is odd
+                np.zeros(2, dtype=np.int64),  # depth 1 is below 2
+                np.zeros(12, dtype=np.int64),  # not a power of two
+                np.zeros((4, 4), dtype=np.int64),
+                np.zeros(16)):  # not integers
+        with pytest.raises(UsageError, match="leaf row"):
+            boost_aux_gen(sk0, pk1, graph16, bad, rng)
+    with pytest.raises(UsageError, match="degree"):
+        boost_aux_gen(sk0, pk1, graph16, np.full(16, -1), rng)
 
 
 def test_aux_determinism(maj8, graph16):
@@ -221,7 +236,7 @@ def test_exact_mirror_on_arbitrary_parts(boost_setup, maj8, graph16):
         rng = np.random.default_rng(seed)
         C = rng.integers(16, size=(16, 16), dtype=np.uint8)
         vals = decrypt_batch(sk0, C)
-        expected = eval_plain_array(GF16, maj8, vals[graph16.adjacency.T])[0]
+        expected = eval_plain_array(GF16, gtree_circuit(8, maj8), vals[graph16.adjacency.T])[0]
         out = boost_arrays(aux, C)
         assert np.array_equal(decrypt_batch(sk1, out), expected)
         assert enc_membership_batch(sk1, expected, out).all()
@@ -231,7 +246,7 @@ def test_matches_generic_chain_engine(boost_setup, maj8, graph16):
     pk0, sk0, pk1, sk1, aux = boost_setup
     rng = np.random.default_rng(51)
     C = rng.integers(16, size=(16, 16), dtype=np.uint8)
-    lc = layerize(maj8)
+    lc = layerize(gtree_circuit(8, maj8))
     assert lc.n_layers == aux.tree_depth
     X = C[graph16.adjacency].transpose(1, 0, 2)
     ref = chain_eval_arrays(aux.level_params, list(aux.links), lc, X)[0]

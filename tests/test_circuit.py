@@ -17,11 +17,12 @@ from codehom.circuit import (
     eval_plain,
     eval_plain_array,
     format_netlist,
+    gtree_circuit,
     layerize,
-    leaf_assignment,
     mult_depth,
     parse_netlist,
     verify_apxmaj,
+    walk_gtree,
 )
 from codehom.errors import DataFormatError, ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_elements
@@ -284,7 +285,7 @@ def test_apxmaj_validation():
 
 def test_apxmaj_size_and_unanimity():
     rng = np.random.default_rng(8)
-    c = build_apxmaj(8, rng)
+    c = gtree_circuit(8, build_apxmaj(8, rng))
     assert c.size == 16 * 64 - 1  # 1023
     assert len(c.inputs) == 8
     for b in (0, 1):
@@ -293,7 +294,7 @@ def test_apxmaj_size_and_unanimity():
 
 def test_apxmaj_agreement_patterns():
     rng = np.random.default_rng(9)
-    c = build_apxmaj(8, rng)
+    c = gtree_circuit(8, build_apxmaj(8, rng))
     # all 18 boolean patterns with >= 7 of 8 agreeing
     for b in (0, 1):
         for flip in [None] + list(range(8)):
@@ -305,7 +306,7 @@ def test_apxmaj_agreement_patterns():
 
 def test_apxmaj_field_corruptions():
     rng = np.random.default_rng(10)
-    c = build_apxmaj(8, rng)
+    c = gtree_circuit(8, build_apxmaj(8, rng))
     for _ in range(300):
         b = int(rng.integers(2))
         vals = [b] * 8
@@ -315,9 +316,7 @@ def test_apxmaj_field_corruptions():
 
 def test_verify_rejects_single_wire_tap():
     # every leaf reads input 0: flipping coordinate 0 flips the output
-    from codehom.circuit import _wire_leaves
-
-    bad = _wire_leaves(8, np.zeros(16 * 64, dtype=np.int64))
+    bad = np.zeros(16 * 64, dtype=np.int64)
     assert not verify_apxmaj(bad, 8, 0, np.random.default_rng(11))
 
 
@@ -327,33 +326,20 @@ def test_verify_trials_zero_runs_boolean_part():
     assert verify_apxmaj(c, 8, 0, rng)
 
 
-def test_leaf_assignment_identity_on_corr():
+def test_gtree_circuit_matches_walk_gtree():
+    # the netlist view pairs leaves exactly as the boost's tree walk does
+    rng = np.random.default_rng(13)
+    for m, d in ((4, 2), (8, 4), (16, 6)):
+        leaves = rng.integers(m, size=1 << d)
+        c = gtree_circuit(m, leaves)
+        assert c.size == (1 << d) - 1 and len(c.inputs) == m
+        X = random_elements(F16, rng, (m, 40))
+        want = walk_gtree(F16, X[leaves], lambda level, V: V)
+        assert np.array_equal(eval_plain_array(F16, c, X)[0], want)
+
+
+def test_gtree_circuit_identity_row_is_corr():
     for d in (2, 4):
-        asg = leaf_assignment(build_corr(d))
-        assert np.array_equal(asg, np.arange(2**d))
-
-
-def test_leaf_assignment_round_trips_through_builder():
-    from codehom.circuit import _wire_leaves
-
-    c = build_apxmaj(8, np.random.default_rng(12))
-    asg = leaf_assignment(c)
-    assert asg.shape == (16 * 64,)
-    assert set(asg.tolist()) <= set(range(8))
-    assert np.array_equal(leaf_assignment(_wire_leaves(8, asg)), asg)
-
-
-def test_leaf_assignment_rejects_non_trees():
-    xor = parse_netlist("inputs a b\ng0 = XOR a b\noutputs g0")
-    with pytest.raises(UsageError, match="not part of a G-tree"):
-        leaf_assignment(xor)
-    mixed = Circuit(
-        ["a", "b", "c"],
-        [Gate("g0", "G", ("a", "b")), Gate("g1", "G", ("g0", "c"))],
-        ["g1"],
-    )
-    with pytest.raises(UsageError, match="mixes a leaf"):
-        leaf_assignment(mixed)
-    stub = Circuit(["a", "b"], [Gate("g0", "G", ("a", "b"))], ["g0"])
-    with pytest.raises(UsageError, match="full G-tree"):
-        leaf_assignment(stub)
+        assert format_netlist(gtree_circuit(1 << d, np.arange(1 << d))) == format_netlist(
+            build_corr(d)
+        )

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from codehom import serial
-from codehom.circuit import parse_netlist
+from codehom.circuit import format_netlist, gtree_circuit, parse_netlist
+from codehom.cli import main
 from codehom.errors import DataFormatError
 from codehom.field import FieldElement, FieldSpec
 from codehom.hom import BoostConfig, hdec, hom_encrypt, hom_eval, hom_keygen
@@ -171,11 +172,31 @@ def test_rejects_truncated_assignment(hom_keys):
         serial.decode_boost_aux(doc)
 
 
-def test_rejects_netlist_disagreeing_with_assignment(hom_keys):
+def test_rejects_odd_depth_tree(hom_keys):
+    # a consistent nine-level tree: CORR needs an even depth
     doc = serial.encode_boost_aux(hom_keys.boosts[0])
-    doc["circuit"] = doc["circuit"].replace(" = G ", " = AND ", 5)
-    assert doc["circuit"].count(" = AND ") == 5
-    with pytest.raises(DataFormatError, match="disagrees"):
+    doc["links"] = doc["links"][1:]
+    doc["level_params"] = doc["level_params"][1:]
+    doc["assignment"] = doc["assignment"][: 1 << 9]
+    with pytest.raises(DataFormatError, match="even"):
+        serial.decode_boost_aux(doc)
+
+
+def test_loads_file_carrying_tree_netlist(hom_keys):
+    # earlier files also stored the tree as a netlist; it is ignored
+    aux = hom_keys.boosts[0]
+    doc = serial.encode_boost_aux(aux)
+    assert "circuit" not in doc
+    doc["circuit"] = format_netlist(gtree_circuit(aux.graph.b, aux.assignment))
+    back = serial.decode_boost_aux(doc)
+    assert np.array_equal(back.assignment, aux.assignment)
+    assert all(np.array_equal(x, y) for x, y in zip(back.links, aux.links))
+
+
+def test_rejects_wrong_lambda(hom_keys):
+    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    doc["lambda_measured"] += 1e-6
+    with pytest.raises(DataFormatError, match="second singular value"):
         serial.decode_boost_aux(doc)
 
 
@@ -201,3 +222,38 @@ def test_key_directory_must_match_meta(hom_keys, tmp_path):
     serial.save_json(doc, keys / "boost0.json")
     with pytest.raises(DataFormatError, match="boost 0"):
         serial.load_hom_keys(keys)
+
+
+# A junk value of each JSON type, plus a ragged list.
+JUNK = ("x", 5, [1], None, [[1, 2], [3]])
+
+
+def test_mutated_key_fields_are_data_errors(hom_keys, tmp_path):
+    keys = tmp_path / "keys"
+    serial.save_hom_keys(hom_keys, keys)
+    out = str(tmp_path / "m.kct.json")
+    for name in ("meta.json", "level0.pk.json", "level0.sk.json", "boost0.json"):
+        good = serial.load_json(keys / name)
+        for field in good:
+            for junk in JUNK:
+                serial.save_json({**good, field: junk}, keys / name)
+                with pytest.raises(DataFormatError):
+                    serial.load_hom_keys(keys)
+                assert main(["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]) == 3
+        serial.save_json(good, keys / name)
+    assert main(["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]) == 0
+
+
+def test_mutated_ciphertext_fields_are_data_errors(hom_keys, tmp_path):
+    keys = tmp_path / "keys"
+    serial.save_hom_keys(hom_keys, keys)
+    good = serial.encode_kciphertext(hom_encrypt(hom_keys, 1, rng(8)))
+    ct = tmp_path / "m.kct.json"
+    docs = [{**good, field: junk} for field in good for junk in JUNK]
+    docs += [{**good, "parts": [{**good["parts"][0], field: junk}] + good["parts"][1:]}
+             for field in good["parts"][0] for junk in JUNK]
+    for doc in docs:
+        serial.save_json(doc, ct)
+        with pytest.raises(DataFormatError):
+            serial.load_kciphertext(ct)
+        assert main(["hom-decrypt", "--keys", str(keys), "--ct", str(ct)]) == 3
