@@ -6,7 +6,7 @@ Run: python3 demos/reencryption_chain.py
 
 import numpy as np
 
-from codehom.circuit import build_corr, layerize
+from codehom.circuit import build_corr
 from codehom.field import FieldElement, FieldSpec
 from codehom.homops import ct_add, ct_mul
 from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen, reencrypt
@@ -59,11 +59,11 @@ print(f"reencrypted product: decrypts to {decrypt(sk2, back).value},",
 # The same mechanism, chained, drives error correction: CORR_2 takes four
 # copies of a bit, one possibly ruined, and returns the bit.
 keys = chain_keygen(16, 0.0, 2, rng, base=p)
-lc = layerize(build_corr(2))
 bit = 1
 copies = encrypt_batch(keys.levels[0][1], np.full(4, bit, dtype=GF16.dtype), rng)
 copies[2] ^= 9  # ruin the third copy arbitrarily
 X = copies[:, None, :]
-out = chain_eval_arrays([lv[0] for lv in keys.levels], [a.Z for a in keys.aux], lc, X)[0]
+params = [lv[0] for lv in keys.levels]
+out = chain_eval_arrays(params, [a.Z for a in keys.aux], build_corr(2), X)[0]
 got = int(decrypt_batch(keys.levels[-1][2], out)[0])
 print(f"\nCORR_2 over encryptions of {bit} with one copy ruined -> {got}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import UsageError
 from .booster import boost_arrays, boost_aux_gen, build_expander
-from .circuit import build_apxmaj, build_corr, layerize
+from .circuit import build_apxmaj, build_corr
 from .field import FieldSpec, random_distinct_batch, random_elements
 from .hom import enc_k_threshold
 from .linalg import rank_batch, vandermonde_array
@@ -233,13 +233,12 @@ def _corr_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     eta0 = 0.1
     base = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.0)
     keys = chain_keygen(16, 0.0, 2, rng, base=base)
-    lc = layerize(build_corr(2))
     level_params = [p for p, _, _ in keys.levels]
     links = [a.Z for a in keys.aux]
     ms = rng.integers(2, size=trials, dtype=np.uint8)
     C = encrypt_batch(keys.levels[0][1], np.repeat(ms, 4), rng, eta=eta0 / base.s)
     X = C.reshape(trials, 4, 16).transpose(1, 0, 2)
-    out = chain_eval_arrays(level_params, links, lc, X)[0]
+    out = chain_eval_arrays(level_params, links, build_corr(2), X)[0]
     failures = int((decrypt_batch(keys.levels[-1][2], out) != ms).sum())
     return _budget_row(
         "corrected block error <= 6*eta0^2", 6 * eta0 * eta0, trials, failures, t0,

@@ -80,9 +80,10 @@ def second_singular_value(adjacency: np.ndarray, k: int, b: int) -> float:
     return float(np.sqrt(max(lam2, 0.0)))
 
 
-def build_expander(
-    k: int, b: int, lambda_target: float, rng: np.random.Generator, retries: int = 64
-) -> ExpanderGraph:
+EXPANDER_DRAWS = 64  # graphs build_expander samples before giving up
+
+
+def build_expander(k: int, b: int, lambda_target: float, rng: np.random.Generator) -> ExpanderGraph:
     """Sample left-regular graphs until one meets the target expansion.
 
     Random graphs sit near the 2/sqrt(b) floor, so a target below that
@@ -93,14 +94,14 @@ def build_expander(
     if k < 2:
         raise ParameterError(f"side size must be >= 2, got {k}")
     best = np.inf
-    for _ in range(retries):
+    for _ in range(EXPANDER_DRAWS):
         adjacency = np.argsort(rng.random((k, k)), axis=1)[:, :b]
         lam = second_singular_value(adjacency, k, b)
         if lam <= lambda_target:
             return ExpanderGraph(k, b, adjacency, lam)
         best = min(best, lam)
     raise ConstructionError(
-        f"no (k={k}, b={b}) graph reached lambda <= {lambda_target} in {retries} draws "
+        f"no (k={k}, b={b}) graph reached lambda <= {lambda_target} in {EXPANDER_DRAWS} draws "
         f"(best {best:.4f}); random graphs concentrate near the 2/sqrt(b) "
         f"floor {2 / np.sqrt(b):.4f}"
     )

@@ -196,20 +196,17 @@ def eval_plain_array(spec: FieldSpec, c: Circuit, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _longest_path(c: Circuit, weight) -> int:
-    d = {name: 0 for name in c.inputs}
+def depth(c: Circuit) -> int:
+    """Most gates on any path; constants are sources and do not count."""
+    d = dict.fromkeys(c.inputs, 0)
     for g in c.gates:
-        d[g.id] = max((d[a] for a in g.args), default=0) + weight(g.kind)
+        d[g.id] = max((d[a] for a in g.args), default=0) + (not g.kind.startswith("CONST"))
     return max(d[o] for o in c.outputs)
 
 
-def depth(c: Circuit) -> int:
-    """Most gates on any path; constants are sources and do not count."""
-    return _longest_path(c, lambda k: 0 if k.startswith("CONST") else 1)
-
-
 def mult_depth(c: Circuit) -> int:
-    return _longest_path(c, lambda k: 1 if k in MULT_KINDS else 0)
+    """AND and G gates on the worst output path; constant-only gates fold away."""
+    return compile_schedule(c, False, 1).depth
 
 
 @dataclass(frozen=True)
@@ -218,8 +215,9 @@ class LayeredCircuit:
 
     wire_levels maps each wire to the chain level its value lives at once
     inputs have passed the entry reencryption (inputs sit at level 1, a
-    layer-j gate's output at j+1). Constant wires are level-free (None):
-    the trivial encryption is valid at every level.
+    layer-j gate's output at j+1). Constants, and gates whose operands
+    are all constants, are level-free (None): they fold to a constant,
+    whose trivial encryption is valid at every level.
     """
 
     circuit: Circuit
@@ -284,12 +282,12 @@ def layerize(c: Circuit, count_xor: bool = False) -> LayeredCircuit:
     for g in c.gates:
         if g.id not in cone:
             continue
-        if g.kind.startswith("CONST"):
+        op_lvls = [lvl[a] for a in g.args if lvl[a] is not None]
+        if not op_lvls:  # constant-only: folds, as in compile_schedule
             lvl[g.id] = None
             new_gates.append(g)
             continue
-        op_lvls = [lvl[a] for a in g.args if lvl[a] is not None]
-        base = max(op_lvls, default=0)
+        base = max(op_lvls)
         args = tuple(a if lvl[a] is None else lift(a, base) for a in g.args)
         new_gates.append(Gate(g.id, g.kind, args))
         if g.kind in leveled:
@@ -318,14 +316,14 @@ def check_layering(lc: LayeredCircuit) -> bool:
         if lv[name] != 1:
             return False
     for g in lc.circuit.gates:
-        if g.kind.startswith("CONST"):
+        ops = [lv[a] for a in g.args if lv[a] is not None]
+        if not ops:
             if lv[g.id] is not None:
                 return False
             continue
-        ops = [lv[a] for a in g.args if lv[a] is not None]
         if len(set(ops)) > 1:
             return False
-        base = ops[0] if ops else 1
+        base = ops[0]
         want = base + 1 if g.kind in leveled else base
         if lv[g.id] != want:
             return False

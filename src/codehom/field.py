@@ -7,7 +7,7 @@ through the *_arrays kernels, which operate on numpy integer arrays and
 carry no per-element Python overhead.
 
 Multiplication uses log/exp tables for k <= 16 and a shift-and-reduce bit
-loop above that. Tables are cached per (k, modulus).
+loop above that. Tables are cached per k.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ MODULI = {
 }
 
 _TABLE_LIMIT = 16   # largest k that gets log/exp tables
-_VERIFY_LIMIT = 32  # largest caller-supplied degree that is checked
 
-_table_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_verified: set[tuple[int, int]] = set()
+_table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _dtype_for(k: int):
@@ -59,28 +57,9 @@ def _scalar_mul(a: int, b: int, k: int, modulus: int) -> int:
     return r
 
 
-def _poly_mod(a: int, b: int) -> int:
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db and a:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
-
-
-def _is_irreducible(modulus: int, k: int) -> bool:
-    """Exhaustive divisor check: no factor of degree 1..k//2."""
-    if modulus.bit_length() - 1 != k:
-        return False
-    for g in range(2, 1 << (k // 2 + 1)):
-        if _poly_mod(modulus, g) == 0:
-            return False
-    return True
-
-
-def _build_tables(k: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+def _build_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     q = 1 << k
     dtype = _dtype_for(k)
-    if q == 2:  # trivial multiplicative group
-        return np.array([1], dtype=dtype), np.zeros(2, dtype=np.int32)
     # Find a multiplicative generator by walking its powers; the walk fills
     # the exp table. Aborts early when the candidate's order is proper.
     for g in range(2, q):
@@ -89,7 +68,7 @@ def _build_tables(k: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
         ok = True
         for i in range(q - 1):
             exp[i] = t
-            t = _scalar_mul(t, g, k, modulus)
+            t = _scalar_mul(t, g, k, MODULI[k])
             if t == 1 and i < q - 2:
                 ok = False
                 break
@@ -98,59 +77,37 @@ def _build_tables(k: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
             log = np.zeros(q, dtype=np.int32)
             log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int32)
             return exp, log
-    raise ParameterError(f"no generator found; modulus {modulus:#x} is not irreducible")
+    raise ParameterError(f"no generator found; modulus {MODULI[k]:#x} is not irreducible")
 
 
 class FieldSpec:
-    """A binary extension field GF(2^k) with a fixed irreducible modulus.
+    """The binary extension field GF(2^k) with modulus MODULI[k].
 
-    Immutable. Two specs compare equal iff they have the same (k, modulus).
+    Immutable. A field is its degree: two specs compare equal iff they
+    have the same k, and files store k alone.
     """
 
     __slots__ = ("k", "modulus", "q", "dtype", "_exp", "_log")
 
-    def __init__(self, k: int, modulus: int | None = None):
-        if k < 1:
-            raise ParameterError(f"extension degree must be >= 1, got {k}")
-        if modulus is None:
-            if k not in MODULI:
-                raise ParameterError(
-                    f"no built-in modulus for k={k}; supply one "
-                    f"(built-in degrees: {sorted(MODULI)})"
-                )
-            modulus = MODULI[k]
-        else:
-            if modulus.bit_length() - 1 != k:
-                raise ParameterError(
-                    f"modulus {modulus:#x} has degree {modulus.bit_length() - 1}, expected {k}"
-                )
-            if modulus != MODULI.get(k) and k <= _VERIFY_LIMIT:
-                key = (k, modulus)
-                if key not in _verified:
-                    if not _is_irreducible(modulus, k):
-                        raise ParameterError(f"modulus {modulus:#x} is reducible")
-                    _verified.add(key)
+    def __init__(self, k: int):
+        if k not in MODULI:
+            raise ParameterError(f"no field of degree k={k}; supported degrees: {sorted(MODULI)}")
         self.k = k
-        self.modulus = modulus
+        self.modulus = MODULI[k]
         self.q = 1 << k
         self.dtype = _dtype_for(k)
         if k <= _TABLE_LIMIT:
-            key = (k, modulus)
-            if key not in _table_cache:
-                _table_cache[key] = _build_tables(k, modulus)
-            self._exp, self._log = _table_cache[key]
+            if k not in _table_cache:
+                _table_cache[k] = _build_tables(k)
+            self._exp, self._log = _table_cache[k]
         else:
             self._exp = self._log = None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldSpec) and self.k == other.k
 
     def __hash__(self):
-        return hash((self.k, self.modulus))
+        return hash(self.k)
 
     def __repr__(self):
         return f"FieldSpec(k={self.k}, modulus={self.modulus:#x})"
@@ -158,7 +115,7 @@ class FieldSpec:
     @property
     def gamma(self) -> "FieldElement":
         """The residue of the indeterminate; an F_2-generator of the field."""
-        return FieldElement(self, 2 if self.k > 1 else 1)
+        return FieldElement(self, 2)
 
     @property
     def hex_digits(self) -> int:
@@ -297,7 +254,7 @@ def _mul_bitloop(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     acc = np.zeros(a.shape, dtype=spec.dtype)
     aa = a.copy()
     bb = b.copy()
-    qmask = spec.dtype(spec.q - 1) if spec.k < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
+    qmask = spec.dtype(spec.q - 1)
     top = spec.dtype(1 << (spec.k - 1))
     modlow = spec.dtype(spec.modulus & (spec.q - 1))
     zero = spec.dtype(0)

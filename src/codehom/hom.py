@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, UsageError
 from .booster import boost_arrays, boost_aux_gen, build_expander
-from .circuit import Circuit, LayeredCircuit, build_apxmaj, compile_schedule, run_schedule
+from .circuit import Circuit, build_apxmaj, compile_schedule, run_schedule
 from .field import FieldElement, FieldSpec
 from .linalg import Vector
 from .scheme import (
@@ -162,6 +162,15 @@ class HomKeys:
         return f"HomKeys(n={self.params.n}, k={self.k}, d={self.depth})"
 
 
+def check_key_shape(k: int, d: int) -> None:
+    """ParameterError unless k parts and depth d are a shape hom_keygen builds."""
+    if k < 32:
+        raise ParameterError(f"part count k={k} is below 32; the 15/16 and 31/32 "
+                             "thresholds need that much granularity")
+    if d < 1:
+        raise ParameterError(f"depth must be >= 1, got {d}")
+
+
 def hom_keygen(
     p: Params,
     k: int,
@@ -174,11 +183,7 @@ def hom_keygen(
     The expander and the majority tree, given by its leaf row, are
     sampled once and shared: they carry no key material, only wiring.
     """
-    if k < 32:
-        raise ParameterError(f"part count k={k} is below 32; the 15/16 and 31/32 "
-                             "thresholds need that much granularity")
-    if d < 1:
-        raise ParameterError(f"depth must be >= 1, got {d}")
+    check_key_shape(k, d)
     cfg = cfg or BoostConfig()
     graph = build_expander(k, cfg.b, cfg.lambda_target, rng)
     leaves = build_apxmaj(cfg.b, rng, verify_trials=cfg.verify_trials, spec=p.field)
@@ -256,23 +261,21 @@ def boost_depth(c: Circuit, count_xor: bool = True) -> int:
 
 def hom_eval(
     hk: HomKeys,
-    c: Circuit | LayeredCircuit,
+    c: Circuit,
     inputs: list[KCiphertext],
     count_xor: bool = True,
-    trace: list | None = None,
 ) -> list[KCiphertext]:
     """Evaluate a bit circuit on replicated ciphertexts.
 
     Inputs must decode to bits under the level-0 key; outputs land at
     level d, decryptable with hdec. A circuit whose boost_depth equals
-    d runs its final layer bare. Pass a list as trace to receive the
-    ("boost"|"gates", level, width) schedule actually executed.
+    d runs its final layer bare. compile_schedule(c, count_xor, d) is
+    the schedule executed: its runs are the gates of each level, its
+    carries the wires each boost moves.
 
     Only the cone feeding the outputs is evaluated, matching the depth
     precondition, which ignores dead gates too.
     """
-    if isinstance(c, LayeredCircuit):
-        c = c.circuit
     p = hk.params
     spec = p.field
     d = hk.depth
@@ -284,12 +287,6 @@ def hom_eval(
     s = compile_schedule(c, count_xor, d)
     if s.depth > d:
         raise UsageError(f"circuit needs {s.depth} boosted layers, keys provide {d}")
-    if trace is not None:
-        for level in range(d + 1):
-            if s.runs[level]:
-                trace.append(("gates", level, len(s.runs[level])))
-            if level < d and s.carries[level]:
-                trace.append(("boost", level, len(s.carries[level])))
 
     X = np.stack([kc.P for kc in inputs]) if inputs else None
     blocks = run_schedule(

@@ -1,15 +1,15 @@
 """Dense linear algebra over GF(2^k).
 
-Two layers. The array kernels at the bottom work on raw numpy arrays and
-carry the batch dimensions used by the experiment harnesses (a stack of
-trial matrices is eliminated in lockstep). The Matrix/Vector wrappers on
-top hold a FieldSpec next to the data and are what the scheme-level code
-passes around.
+The kernels work on raw numpy arrays of the field's dtype and broadcast
+over leading batch dimensions; rank_batch eliminates a stack of trial
+matrices in lockstep. Vector and Matrix only hold a FieldSpec next to
+the data: they are the containers of keys and ciphertexts, and all
+arithmetic goes through the kernels on their `.data`.
 
 Elimination pivots deterministically: first nonzero entry scanning
-left-to-right, top-to-bottom. solve_canonical returns the unique solution
-with that pivot choice and every free variable set to zero, so repeated
-calls on the same system agree bit for bit.
+left-to-right, top-to-bottom. solve_canonical_array returns the unique
+solution with that pivot choice and every free variable set to zero, so
+repeated calls on the same system agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, UsageError
-from .field import FieldElement, FieldSpec, inv_arrays, mul_arrays, random_elements
+from .field import FieldSpec, inv_arrays, mul_arrays, random_elements
 
 # ---------------------------------------------------------------------------
 # Array kernels.
@@ -57,32 +57,12 @@ def identity_array(spec: FieldSpec, n: int) -> np.ndarray:
     return out
 
 
-def rank_array(spec: FieldSpec, A: np.ndarray) -> int:
-    R = np.array(A, dtype=spec.dtype, copy=True)
-    m, n = R.shape
-    pr = 0
-    for c in range(n):
-        if pr == m:
-            break
-        nz = np.nonzero(R[pr:, c])[0]
-        if nz.size == 0:
-            continue
-        r = pr + int(nz[0])
-        if r != pr:
-            R[[pr, r]] = R[[r, pr]]
-        below = R[pr + 1 :, c]
-        if below.size:
-            factors = mul_arrays(spec, below, inv_arrays(spec, R[pr, c : c + 1]))
-            R[pr + 1 :] ^= mul_arrays(spec, factors[:, None], R[pr][None, :])
-        pr += 1
-    return pr
-
-
 def rank_batch(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     """Row ranks of a (trials, m, n) stack, eliminated in lockstep.
 
-    Per-trial pivot choice matches rank_array exactly; trials whose pivot
-    column is empty simply sit out that round.
+    Each trial pivots on the first nonzero entry of its column at or
+    below its current pivot row; trials whose pivot column is empty
+    simply sit out that round. A single matrix A is the stack A[None].
     """
     A = np.array(A, dtype=spec.dtype, copy=True)
     T, m, n = A.shape
@@ -196,7 +176,7 @@ def random_unimodular_array(spec: FieldSpec, r: int, rng: np.random.Generator) -
 
 
 # ---------------------------------------------------------------------------
-# Wrappers.
+# Containers.
 # ---------------------------------------------------------------------------
 
 
@@ -212,28 +192,8 @@ class Vector:
         self.spec = spec
         self.data = data
 
-    @classmethod
-    def from_entries(cls, entries) -> "Vector":
-        entries = list(entries)
-        if not entries:
-            raise UsageError("empty vector")
-        spec = entries[0].spec
-        if any(e.spec != spec for e in entries):
-            raise UsageError("entries come from different fields")
-        return cls(spec, np.array([e.value for e in entries], dtype=spec.dtype))
-
     @property
     def len(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def entries(self) -> list[FieldElement]:
-        return [FieldElement(self.spec, int(v)) for v in self.data]
-
-    def entry(self, i: int) -> FieldElement:
-        return FieldElement(self.spec, int(self.data[i]))
-
-    def __len__(self):
         return self.data.shape[0]
 
     def __eq__(self, other):
@@ -259,34 +219,6 @@ class Matrix:
         self.spec = spec
         self.data = data
 
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "Matrix":
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise UsageError(f"expected {rows * cols} entries, got {len(entries)}")
-        if not entries:
-            raise UsageError("empty matrix")
-        spec = entries[0].spec
-        if any(e.spec != spec for e in entries):
-            raise UsageError("entries come from different fields")
-        flat = np.array([e.value for e in entries], dtype=spec.dtype)
-        return cls(spec, flat.reshape(rows, cols))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def entries(self) -> list[FieldElement]:
-        return [FieldElement(self.spec, int(v)) for v in self.data.reshape(-1)]
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.spec, int(self.data[i, j]))
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -295,55 +227,5 @@ class Matrix:
         )
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, k={self.spec.k})"
-
-
-def _check_field(a, b):
-    if a.spec != b.spec:
-        raise UsageError("operands come from different fields")
-
-
-def mat_vec_mul(M: Matrix, x: Vector) -> Vector:
-    """M·x over F_q."""
-    _check_field(M, x)
-    if M.cols != x.len:
-        raise UsageError(f"matrix has {M.cols} columns, vector has {x.len}")
-    return Vector(M.spec, matvec_arrays(M.spec, M.data, x.data))
-
-
-def vec_dot(y: Vector, c: Vector) -> FieldElement:
-    """Inner product ⟨y, c⟩."""
-    _check_field(y, c)
-    if y.len != c.len:
-        raise UsageError(f"vectors have lengths {y.len} and {c.len}")
-    return FieldElement(y.spec, int(dot_arrays(y.spec, y.data, c.data)))
-
-
-def rank(M: Matrix) -> int:
-    """Row rank by Gaussian elimination with first-nonzero pivoting."""
-    return rank_array(M.spec, M.data)
-
-
-def solve_canonical(A: Matrix, b: Vector) -> Vector | None:
-    """Canonical solution of Ay = b (free variables zero); None if inconsistent."""
-    _check_field(A, b)
-    y = solve_canonical_array(A.spec, A.data, b.data)
-    return None if y is None else Vector(A.spec, y)
-
-
-def vandermonde_rows(points, width: int) -> Matrix:
-    """Matrix with row i = (a_i, a_i^2, ..., a_i^width); points must be distinct."""
-    pts = Vector.from_entries(points)
-    if len(set(pts.data.tolist())) != pts.len:
-        raise UsageError("points must be distinct")
-    return Matrix(pts.spec, vandermonde_array(pts.spec, pts.data, width))
-
-
-def tensor_row(v: Vector) -> Vector:
-    """Tensor square of v: the len^2 vector with entry (j,l) = v_j·v_l."""
-    return Vector(v.spec, tensor_row_array(v.spec, v.data))
-
-
-def random_unimodular(spec: FieldSpec, r: int, rng: np.random.Generator) -> Matrix:
-    """Random r×r matrix with determinant one."""
-    return Matrix(spec, random_unimodular_array(spec, r, rng))
+        rows, cols = self.data.shape
+        return f"Matrix({rows}x{cols}, k={self.spec.k})"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UsageError
-from .circuit import Circuit, LayeredCircuit, build_corr, compile_schedule, run_schedule
+from .circuit import Circuit, build_corr, compile_schedule, run_schedule
 from .circuit import _mul_any, _xor_any  # noqa: F401  perfbench traces them at this path
 from .field import FieldSpec, mul_arrays
 from .linalg import Vector, matmul_arrays
@@ -206,7 +206,7 @@ def chain_keygen(
 def chain_eval_arrays(
     level_params: list[Params],
     links: list[np.ndarray],
-    c: Circuit | LayeredCircuit,
+    c: Circuit,
     X: np.ndarray,
 ) -> list[np.ndarray]:
     """Evaluate a circuit through a chain, batched.
@@ -214,14 +214,10 @@ def chain_eval_arrays(
     X is (inputs, *batch, n_0); each link is (n_i, n_{i+1}) or carries
     extra leading batch axes that broadcast against *batch. Returns one
     (*batch, n_top) array per circuit output, n_top being the length of
-    the top level. A raw circuit levels only its AND and G gates; a
-    LayeredCircuit levels the gates it was layered for.
+    the top level. Only AND and G gates consume a level.
     """
     spec = level_params[0].field
-    count_xor = False
-    if isinstance(c, LayeredCircuit):
-        c, count_xor = c.circuit, c.counts_xor
-    s = compile_schedule(c, count_xor, len(links))
+    s = compile_schedule(c, False, len(links))
     if s.depth > len(links):
         raise UsageError(f"circuit needs {s.depth} layers but the chain has only {len(links)} links")
     X = np.asarray(X, dtype=spec.dtype)
@@ -239,9 +235,7 @@ def chain_eval_arrays(
     return run_schedule(spec, s, X, cross, lambda v: np.full(top_shape, v, dtype=spec.dtype))
 
 
-def basic_eval(
-    chain: ChainKeys, c: Circuit | LayeredCircuit, inputs: list[Ciphertext]
-) -> list[Ciphertext]:
+def basic_eval(chain: ChainKeys, c: Circuit, inputs: list[Ciphertext]) -> list[Ciphertext]:
     """Homomorphic evaluation through the chain; one ciphertext per output.
 
     Inputs are level-0 ciphertexts; they only need to decrypt correctly

@@ -31,7 +31,6 @@ from .linalg import (
     dot_arrays,
     matmul_arrays,
     matvec_arrays,
-    rank_array,
     rank_batch,
     random_unimodular_array,
     solve_canonical_array,
@@ -70,13 +69,14 @@ class Params:
             raise ParameterError(f"noise rate must lie in [0,1], got {self.eta}")
 
 
-def params_from_alpha(n: int, alpha: float, k_cap: int = 64) -> Params:
+def params_from_alpha(n: int, alpha: float) -> Params:
     """Instantiate the single-exponent parameter family at length n.
 
     r = n^(1-alpha/8), s = n^(alpha/4), eta = n^-(1-alpha/4), all rounded;
     s is clamped to a multiple of 3 no smaller than 3. The field degree
-    starts at ceil(n^alpha) capped at k_cap, then grows to the next
-    built-in degree with q >= n, since n distinct points must exist.
+    starts at ceil(n^alpha), capped at the largest built-in degree, then
+    grows to the next built-in degree with q >= n, since n distinct
+    points must exist.
     """
     if not 0 < alpha <= 0.25:
         raise ParameterError(f"alpha must lie in (0, 1/4], got {alpha}")
@@ -85,12 +85,8 @@ def params_from_alpha(n: int, alpha: float, k_cap: int = 64) -> Params:
     r = round(n ** (1 - alpha / 8))
     s = 3 * max(1, round(n ** (alpha / 4) / 3))
     eta = float(n ** -(1 - alpha / 4))
-    k_want = min(int(np.ceil(n**alpha)), k_cap)
-    k = None
-    for deg in sorted(MODULI):
-        if deg >= k_want and (1 << deg) >= n:
-            k = deg
-            break
+    k_want = min(int(np.ceil(n**alpha)), max(MODULI))
+    k = next((deg for deg in sorted(MODULI) if deg >= k_want and 1 << deg >= n), None)
     if k is None:
         raise ParameterError(f"no built-in field of degree <= 64 fits n={n} with alpha={alpha}")
     return Params(n=n, r=r, s=s, field=FieldSpec(k), eta=eta, alpha=alpha)
@@ -253,7 +249,7 @@ def enc_membership_batch(sk: SecretKey, ms: np.ndarray, C: np.ndarray) -> np.nda
     C = np.asarray(C, dtype=spec.dtype)
     ms = np.asarray(ms, dtype=spec.dtype)
     B = _restricted_basis(sk)
-    base = rank_array(spec, B)
+    base = rank_batch(spec, B[None])[0]
     v = C[:, np.asarray(sk.S)] ^ ms[:, None]
     aug = np.concatenate(
         [np.broadcast_to(B, (C.shape[0],) + B.shape), v[:, :, None]], axis=2

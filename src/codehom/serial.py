@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DataFormatError, ParameterError, UsageError
 from .booster import BoostAux, ExpanderGraph, leaf_row_depth, second_singular_value
 from .field import FieldSpec
-from .hom import HomKeys, KCiphertext
+from .hom import HomKeys, KCiphertext, check_key_shape
 from .linalg import Matrix, Vector
 from .scheme import Ciphertext, Params, PublicKey, SecretKey
 
@@ -67,17 +67,27 @@ def _list(doc: dict, key: str) -> list:
     return v
 
 
+def _is_int_nest(data) -> bool:
+    if isinstance(data, list):
+        return all(_is_int_nest(x) for x in data)
+    return isinstance(data, int) and not isinstance(data, bool)
+
+
 def _int_array(data, what: str, ndim: int) -> np.ndarray:
-    # int64 throughout, so later bounds checks see every value unwrapped
+    # int64, or uint64 for integers reaching 2^63 (GF(2^64) keys), which
+    # numpy reads as float next to small ones; so later bounds checks see
+    # every value unwrapped
     try:
         A = np.asarray(data)
-    except ValueError:
-        A = None  # ragged nesting
-    if A is None or (A.size and A.dtype.kind != "i"):
+        if A.dtype.kind in "fO" and _is_int_nest(data):
+            A = np.asarray(data, dtype=np.uint64)
+    except (ValueError, OverflowError):
+        A = None  # ragged nesting, or integers outside uint64
+    if A is None or (A.size and A.dtype.kind not in "iu"):
         raise DataFormatError(f"{what} must be nested integer lists")
     if A.ndim != ndim:
         raise DataFormatError(f"{what} must be {ndim}-dimensional, got shape {A.shape}")
-    return A.astype(np.int64, copy=False)
+    return A if A.dtype.kind == "u" else A.astype(np.int64, copy=False)
 
 
 def _field_array(spec: FieldSpec, data, what: str, ndim: int) -> np.ndarray:
@@ -330,6 +340,10 @@ def load_hom_keys(directory) -> HomKeys:
     _expect(meta, "hom-keys")
     params = decode_params(_get(meta, "params"))
     k, depth = _int(meta, "k"), _int(meta, "depth")
+    try:
+        check_key_shape(k, depth)
+    except ParameterError as e:
+        raise DataFormatError(f"meta.json: {e}") from None
     levels = [
         (load_public_key(d / f"level{i}.pk.json"), load_secret_key(d / f"level{i}.sk.json"))
         for i in range(depth + 1)

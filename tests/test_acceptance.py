@@ -38,7 +38,7 @@ from codehom.booster import (
     second_singular_value,
 )
 from codehom.circuit import (
-    build_apxmaj, build_corr, eval_plain, eval_plain_array, gtree_circuit, layerize, mult_depth,
+    build_apxmaj, build_corr, eval_plain, eval_plain_array, gtree_circuit, mult_depth,
 )
 from codehom.field import FieldElement, FieldSpec, inv_arrays, mul_arrays, random_elements
 from codehom.hom import BoostConfig, enc_k_threshold, hdec, hom_encrypt, hom_eval, hom_keygen
@@ -259,13 +259,12 @@ def test_c06_correction_tree():
     keys = chain_keygen(16, 0.0, 2, rng, base=base)
     lp = [lv[0] for lv in keys.levels]
     links = [a.Z for a in keys.aux]
-    lc = layerize(corr)
     trials = 100_000
     eta0 = 0.05
     ms = rng.integers(0, 2, trials).astype(GF4.dtype)
     C = encrypt_batch(keys.levels[0][1], np.repeat(ms, 4), rng, eta=eta0 / base.s)
     Xc = C.reshape(trials, 4, 16).transpose(1, 0, 2)
-    out = chain_eval_arrays(lp, links, lc, Xc)[0]
+    out = chain_eval_arrays(lp, links, corr, Xc)[0]
     fails = int((decrypt_batch(keys.levels[-1][2], out) != ms).sum())
     bound = 6 * eta0**2
     _, hi = wilson_interval(fails, trials)

@@ -24,7 +24,7 @@ from codehom.analysis import (
 )
 from codehom.errors import UsageError
 from codehom.field import FieldSpec
-from codehom.linalg import rank_array
+from codehom.linalg import rank_batch
 from codehom.scheme import Params, keygen
 
 GF256 = FieldSpec(8)
@@ -139,7 +139,7 @@ def test_rank_matches_literal_key_construction():
         pk, sk = keygen(P24, g)
         outside = np.setdiff1d(np.arange(P24.n), np.asarray(sk.S))
         pick = list(sk.S[:s_overlap]) + list(g.choice(outside, size=t - s_overlap, replace=False))
-        hits += int(rank_array(GF256, pk.P.data[pick]) == t)
+        hits += int(rank_batch(GF256, pk.P.data[pick][None])[0] == t)
     literal = hits / trials
     fast = rank_experiment(P24, t, s_overlap, 4000, rng(22)).estimate
     gap = 4 * np.sqrt(literal * (1 - literal) / trials + fast * (1 - fast) / 4000)

@@ -91,7 +91,7 @@ def test_random_graph_meets_target():
 
 def test_target_below_floor_fails_fast():
     with pytest.raises(ConstructionError, match="floor"):
-        build_expander(16, 8, 0.05, np.random.default_rng(0), retries=2)
+        build_expander(16, 8, 0.05, np.random.default_rng(0))
 
 
 def test_expander_parameter_errors():
@@ -249,7 +249,7 @@ def test_matches_generic_chain_engine(boost_setup, maj8, graph16):
     lc = layerize(gtree_circuit(8, maj8))
     assert lc.n_layers == aux.tree_depth
     X = C[graph16.adjacency].transpose(1, 0, 2)
-    ref = chain_eval_arrays(aux.level_params, list(aux.links), lc, X)[0]
+    ref = chain_eval_arrays(aux.level_params, list(aux.links), lc.circuit, X)[0]
     assert np.array_equal(boost_arrays(aux, C), ref)
 
 

@@ -6,6 +6,7 @@ nothing shared with the field-based evaluator.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codehom.circuit import (
     Circuit,
@@ -13,6 +14,7 @@ from codehom.circuit import (
     build_apxmaj,
     build_corr,
     check_layering,
+    compile_schedule,
     depth,
     eval_plain,
     eval_plain_array,
@@ -201,6 +203,17 @@ def test_layerize_structure():
             assert lc.n_layers == mult_depth(c)
         else:
             assert lc.n_layers >= mult_depth(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count_xor=st.booleans())
+def test_layerize_depth_is_schedule_depth(seed, count_xor):
+    # constant-only gates (COPY of a constant included) fold in both
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_inputs=3, n_gates=int(rng.integers(1, 14)), p_const=0.25)
+    lc = layerize(c, count_xor=count_xor)
+    assert check_layering(lc)
+    assert lc.n_layers == compile_schedule(c, count_xor, 1).depth
 
 
 def test_layerize_inserts_dummy_for_skew_paths():

@@ -42,6 +42,19 @@ def test_encrypt_decrypt_round_trip(base_key, tmp_path, capsys):
     assert out.strip() == "1a"
 
 
+def test_gf64_round_trip(tmp_path, capsys):
+    prefix = tmp_path / "k64"
+    assert run(capsys, "keygen", "--n", "16", "--r", "6", "--s", "3", "--k", "64",
+               "--out", prefix, "--seed", "4")[0] == 0
+    ct = tmp_path / "ct.json"
+    m = "f" * 16  # top bit set: the message itself needs uint64
+    assert run(capsys, "encrypt", "--pk", f"{prefix}.pk.json", "--m", m,
+               "--out", ct, "--seed", "5")[0] == 0
+    code, out, _ = run(capsys, "decrypt", "--sk", f"{prefix}.sk.json", "--ct", ct)
+    assert code == 0
+    assert out.strip() == m
+
+
 def test_keygen_validation_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "keygen", "--n", "24", "--r", "9", "--s", "4",
                        "--out", tmp_path / "x")

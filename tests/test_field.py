@@ -241,12 +241,7 @@ def test_moduli_table_is_irreducible():
         assert len(factors) == 1 and factors[0][1] == 1, f"k={k} modulus reducible"
 
 
-def test_custom_modulus_verified():
-    FieldSpec(3, modulus=0b1011)  # x^3 + x + 1, irreducible
-    with pytest.raises(ParameterError):
-        FieldSpec(3, modulus=0b1111)  # (x+1)(x^2+x+1)
-    with pytest.raises(ParameterError):
-        FieldSpec(3, modulus=0b10011)  # degree mismatch
+def test_only_builtin_degrees():
     with pytest.raises(ParameterError):
         FieldSpec(7)  # no built-in degree-7 modulus
 
@@ -284,7 +279,6 @@ def test_hex_round_trip():
 
 
 def test_gamma_small_fields():
-    assert FieldSpec(1, modulus=0b10).gamma.value == 1
     assert SPECS[2].gamma.value == 2
 
 

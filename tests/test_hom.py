@@ -15,6 +15,7 @@ from codehom.circuit import (
     Circuit,
     Gate,
     build_apxmaj,
+    compile_schedule,
     eval_plain,
     layerize,
     mult_depth,
@@ -282,14 +283,25 @@ def test_boost_depth_copies_and_consts_free():
 # Evaluation.
 
 
+def _steps(c, d):
+    # the ("gates"|"boost", level, width) steps hom_eval runs by default
+    s = compile_schedule(c, True, d)
+    steps = []
+    for level in range(d + 1):
+        if s.runs[level]:
+            steps.append(("gates", level, len(s.runs[level])))
+        if level < d and s.carries[level]:
+            steps.append(("boost", level, len(s.carries[level])))
+    return steps
+
+
 def test_identity_drains_to_the_top(mini):
     c = Circuit(["x0"], [], ["x0"])
+    assert _steps(c, mini.depth) == [("boost", 0, 1), ("boost", 1, 1)]
     for m in (0, 1):
-        trace = []
-        (out,) = hom_eval(mini, c, [_enc(mini, m, 40 + m)], trace=trace)
+        (out,) = hom_eval(mini, c, [_enc(mini, m, 40 + m)])
         assert hdec(mini, out).value == m
         assert enc_k_contains(mini.sk_top, m, out)
-        assert trace == [("boost", 0, 1), ("boost", 1, 1)]
 
 
 def test_dummy_layer_identity(mini):
@@ -318,19 +330,18 @@ def test_bare_final_layer(mini):
         outputs t2
         """
     )
+    assert _steps(c, mini.depth) == [
+        ("boost", 0, 3),
+        ("gates", 1, 1),
+        ("boost", 1, 2),  # t1 plus the x2 still waiting
+        ("gates", 2, 1),
+    ]
     for bits in ((1, 1, 1), (1, 0, 1), (0, 1, 1), (1, 1, 0)):
         ins = [_enc(mini, b, 70 + i) for i, b in enumerate(bits)]
-        trace = []
-        (out,) = hom_eval(mini, c, ins, trace=trace)
+        (out,) = hom_eval(mini, c, ins)
         want = bits[0] & bits[1] & bits[2]
         assert hdec(mini, out).value == want
         assert dec_k_contains(mini.sk_top, want, out)
-        assert trace == [
-            ("boost", 0, 3),
-            ("gates", 1, 1),
-            ("boost", 1, 2),  # t1 plus the x2 still waiting
-            ("gates", 2, 1),
-        ]
 
 
 def test_xor_burns_a_level_by_default(mini):
@@ -412,7 +423,7 @@ def test_layered_circuit_accepted(mini):
     c = parse_netlist("inputs x0 x1\nt = AND x0 x1\noutputs t\n")
     ins = [_enc(mini, 1, 120), _enc(mini, 1, 121)]
     (a,) = hom_eval(mini, c, ins)
-    (b,) = hom_eval(mini, layerize(c), ins)
+    (b,) = hom_eval(mini, layerize(c).circuit, ins)
     assert np.array_equal(a.P, b.P)
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from codehom.circuit import (
     build_corr,
-    compile_schedule,
     eval_plain,
     eval_plain_array,
     layerize,
@@ -314,7 +313,7 @@ def test_chain_eval_batched_matches_single(flat3):
         outputs g
         """
     )
-    lc = layerize(circ)
+    lc = layerize(circ).circuit
     rng = np.random.default_rng(17)
     pk0 = flat3.levels[0][1]
     T = 40
@@ -343,21 +342,16 @@ def test_chain_raw_circuit_matches_layerized():
     for _ in range(80):
         c = random_circuit(rng, n_inputs=3, n_gates=10, p_const=0.15)
         X = rng.integers(16, size=(3, 4, 16), dtype=np.uint8)
-        folded = compile_schedule(c, False, 1).consts
         for count_xor in (False, True):
             lc = layerize(c, count_xor=count_xor)
             if lc.n_layers > len(links):
                 continue
-            # layerize puts constant-only AND/G gates on a layer and lifts
-            # their consumers over it; the schedule folds them instead
-            if set(lc.gate_layers) & set(folded):
-                continue
-            # the raw path levels AND and G only, as layerize does without
+            # the chain levels AND and G only, as layerize does without
             # count_xor; with it, only XOR-free circuits level alike
             if count_xor and any(g.kind == "XOR" for g in lc.circuit.gates):
                 continue
             raw = chain_eval_arrays(params, links, c, X)
-            layered = chain_eval_arrays(params, links, lc, X)
+            layered = chain_eval_arrays(params, links, lc.circuit, X)
             assert len(raw) == len(layered) == len(c.outputs)
             for a, b in zip(raw, layered):
                 assert a.shape == b.shape == (4, 16)
@@ -367,9 +361,9 @@ def test_chain_raw_circuit_matches_layerized():
 
 
 def test_chain_raw_circuit_folds_constant_layers():
-    # layerize puts the constant-only AND chain on three layers, so the
-    # circuit needs four, more than the chain's two links; the raw
-    # circuit folds the chain and needs one
+    # the constant-only AND chain folds to a constant in layerize as in
+    # the schedule, so both forms need one layer of the chain's two links
+    # and reencrypt alike
     circ = parse_netlist(
         """
         inputs x0
@@ -385,9 +379,9 @@ def test_chain_raw_circuit_folds_constant_layers():
     params = [p for p, _, _ in chain.levels]
     links = [a.Z for a in chain.aux]
     X = encrypt_batch(chain.levels[0][1], np.arange(16), np.random.default_rng(21))[None]
-    with pytest.raises(UsageError, match="layers"):
-        chain_eval_arrays(params, links, layerize(circ), X)
+    (layered,) = chain_eval_arrays(params, links, layerize(circ).circuit, X)
     (out,) = chain_eval_arrays(params, links, circ, X)
+    assert np.array_equal(layered, out)
     assert np.array_equal(decrypt_batch(chain.levels[-1][2], out), np.arange(16) ^ 1)
 
 
@@ -406,9 +400,8 @@ def test_corr2_block_failure_bound():
     b = rng.integers(0, 2, T).astype(GF16.dtype)
     C = encrypt_batch(pk0, np.repeat(b, 4), rng, eta=bit_eta)
     X = C.reshape(T, 4, 16).transpose(1, 0, 2)
-    lc = layerize(build_corr(2))
     params = [p for p, _, _ in chain.levels]
-    out = chain_eval_arrays(params, [a.Z for a in chain.aux], lc, X)[0]
+    out = chain_eval_arrays(params, [a.Z for a in chain.aux], build_corr(2), X)[0]
     got = decrypt_batch(sk_top, out)
 
     fail = float(np.mean(got != b))

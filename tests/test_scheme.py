@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from codehom.errors import ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_elements
-from codehom.linalg import Vector, rank_array, tensor_row_array
+from codehom.linalg import Vector, rank_batch, tensor_row_array
 from codehom.scheme import (
     Ciphertext,
     Params,
@@ -136,7 +136,7 @@ def test_keygen_matrix_shape():
 
 def test_keygen_rank_preserved():
     pk, sk = make_keys(2)
-    assert rank_array(F16, pk.P.data) == rank_array(F16, sk.M.data)
+    assert rank_batch(F16, pk.P.data[None])[0] == rank_batch(F16, sk.M.data[None])[0]
 
 
 def test_y_dec_satisfies_raw_system():

@@ -224,6 +224,28 @@ def test_key_directory_must_match_meta(hom_keys, tmp_path):
         serial.load_hom_keys(keys)
 
 
+def test_gf64_keys_load_and_reject_junk(tmp_path):
+    # half of all GF(2^64) elements reach 2^63, past int64
+    pk, sk = keygen(Params(n=16, r=6, s=3, field=FieldSpec(64), eta=0.0), rng(12))
+    assert int(pk.P.data.max()) >= 2**63
+    serial.save_public_key(pk, tmp_path / "pk.json")
+    serial.save_secret_key(sk, tmp_path / "sk.json")
+    assert np.array_equal(serial.load_public_key(tmp_path / "pk.json").P.data, pk.P.data)
+    back = serial.load_secret_key(tmp_path / "sk.json")
+    for a, b in ((back.a, sk.a), (back.M, sk.M), (back.y_dec, sk.y_dec)):
+        assert np.array_equal(a.data, b.data)
+    good = serial.encode_public_key(pk)["P"]
+    for junk in (1.5, "x", True, -1, 2**64):
+        doc = serial.encode_public_key(pk)
+        doc["P"][0][0] = junk
+        with pytest.raises(DataFormatError, match="P"):
+            serial.decode_public_key(doc)
+    doc = serial.encode_public_key(pk)
+    doc["P"] = [good[0][:-1]] + good[1:]
+    with pytest.raises(DataFormatError, match="P"):
+        serial.decode_public_key(doc)
+
+
 # A junk value of each JSON type, plus a ragged list.
 JUNK = ("x", 5, [1], None, [[1, 2], [3]])
 
@@ -241,6 +263,14 @@ def test_mutated_key_fields_are_data_errors(hom_keys, tmp_path):
                     serial.load_hom_keys(keys)
                 assert main(["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]) == 3
         serial.save_json(good, keys / name)
+    # well-typed but out of range: a shape hom_keygen would refuse to build
+    good = serial.load_json(keys / "meta.json")
+    for bad in ({"k": 0, "depth": 0}, {"k": 31}, {"depth": 0}):
+        serial.save_json({**good, **bad}, keys / "meta.json")
+        with pytest.raises(DataFormatError, match="meta.json"):
+            serial.load_hom_keys(keys)
+        assert main(["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]) == 3
+    serial.save_json(good, keys / "meta.json")
     assert main(["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]) == 0
 
 
