@@ -32,7 +32,10 @@ def matmul_arrays(spec: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise UsageError(f"inner dimensions differ: {A.shape[-1]} vs {B.shape[-2]}")
     batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     out = np.zeros(batch + (A.shape[-2], B.shape[-1]), dtype=spec.dtype)
-    for t in range(A.shape[-1]):  # contraction loop; each step is one table gather
+    # Contraction loop. Each step is a column x row product, which mul_arrays
+    # gathers whole rows for from a table of B's row multiples when the
+    # table is small next to the step's output.
+    for t in range(A.shape[-1]):
         out ^= mul_arrays(spec, A[..., :, t, None], B[..., t, None, :])
     return out
 

@@ -61,3 +61,15 @@ def ref_matvec(M: list[list[int]], x: list[int], modulus: int) -> list[int]:
             acc ^= ref_mul(a, b, modulus)
         out.append(acc)
     return out
+
+
+def ref_matmul(A: list[list[int]], B: list[list[int]], cols: int, modulus: int) -> list[list[int]]:
+    """A times B, where B has `cols` columns (B may have no rows)."""
+    out = []
+    for row in A:
+        acc = [0] * cols
+        for a, brow in zip(row, B):
+            for j, b in enumerate(brow):
+                acc[j] ^= ref_mul(a, b, modulus)
+        out.append(acc)
+    return out

@@ -8,9 +8,12 @@ bit-loop kernels. Frozen values were computed by hand from the modulus.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
+from codehom import field
 from codehom.errors import ParameterError, UsageError
 from codehom.field import (
+    _ROW_TABLE_SHARE,
     MODULI,
     FieldElement,
     FieldSpec,
@@ -126,6 +129,124 @@ def test_array_mul_broadcasts():
                 assert int(out[i, j, l]) == oracle_mul(int(a[i, 0, l]), int(b[j, 0]), f.modulus)
 
 
+# --- the two table cases of mul_arrays ----------------------------------------
+
+TABLE_KS = (2, 4, 8, 16)
+
+
+def sample(f, rng, shape, zero_rate):
+    x = random_elements(f, rng, shape)
+    x[rng.random(shape) < zero_rate] = 0
+    return x
+
+
+def checked_mul(f, a, b):
+    """mul_arrays against the bit loop; also checks dtype, shape and inputs."""
+    a0, b0 = np.copy(a), np.copy(b)
+    got = mul_arrays(f, a, b)
+    want = _mul_bitloop(f, np.asarray(a, dtype=f.dtype), np.asarray(b, dtype=f.dtype))
+    assert isinstance(got, np.ndarray) and got.dtype == f.dtype
+    assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+    assert np.array_equal(got, want)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    return got
+
+
+@pytest.mark.parametrize("k", TABLE_KS)
+def test_log_exp_tables_cover_every_sum(k):
+    f = SPECS[k]
+    q, log, exp = f.q, f._log, f._exp
+    assert int(log[0]) == 2 * (q - 1)
+    assert sorted(log[1:].tolist()) == list(range(q - 1))
+    nz = np.arange(1, q)
+    assert np.array_equal(exp[log[nz]], nz)
+    # The largest sum of two logs, formed in the logs' own dtype, must not
+    # wrap and must index inside exp; every sum with a zero's log hits the tail.
+    assert int(log.max() + log.max()) == 4 * (q - 1) == exp.size - 1
+    assert not exp[2 * q - 3 :].any()
+    assert not exp[log[0] + log].any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from(TABLE_KS),
+    shapes=mutually_broadcastable_shapes(num_shapes=2, max_dims=4, min_side=0, max_side=5),
+    zero_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_arrays_broadcast_matches_bitloop(k, shapes, zero_rate, seed):
+    # Any broadcast pair, 0-d and empty shapes included.
+    f = SPECS[k]
+    rng = np.random.default_rng(seed)
+    sa, sb = shapes.input_shapes
+    checked_mul(f, sample(f, rng, sa, zero_rate), sample(f, rng, sb, zero_rate))
+
+
+# (column batch, row batch) pairs; None makes the row operand 1-D.
+COL_ROW_BATCHES = [((), ()), ((3,), ()), ((), None), ((2, 1), (3,)), ((), (2,)), ((1,), (2, 3))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from(TABLE_KS),
+    batches=st.sampled_from(COL_ROW_BATCHES),
+    n=st.integers(2, 4),
+    step=st.sampled_from([-1, 0, 1, None]),
+    zero_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    swap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_arrays_column_times_row_matches_bitloop(k, batches, n, step, zero_rate, swap, seed):
+    # Column length one step either side of the table cut-off, or small.
+    f = SPECS[k]
+    rng = np.random.default_rng(seed)
+    cb, rb = batches
+    if k == 16 and rb and np.prod(rb) > 1:
+        rb = (1,) * len(rb)  # keeps the GF(2^16) products near the cut-off small
+    row_shape = (n,) if rb is None else rb + (1, n)
+    batch = np.broadcast_shapes(cb, rb or ())
+    edge = -(-_ROW_TABLE_SHARE * int(np.prod(rb or ())) * f.q // int(np.prod(batch)))
+    length = int(rng.integers(0, 6)) if step is None else max(edge + step, 0)
+    col = sample(f, rng, cb + (length, 1), zero_rate)
+    row = sample(f, rng, row_shape, zero_rate)
+    if swap:
+        col, row = row, col
+    checked_mul(f, col, row)
+
+
+@pytest.mark.parametrize("k", TABLE_KS)
+def test_row_table_cut_off(k, monkeypatch):
+    f = SPECS[k]
+    rng = np.random.default_rng(6000 + k)
+    taken = []
+    real = field._mul_rows
+    monkeypatch.setattr(field, "_mul_rows", lambda *args: taken.append(1) or real(*args))
+    edge = _ROW_TABLE_SHARE * f.q  # column length where table = output / share
+    row = sample(f, rng, (1, 3), 0.3)
+    for length, row_path in ((edge - 1, False), (edge, True)):
+        col = sample(f, rng, (length, 1), 0.3)
+        for a, b in ((col, row), (row, col)):
+            taken.clear()
+            checked_mul(f, a, b)
+            assert taken == [1] * row_path, (length, a.shape)
+
+
+@pytest.mark.parametrize("k", TABLE_KS)
+@pytest.mark.parametrize("sa, sb", [
+    ((5, 1), (1, 0)),        # n = 0: an empty table, taken at any column length
+    ((2, 0, 1), (2, 1, 4)),  # no column entries
+    ((0, 3, 1), (0, 1, 4)),  # no rows in the row operand
+    ((), (4,)),              # 0-d times a vector
+    ((), ()),
+])
+def test_mul_arrays_empty_and_scalar(k, sa, sb):
+    f = SPECS[k]
+    rng = np.random.default_rng(7000 + k)
+    a, b = sample(f, rng, sa, 0.3), sample(f, rng, sb, 0.3)
+    checked_mul(f, a, b)
+    checked_mul(f, b, a)
+
+
 # --- field axioms -------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -188,6 +309,8 @@ def test_pow_edge_cases():
     assert fe_pow(f.element(7), 1).value == 7
     with pytest.raises(UsageError):
         fe_pow(f.element(7), -1)
+    with pytest.raises(UsageError):
+        pow_arrays(f, np.ones(3, dtype=f.dtype), -1)
 
 
 @settings(max_examples=200, deadline=None)

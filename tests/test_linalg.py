@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from codehom.errors import ParameterError, UsageError
-from codehom.field import FieldSpec, fe_pow, random_elements
+from codehom.field import _ROW_TABLE_SHARE, FieldSpec, fe_pow, random_elements
 from codehom.linalg import (
     dot_arrays,
     identity_array,
@@ -18,7 +20,7 @@ from codehom.linalg import (
     vandermonde_array,
 )
 
-from gf_refs import ref_det, ref_matvec, ref_mul, ref_rank_by_span
+from gf_refs import ref_det, ref_matmul, ref_matvec, ref_mul, ref_rank_by_span
 
 F4 = FieldSpec(2)
 F16 = FieldSpec(4)
@@ -81,6 +83,66 @@ def test_matmul_batched():
     assert out.shape == (10, 3, 2)
     for t in range(10):
         assert np.array_equal(out[t], matmul_arrays(F16, A[t], B[t]))
+
+
+def check_matmul_against_ref(spec, A, B):
+    out = matmul_arrays(spec, A, B)
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    assert out.dtype == spec.dtype
+    assert out.shape == batch + (A.shape[-2], B.shape[-1])
+    A_b = np.broadcast_to(A, batch + A.shape[-2:])
+    B_b = np.broadcast_to(B, batch + B.shape[-2:])
+    for ix in np.ndindex(*batch):
+        want = ref_matmul(A_b[ix].tolist(), B_b[ix].tolist(), B.shape[-1], spec.modulus)
+        assert out[ix].tolist() == want, ix
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([2, 4, 8]),
+    batches=mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3),
+    m=st.integers(0, 24),
+    p=st.integers(0, 4),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_matches_naive_product(k, batches, m, p, n, seed):
+    # Broadcast batch axes on either side; over GF(4) and GF(16) the taller
+    # products take mul_arrays' row-table case at every contraction step.
+    spec = FieldSpec(k)
+    rng = np.random.default_rng(seed)
+    ba, bb = batches.input_shapes
+    A = random_elements(spec, rng, ba + (m, p))
+    B = random_elements(spec, rng, bb + (p, n))
+    A[rng.random(A.shape) < 0.2] = 0
+    check_matmul_against_ref(spec, A, B)
+
+
+def test_matmul_row_tables_gf256():
+    # Each contraction step makes 2 x 256 x 5 outputs from a table of
+    # 256 x 5 multiples of B's row: exactly at the cut-off, on the row path.
+    rng = np.random.default_rng(24)
+    A = random_elements(F256, rng, (2, _ROW_TABLE_SHARE * F256.q // 2, 3))
+    A[:, ::7] = 0
+    B = random_elements(F256, rng, (3, 5))
+    check_matmul_against_ref(F256, A, B)
+
+
+def test_elimination_row_tables_on_tall_matrices():
+    # With _ROW_TABLE_SHARE * q rows or more, the rref and rank_batch
+    # updates take the row-table case; the 4-row transposes do not.
+    rng = np.random.default_rng(25)
+    m = _ROW_TABLE_SHARE * F16.q + 3
+    stack = random_elements(F16, rng, (6, m, 4))
+    stack[1, :, 3] = stack[1, :, 0]
+    stack[2, :, 1:] = 0
+    got = rank_batch(F16, stack)
+    assert got.tolist() == rank_batch(F16, stack.transpose(0, 2, 1)).tolist()
+    assert got.tolist()[:3] == [4, 3, 1]
+    A = stack[0]
+    b = matvec_arrays(F16, A, random_elements(F16, rng, 4))
+    y = solve_canonical_array(F16, A, b)
+    assert ref_matvec(A.tolist(), y.tolist(), F16.modulus) == b.tolist()
 
 
 def test_dimension_mismatch():
