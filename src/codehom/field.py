@@ -6,13 +6,16 @@ F_2[x]/(modulus). Scalar work goes through FieldElement; bulk work goes
 through the *_arrays kernels, which operate on numpy integer arrays and
 carry no per-element Python overhead.
 
-For k <= 16 multiplication runs on log/exp tables, cached per k. Zero
-gets the sentinel log 2(q-1) and exp ends in a zero tail, so any product
-with a zero factor indexes that tail: a * b is exp[log[a] + log[b]] with
-no zero masks. mul_arrays adds a second case on the same tables, for
-column-times-row products such as the steps of matmul_arrays: a table
-of every multiple of each row, gathered a whole row at a time. Above
-k = 16 multiplication is a shift-and-reduce bit loop.
+For k <= 16 multiplication runs on tables cached per k and shared,
+read-only, by every spec of that degree. Zero gets the sentinel log
+2(q-1) and exp ends in a zero tail, so any product with a zero factor
+indexes that tail: a * b is exp[log[a] + log[b]] with no zero masks. For
+k <= 8 a q x q product table (256 B at k = 4, 64 KB at k = 8) makes a
+product one gather instead: prod[(a << k) | b]. mul_arrays adds a second
+case, for column-times-row products such as the steps of matmul_arrays:
+a table of every multiple of each row, gathered a whole row at a time;
+for k <= 8 it is sliced from the product table. Above k = 16
+multiplication is a shift-and-reduce bit loop.
 """
 
 from __future__ import annotations
@@ -35,15 +38,31 @@ MODULI = {
 }
 
 _TABLE_LIMIT = 16   # largest k that gets log/exp tables
+_PRODUCT_LIMIT = 8  # largest k that gets a q x q product table
 
-# mul_arrays gathers rows from a table of a row operand's multiples only
-# when that table has at most 1/_ROW_TABLE_SHARE of the output's elements.
-# The row path breaks even near table = output; at half the output it ran
-# 1.5-2.1x faster than the element-wise path for k = 4, 8 and rows of 16
-# and 128 elements (numpy 2.4 on a 2-core Xeon host).
+# mul_arrays gathers rows from a table of a row operand's multiples when
+# that table has at most 1/_ROW_TABLE_SHARE of the output's elements or,
+# for k <= 8, when the output has at least _ROW_TABLE_BIG elements and the
+# table at most _ROW_TABLE_WIDE times as many. Against one gather per
+# element (about 5 ns at k = 8), the row path costs 3-7 us more per call,
+# about 0.6 ns per table element (1.3-1.7 ns once a k = 8 table passes
+# 1 MB) and 0.2-0.4 ns per output element. On the layout of a boost's
+# reencryption steps, at outputs of 16384 elements or more, it ran
+# 1.2-2.7x faster at table = 2x output (k = 8, 4 or 32 rows of 16 or 128)
+# and broke even at k = 4 with 32 rows of 128; at 4x it lost up to 2x on
+# 1 MB tables. Small outputs, and k = 16 with its slower log/exp-built
+# table, keep the share rule alone (numpy 2.4 on a 2-core Xeon host).
 _ROW_TABLE_SHARE = 2
+_ROW_TABLE_BIG = 16384
+_ROW_TABLE_WIDE = 2
 
-_table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Whole-row redraws random_distinct_batch makes before it draws the rows
+# that still collide with random_distinct. A row that is injective with
+# probability 0.06 or more, as t = 9 of q = 16 is, fails them all with
+# probability below 1e-26.
+_REDRAW_ROUNDS = 1000
+
+_table_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
 
 def _dtype_for(k: int):
@@ -70,13 +89,15 @@ def _scalar_mul(a: int, b: int, k: int, modulus: int) -> int:
     return r
 
 
-def _build_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp (length 4q-3) and log (length q) with log[0] = 2(q-1).
+def _build_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """exp (length 4q-3), log (length q) with log[0] = 2(q-1), and for
+    k <= _PRODUCT_LIMIT the flat product table prod[(a << k) | b] = a * b.
 
     exp[i] = g^(i mod q-1) for i <= 2q-4, and 0 beyond. A sum of two
     nonzero logs is at most 2q-4; a sum with one zero's log lies in
     [2q-2, 3q-4], and two zeros give 4q-4: all inside the zero tail. Logs
-    are uint16 when 4(q-1) fits, so the sum of two never overflows.
+    are uint16 when 4(q-1) fits, so the sum of two never overflows. The
+    tables are shared by every spec of degree k and are read-only.
     """
     q = 1 << k
     dtype = _dtype_for(k)
@@ -98,7 +119,11 @@ def _build_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
             log = np.empty(q, dtype=log_dtype)
             log[0] = 2 * (q - 1)
             log[exp[: q - 1]] = np.arange(q - 1, dtype=log_dtype)
-            return exp, log
+            prod = exp[log[:, None] + log].ravel() if k <= _PRODUCT_LIMIT else None
+            for table in (exp, log, prod):
+                if table is not None:
+                    table.setflags(write=False)
+            return exp, log, prod
     raise ParameterError(f"no generator found; modulus {MODULI[k]:#x} is not irreducible")
 
 
@@ -109,7 +134,7 @@ class FieldSpec:
     have the same k, and files store k alone.
     """
 
-    __slots__ = ("k", "modulus", "q", "dtype", "_exp", "_log")
+    __slots__ = ("k", "modulus", "q", "dtype", "_exp", "_log", "_prod")
 
     def __init__(self, k: int):
         if k not in MODULI:
@@ -121,9 +146,9 @@ class FieldSpec:
         if k <= _TABLE_LIMIT:
             if k not in _table_cache:
                 _table_cache[k] = _build_tables(k)
-            self._exp, self._log = _table_cache[k]
+            self._exp, self._log, self._prod = _table_cache[k]
         else:
-            self._exp = self._log = None
+            self._exp = self._log = self._prod = None
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.k == other.k
@@ -264,17 +289,22 @@ def add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
     """Elementwise product over GF(2^k); a and b broadcast like numpy.
 
-    For k <= 16 one of two cases runs, both on the log/exp tables:
+    a and b hold canonical elements (values below q). For k <= 16 one of
+    two cases runs:
 
-    - element-wise: exp[log[a] + log[b]], one gather per output element;
+    - element-wise: for k <= 8 one gather from the product table at
+      (a << k) | b, formed in uint16 (about 5 ns per element at k = 8,
+      against 11-13 ns for log/exp); for k = 16 exp[log[a] + log[b]];
     - column x row: one operand's last axis is 1 and the other's (the
       row operand) is not, as in the steps A[..., :, t, None] *
       B[..., t, None, :] of matmul_arrays. Every multiple of each row is
       tabled once, and the output is gathered a whole row at a time.
-      Taken only when the table holds at most 1/_ROW_TABLE_SHARE of the
-      output's elements.
+      Taken only when the table is small next to the output (see
+      _ROW_TABLE_SHARE); for k <= 8 the table is rows of the product
+      table, 2-5x faster to build than through log/exp.
 
-    Above k = 16 the product is _mul_bitloop's shift-and-reduce.
+    Above k = 16 the product is _mul_bitloop's shift-and-reduce. The
+    result never shares memory with the tables or the inputs.
     """
     a = np.asarray(a, dtype=spec.dtype)
     b = np.asarray(b, dtype=spec.dtype)
@@ -283,17 +313,26 @@ def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
     if a.ndim and b.ndim and (a.shape[-1] == 1) != (b.shape[-1] == 1):
         col, row = (a, b) if a.shape[-1] == 1 else (b, a)
         rows = math.prod(row.shape[:-1])
-        if _ROW_TABLE_SHARE * rows * spec.q * row.shape[-1] <= np.broadcast(a, b).size:
+        table, out = rows * spec.q * row.shape[-1], np.broadcast(a, b).size
+        if _ROW_TABLE_SHARE * table <= out or (
+            spec._prod is not None and out >= _ROW_TABLE_BIG and table <= _ROW_TABLE_WIDE * out
+        ):
             return _mul_rows(spec, col, row, rows)
     # asarray: with two 0-d operands the gather gives a numpy scalar.
+    if spec._prod is not None:
+        return np.asarray(spec._prod[np.left_shift(a, spec.k, dtype=np.uint16) | b])
     return np.asarray(spec._exp[spec._log[a] + spec._log[b]])
 
 
 def _mul_rows(spec: FieldSpec, col: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
     # Row r's multiple by v sits at table[r*q + v]; col[..., 0] picks v.
     q, n = spec.q, row.shape[-1]
-    log = spec._log
-    table = spec._exp[log[:, None] + log[row.reshape(rows, 1, n)]].reshape(rows * q, n)
+    flat = row.reshape(rows, n)
+    if spec._prod is not None:
+        table = spec._prod.reshape(q, q)[flat].transpose(0, 2, 1).reshape(rows * q, n)
+    else:
+        log = spec._log
+        table = spec._exp[log[:, None] + log[flat[:, None, :]]].reshape(rows * q, n)
     row_base = np.arange(0, rows * q, q, dtype=np.intp).reshape(row.shape[:-1])
     return np.take(table, row_base + col[..., 0], axis=0)
 
@@ -373,15 +412,24 @@ def random_distinct_batch(
 ) -> np.ndarray:
     """(trials, n) array; each row is a without-replacement sample.
 
-    Rows containing a collision are redrawn wholesale, which leaves the
-    per-row distribution exactly uniform over injective tuples.
+    Rows containing a collision are redrawn wholesale, up to
+    _REDRAW_ROUNDS times; a row still colliding after that is drawn by
+    random_distinct. Both leave the per-row distribution exactly uniform
+    over injective tuples. The whole-row redraws alone can run for ever
+    when n is near q: at n = q = 16 a row is injective with probability
+    16!/16^16, about 1e-6.
     """
     if n > spec.q:
         raise ParameterError(f"cannot draw {n} distinct elements from a field of size {spec.q}")
     out = rng.integers(0, spec.q, size=(trials, n), dtype=spec.dtype)
-    while True:
-        srt = np.sort(out, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not bad.any():
+    bad = np.arange(trials)
+    for redraws in range(_REDRAW_ROUNDS + 1):
+        srt = np.sort(out[bad], axis=1)
+        bad = bad[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
+        if not bad.size:
             return out
-        out[bad] = rng.integers(0, spec.q, size=(int(bad.sum()), n), dtype=spec.dtype)
+        if redraws < _REDRAW_ROUNDS:
+            out[bad] = rng.integers(0, spec.q, size=(bad.size, n), dtype=spec.dtype)
+    for i in bad:
+        out[i] = random_distinct(spec, rng, n)
+    return out

@@ -197,6 +197,15 @@ def test_analyze_rank_deterministic_branch(capsys):
     assert json.loads(out)["estimate"] == 0.0
 
 
+def test_analyze_rank_all_field_points(capsys):
+    # t = q = 16 draws every point of GF(16) in each trial.
+    code, out, _ = run(capsys, "analyze", "rank", "--n", "16", "--r", "6", "--s", "3",
+                       "--k", "4", "--t", "16", "--s-overlap", "3", "--trials", "5",
+                       "--seed", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["trials"] == 5
+
+
 def test_analyze_seed_reproducibility(capsys):
     argv = ["analyze", "rank", "--t", "9", "--trials", "1500",
             "--seed", "9", "--jobs", "3", "--format", "json"]

@@ -13,7 +13,9 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 from codehom import field
 from codehom.errors import ParameterError, UsageError
 from codehom.field import (
+    _ROW_TABLE_BIG,
     _ROW_TABLE_SHARE,
+    _ROW_TABLE_WIDE,
     MODULI,
     FieldElement,
     FieldSpec,
@@ -27,6 +29,7 @@ from codehom.field import (
     inv_arrays,
     mul_arrays,
     _mul_bitloop,
+    _scalar_mul,
     pow_arrays,
     random_distinct,
     random_distinct_batch,
@@ -247,6 +250,145 @@ def test_mul_arrays_empty_and_scalar(k, sa, sb):
     checked_mul(f, b, a)
 
 
+# --- the product table (k <= 8) ------------------------------------------------
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_product_table_exhaustive(k):
+    f = SPECS[k]
+    prod = f._prod.reshape(f.q, f.q)
+    want = [[_scalar_mul(a, b, k, f.modulus) for b in range(f.q)] for a in range(f.q)]
+    assert prod.dtype == f.dtype
+    assert np.array_equal(prod, np.array(want, dtype=f.dtype))
+
+
+@pytest.mark.parametrize("k", [16, 32, 64])
+def test_no_product_table_above_k8(k):
+    assert SPECS[k]._prod is None
+
+
+@pytest.mark.parametrize("k", TABLE_KS)
+def test_cached_tables_are_read_only(k):
+    f = SPECS[k]
+    tables = [f._exp, f._log] + ([f._prod] if f._prod is not None else [])
+    for table in tables:
+        before = table.copy()
+        with pytest.raises(ValueError):
+            table[1] = 0
+        with pytest.raises(ValueError):
+            table ^= 1
+        assert np.array_equal(table, before)
+
+
+@pytest.mark.parametrize("k", TABLE_KS)
+@pytest.mark.parametrize("sa, sb", [
+    ((64, 8), (64, 8)),                       # element-wise
+    ((4 * _ROW_TABLE_SHARE * 4, 1), (1, 4)),  # row path for k <= 4
+    ((), ()),
+])
+def test_in_place_xor_on_a_product_leaves_tables_intact(k, sa, sb):
+    # walk_gtree does V ^= 1 on mul_arrays output; no result may alias a table.
+    f = SPECS[k]
+    rng = np.random.default_rng(8000 + k)
+    a, b = sample(f, rng, sa, 0.3), sample(f, rng, sb, 0.3)
+    first = mul_arrays(f, a, b)
+    first ^= f.dtype(1)
+    checked_mul(f, a, b)
+    checked_mul(f, b, a)
+    x = random_elements(f, rng, 4096)
+    checked_mul(f, x, x[::-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from(TABLE_KS),
+    shape=st.lists(st.integers(0, 5), min_size=0, max_size=3).map(tuple),
+    half=st.integers(0, 6),
+    zero_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_arrays_strided_halves_match_bitloop(k, shape, half, zero_rate, seed):
+    # walk_gtree multiplies V[0::2] by V[1::2]: strided views of one stack.
+    f = SPECS[k]
+    rng = np.random.default_rng(seed)
+    V = sample(f, rng, (2 * half,) + shape, zero_rate)
+    checked_mul(f, V[0::2], V[1::2])
+    if shape:
+        W = sample(f, rng, shape + (2 * half,), zero_rate)
+        checked_mul(f, W[..., 1::2], W[..., 0::2])
+
+
+def wide_edge(f, rows, n, edge):
+    """Column length where the k <= 8 wide rule starts to hold.
+
+    The column is (length, 1) and the row operand (rows, 1, n): the
+    table has rows*q*n elements and the output rows*length*n. "ratio"
+    gives the length where table = _ROW_TABLE_WIDE * output, "size" the
+    length where the output reaches _ROW_TABLE_BIG elements.
+    """
+    if edge == "ratio":
+        return -(-f.q // _ROW_TABLE_WIDE)
+    return -(-_ROW_TABLE_BIG // (rows * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from(TABLE_KS),
+    rows=st.integers(1, 3),
+    n=st.integers(2, 40),
+    edge=st.sampled_from(["ratio", "size"]),
+    step=st.sampled_from([-1, 0, 1]),
+    zero_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    swap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_arrays_column_times_row_wide_edge_matches_bitloop(
+    k, rows, n, edge, step, zero_rate, swap, seed
+):
+    # Column length one step either side of either edge of the wide rule.
+    f = SPECS[k]
+    if k == 16:
+        rows, n = 1, 2  # keeps the GF(2^16) products near the edge small
+    elif edge == "ratio":
+        # rows wide enough that the output is past the size edge on both sides
+        n = max(n, -(-_ROW_TABLE_BIG // (rows * (wide_edge(f, rows, n, edge) - 1))))
+    rng = np.random.default_rng(seed)
+    length = max(wide_edge(f, rows, n, edge) + step, 0)
+    col = sample(f, rng, (length, 1), zero_rate)
+    row = sample(f, rng, (rows, 1, n), zero_rate)
+    if swap:
+        col, row = row, col
+    checked_mul(f, col, row)
+
+
+@pytest.mark.parametrize("k", TABLE_KS)
+def test_row_table_wide_cut_off(k, monkeypatch):
+    # For k <= 8 the row path is also taken when the output has at least
+    # _ROW_TABLE_BIG elements and the table at most _ROW_TABLE_WIDE times
+    # as many; k = 16 keeps the _ROW_TABLE_SHARE rule alone.
+    f = SPECS[k]
+    rng = np.random.default_rng(9000 + k)
+    taken = []
+    real = field._mul_rows
+    monkeypatch.setattr(field, "_mul_rows", lambda *args: taken.append(1) or real(*args))
+    wide = f._prod is not None
+    ratio = wide_edge(f, 1, 1, "ratio")
+    n = max(-(-_ROW_TABLE_BIG // (ratio - 1)), 2)  # output past the size edge at both lengths
+    cases = [(n, ratio - 1, False), (n, ratio, wide)]
+    if wide:
+        n = _ROW_TABLE_BIG // f.q
+        size = wide_edge(f, 1, n, "size")
+        assert f.q <= _ROW_TABLE_WIDE * (size - 1)  # the ratio holds at both lengths
+        cases += [(n, size - 1, False), (n, size, True)]
+    for n, length, row_path in cases:
+        row = sample(f, rng, (1, n), 0.3)
+        col = sample(f, rng, (length, 1), 0.3)
+        assert _ROW_TABLE_SHARE * f.q * n > length * n  # the share rule alone says no
+        for a, b in ((col, row), (row, col)):
+            taken.clear()
+            checked_mul(f, a, b)
+            assert taken == [1] * row_path, (length, a.shape)
+
+
 # --- field axioms -------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -431,6 +573,49 @@ def test_random_distinct_batch():
     assert x.shape == (200, 40)
     for row in x:
         assert len({int(v) for v in row}) == 40
+
+
+def whole_row_redraws(spec, rng, trials, n):
+    """random_distinct_batch before the redraw bound: loops for ever near n = q."""
+    out = rng.integers(0, spec.q, size=(trials, n), dtype=spec.dtype)
+    while True:
+        srt = np.sort(out, axis=1)
+        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if not bad.any():
+            return out
+        out[bad] = rng.integers(0, spec.q, size=(int(bad.sum()), n), dtype=spec.dtype)
+
+
+@pytest.mark.parametrize("k, n", [(4, 5), (4, 9), (4, 11), (8, 40), (16, 300)])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_distinct_batch_keeps_seeded_output(k, n, seed):
+    # Where the old loop terminates within the bound, output and rng stream agree.
+    f = SPECS[k]
+    rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(random_distinct_batch(f, rng_new, 60, n),
+                          whole_row_redraws(f, rng_old, 60, n))
+    assert rng_new.integers(1 << 62) == rng_old.integers(1 << 62)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_random_distinct_batch_full_field(k):
+    # n = q: each row is a permutation; whole-row redraws alone would not return.
+    f = SPECS[k]
+    x = random_distinct_batch(f, np.random.default_rng(13), 5, f.q)
+    assert x.shape == (5, f.q)
+    for row in x:
+        assert sorted(row.tolist()) == list(range(f.q))
+
+
+def test_random_distinct_batch_fallback_is_uniform(monkeypatch):
+    # With no whole-row redraws every colliding row comes from random_distinct;
+    # rows must still be uniform over the 4! orderings of GF(4).
+    monkeypatch.setattr(field, "_REDRAW_ROUNDS", 0)
+    x = random_distinct_batch(SPECS[2], np.random.default_rng(14), 4800, 4)
+    codes = (x.astype(np.int64) * np.array([64, 16, 4, 1])).sum(axis=1)
+    _, counts = np.unique(codes, return_counts=True)
+    assert len(counts) == 24 and counts.sum() == 4800
+    assert counts.min() > 140 and counts.max() < 260  # 200 expected each
 
 
 @settings(max_examples=100, deadline=None)
