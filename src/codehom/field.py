@@ -41,26 +41,24 @@ _TABLE_LIMIT = 16   # largest k that gets log/exp tables
 _PRODUCT_LIMIT = 8  # largest k that gets a q x q product table
 
 # mul_arrays gathers rows from a table of a row operand's multiples when
-# that table has at most 1/_ROW_TABLE_SHARE of the output's elements or,
-# for k <= 8, when the output has at least _ROW_TABLE_BIG elements and the
-# table at most _ROW_TABLE_WIDE times as many. Against one gather per
-# element (about 5 ns at k = 8), the row path costs 3-7 us more per call,
-# about 0.6 ns per table element (1.3-1.7 ns once a k = 8 table passes
-# 1 MB) and 0.2-0.4 ns per output element. On the layout of a boost's
-# reencryption steps, at outputs of 16384 elements or more, it ran
-# 1.2-2.7x faster at table = 2x output (k = 8, 4 or 32 rows of 16 or 128)
-# and broke even at k = 4 with 32 rows of 128; at 4x it lost up to 2x on
-# 1 MB tables. Small outputs, and k = 16 with its slower log/exp-built
-# table, keep the share rule alone (numpy 2.4 on a 2-core Xeon host).
+# that table has at most 1/_ROW_TABLE_SHARE of the output's elements. With
+# row tables sliced from the product table, on a boost's link-step layout
+# (column (m, rows, 1, 1) x row (rows, 1, n); rows 4 or 32, n 16 or 128)
+# the row path ran 1.0-1.2x (k = 4) and 1.3-3.1x (k = 8) as fast as the
+# one-gather product at table = 2x output, and 1.7-6x at table = output.
+# The cut-off still stays at half the output: no end-to-end run has shown
+# a gain from moving it, and in a desk-eval cycle the link steps with
+# table between 1/2 and 2x their output take 0.11 s of 0.83 s (numpy 2.4
+# on a 2-core Xeon host).
 _ROW_TABLE_SHARE = 2
-_ROW_TABLE_BIG = 16384
-_ROW_TABLE_WIDE = 2
 
 # Whole-row redraws random_distinct_batch makes before it draws the rows
 # that still collide with random_distinct. A row that is injective with
 # probability 0.06 or more, as t = 9 of q = 16 is, fails them all with
-# probability below 1e-26.
+# probability below 1e-26. The redraws are skipped when the chance that
+# they would fix every colliding row is below _REDRAW_HOPELESS.
 _REDRAW_ROUNDS = 1000
+_REDRAW_HOPELESS = 1e-12
 
 _table_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
@@ -298,10 +296,11 @@ def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
     - column x row: one operand's last axis is 1 and the other's (the
       row operand) is not, as in the steps A[..., :, t, None] *
       B[..., t, None, :] of matmul_arrays. Every multiple of each row is
-      tabled once, and the output is gathered a whole row at a time.
-      Taken only when the table is small next to the output (see
-      _ROW_TABLE_SHARE); for k <= 8 the table is rows of the product
-      table, 2-5x faster to build than through log/exp.
+      tabled once, and the output is gathered a whole row at a time
+      (0.16-0.3 ns per element in a desk boost). Taken only when the
+      table has at most half the output's elements (_ROW_TABLE_SHARE);
+      for k <= 8 the table is rows of the product table, 2-5x faster to
+      build than through log/exp.
 
     Above k = 16 the product is _mul_bitloop's shift-and-reduce. The
     result never shares memory with the tables or the inputs.
@@ -314,9 +313,7 @@ def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
         col, row = (a, b) if a.shape[-1] == 1 else (b, a)
         rows = math.prod(row.shape[:-1])
         table, out = rows * spec.q * row.shape[-1], np.broadcast(a, b).size
-        if _ROW_TABLE_SHARE * table <= out or (
-            spec._prod is not None and out >= _ROW_TABLE_BIG and table <= _ROW_TABLE_WIDE * out
-        ):
+        if _ROW_TABLE_SHARE * table <= out:
             return _mul_rows(spec, col, row, rows)
     # asarray: with two 0-d operands the gather gives a numpy scalar.
     if spec._prod is not None:
@@ -417,19 +414,27 @@ def random_distinct_batch(
     random_distinct. Both leave the per-row distribution exactly uniform
     over injective tuples. The whole-row redraws alone can run for ever
     when n is near q: at n = q = 16 a row is injective with probability
-    16!/16^16, about 1e-6.
+    16!/16^16, about 1e-6. When the first draw leaves b rows colliding
+    and (_REDRAW_ROUNDS * p)^b, which bounds the chance that the redraws
+    fix them all, is below _REDRAW_HOPELESS, they go to random_distinct
+    at once.
     """
     if n > spec.q:
         raise ParameterError(f"cannot draw {n} distinct elements from a field of size {spec.q}")
-    out = rng.integers(0, spec.q, size=(trials, n), dtype=spec.dtype)
+    q = spec.q
+    # p: the chance that a row of n uniform draws is injective, q!/(q-n)!/q^n.
+    p = math.exp(np.log1p(-np.arange(n) / q).sum())
+    out = rng.integers(0, q, size=(trials, n), dtype=spec.dtype)
     bad = np.arange(trials)
     for redraws in range(_REDRAW_ROUNDS + 1):
         srt = np.sort(out[bad], axis=1)
         bad = bad[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
         if not bad.size:
             return out
+        if redraws == 0 and min(1.0, _REDRAW_ROUNDS * p) ** bad.size < _REDRAW_HOPELESS:
+            break
         if redraws < _REDRAW_ROUNDS:
-            out[bad] = rng.integers(0, spec.q, size=(bad.size, n), dtype=spec.dtype)
+            out[bad] = rng.integers(0, q, size=(bad.size, n), dtype=spec.dtype)
     for i in bad:
         out[i] = random_distinct(spec, rng, n)
     return out

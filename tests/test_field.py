@@ -13,9 +13,7 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 from codehom import field
 from codehom.errors import ParameterError, UsageError
 from codehom.field import (
-    _ROW_TABLE_BIG,
     _ROW_TABLE_SHARE,
-    _ROW_TABLE_WIDE,
     MODULI,
     FieldElement,
     FieldSpec,
@@ -317,78 +315,6 @@ def test_mul_arrays_strided_halves_match_bitloop(k, shape, half, zero_rate, seed
         checked_mul(f, W[..., 1::2], W[..., 0::2])
 
 
-def wide_edge(f, rows, n, edge):
-    """Column length where the k <= 8 wide rule starts to hold.
-
-    The column is (length, 1) and the row operand (rows, 1, n): the
-    table has rows*q*n elements and the output rows*length*n. "ratio"
-    gives the length where table = _ROW_TABLE_WIDE * output, "size" the
-    length where the output reaches _ROW_TABLE_BIG elements.
-    """
-    if edge == "ratio":
-        return -(-f.q // _ROW_TABLE_WIDE)
-    return -(-_ROW_TABLE_BIG // (rows * n))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    k=st.sampled_from(TABLE_KS),
-    rows=st.integers(1, 3),
-    n=st.integers(2, 40),
-    edge=st.sampled_from(["ratio", "size"]),
-    step=st.sampled_from([-1, 0, 1]),
-    zero_rate=st.sampled_from([0.0, 0.3, 1.0]),
-    swap=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_mul_arrays_column_times_row_wide_edge_matches_bitloop(
-    k, rows, n, edge, step, zero_rate, swap, seed
-):
-    # Column length one step either side of either edge of the wide rule.
-    f = SPECS[k]
-    if k == 16:
-        rows, n = 1, 2  # keeps the GF(2^16) products near the edge small
-    elif edge == "ratio":
-        # rows wide enough that the output is past the size edge on both sides
-        n = max(n, -(-_ROW_TABLE_BIG // (rows * (wide_edge(f, rows, n, edge) - 1))))
-    rng = np.random.default_rng(seed)
-    length = max(wide_edge(f, rows, n, edge) + step, 0)
-    col = sample(f, rng, (length, 1), zero_rate)
-    row = sample(f, rng, (rows, 1, n), zero_rate)
-    if swap:
-        col, row = row, col
-    checked_mul(f, col, row)
-
-
-@pytest.mark.parametrize("k", TABLE_KS)
-def test_row_table_wide_cut_off(k, monkeypatch):
-    # For k <= 8 the row path is also taken when the output has at least
-    # _ROW_TABLE_BIG elements and the table at most _ROW_TABLE_WIDE times
-    # as many; k = 16 keeps the _ROW_TABLE_SHARE rule alone.
-    f = SPECS[k]
-    rng = np.random.default_rng(9000 + k)
-    taken = []
-    real = field._mul_rows
-    monkeypatch.setattr(field, "_mul_rows", lambda *args: taken.append(1) or real(*args))
-    wide = f._prod is not None
-    ratio = wide_edge(f, 1, 1, "ratio")
-    n = max(-(-_ROW_TABLE_BIG // (ratio - 1)), 2)  # output past the size edge at both lengths
-    cases = [(n, ratio - 1, False), (n, ratio, wide)]
-    if wide:
-        n = _ROW_TABLE_BIG // f.q
-        size = wide_edge(f, 1, n, "size")
-        assert f.q <= _ROW_TABLE_WIDE * (size - 1)  # the ratio holds at both lengths
-        cases += [(n, size - 1, False), (n, size, True)]
-    for n, length, row_path in cases:
-        row = sample(f, rng, (1, n), 0.3)
-        col = sample(f, rng, (length, 1), 0.3)
-        assert _ROW_TABLE_SHARE * f.q * n > length * n  # the share rule alone says no
-        for a, b in ((col, row), (row, col)):
-            taken.clear()
-            checked_mul(f, a, b)
-            assert taken == [1] * row_path, (length, a.shape)
-
-
 # --- field axioms -------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -605,6 +531,20 @@ def test_random_distinct_batch_full_field(k):
     assert x.shape == (5, f.q)
     for row in x:
         assert sorted(row.tolist()) == list(range(f.q))
+
+
+@pytest.mark.parametrize("k, n, trials", [(4, 16, 5), (4, 14, 40), (8, 256, 3), (8, 100, 50)])
+def test_random_distinct_batch_skips_hopeless_redraws(k, n, trials):
+    # When the redraws would almost surely all be spent, the colliding rows
+    # of the first draw go straight to random_distinct: no rng draws between.
+    f = SPECS[k]
+    rng = np.random.default_rng(15)
+    want = rng.integers(0, f.q, size=(trials, n), dtype=f.dtype)
+    for i in range(trials):
+        if len(set(want[i].tolist())) < n:
+            want[i] = random_distinct(f, rng, n)
+    got = random_distinct_batch(f, np.random.default_rng(15), trials, n)
+    assert np.array_equal(got, want)
 
 
 def test_random_distinct_batch_fallback_is_uniform(monkeypatch):
