@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import ConstructionError, ParameterError, UsageError
 from .circuit import walk_gtree
-from .linalg import Vector, matmul_arrays
+from .linalg import matmul_arrays
 from .reencrypt import aux_gen_basic
-from .scheme import Ciphertext, Params, PublicKey, SecretKey, keygen
+from .scheme import Params, PublicKey, SecretKey, keygen
 
 
 @dataclass(frozen=True)
@@ -238,17 +238,3 @@ def boost_arrays(aux: BoostAux, C: np.ndarray) -> np.ndarray:
     V = reenc(aux.links[0], X)[aux.assignment]
     return walk_gtree(spec, V, lambda level, V: reenc(aux.links[level], V))
 
-
-def boost(aux: BoostAux, parts: list[Ciphertext]) -> list[Ciphertext]:
-    """Boost one replicated ciphertext given as its k parts."""
-    k = aux.graph.k
-    n = aux.source_params.n
-    if len(parts) != k:
-        raise UsageError(f"expected {k} parts, got {len(parts)}")
-    for ct in parts:
-        if ct.v.len != n:
-            raise UsageError(f"part length {ct.v.len}, source level expects {n}")
-    C = np.stack([ct.v.data for ct in parts])
-    out = boost_arrays(aux, C)
-    spec = aux.target_params.field
-    return [Ciphertext(Vector(spec, row)) for row in out]

@@ -1,4 +1,4 @@
-"""Circuit IR, netlist parsing, scheduling, layering, and the two builders.
+"""Circuit IR, netlist parsing, the level schedule, and the two builders.
 
 Gate kinds: XOR, AND, G, COPY, CONST0, CONST1, where G(x,y) = 1 - xy
 (equal to 1 + xy here, characteristic 2). On {0,1} values XOR and AND
@@ -9,12 +9,15 @@ batched plain evaluation: compile_schedule places each gate on a level
 (see Schedule), and run_schedule takes the level-crossing step as a
 parameter. Which gates consume a level depends on the evaluator: a plain
 chain reencrypts only after multiplicative gates, the replicated scheme
-boosts after additions too, hence count_xor. eval_plain is the
-field-element reference the array paths are checked against.
+boosts after additions too, hence count_xor. A circuit's depth under
+either rule is compile_schedule(c, count_xor, 1).depth. eval_plain is
+the field-element reference the array paths are checked against.
 
-Layering writes the levels into the netlist instead: dummy gates (an
-AND with the constant one) are inserted until every input-to-output
-path crosses the same number of level-consuming gates, one per layer.
+compile_schedule is the only code that decides levels. layerize writes
+its schedule back out as a netlist, with a dummy gate (an AND with the
+constant one) wherever a wire crosses a level no gate of its own
+consumed: the schedule's netlist view, as gtree_circuit is the leaf
+row's.
 
 CORR_d is the full G-tree self-corrector; APXMAJ is the randomly wired
 approximate majority, built by sample-and-verify since the existence
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
 import numpy as np
@@ -192,39 +195,8 @@ def eval_plain_array(spec: FieldSpec, c: Circuit, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Depth measures and layering.
+# The compiled schedule and its array interpreter.
 # ---------------------------------------------------------------------------
-
-
-def depth(c: Circuit) -> int:
-    """Most gates on any path; constants are sources and do not count."""
-    d = dict.fromkeys(c.inputs, 0)
-    for g in c.gates:
-        d[g.id] = max((d[a] for a in g.args), default=0) + (not g.kind.startswith("CONST"))
-    return max(d[o] for o in c.outputs)
-
-
-def mult_depth(c: Circuit) -> int:
-    """AND and G gates on the worst output path; constant-only gates fold away."""
-    return compile_schedule(c, False, 1).depth
-
-
-@dataclass(frozen=True)
-class LayeredCircuit:
-    """A circuit whose paths all cross one level-consuming gate per layer.
-
-    wire_levels maps each wire to the chain level its value lives at once
-    inputs have passed the entry reencryption (inputs sit at level 1, a
-    layer-j gate's output at j+1). Constants, and gates whose operands
-    are all constants, are level-free (None): they fold to a constant,
-    whose trivial encryption is valid at every level.
-    """
-
-    circuit: Circuit
-    gate_layers: dict[str, int]
-    wire_levels: dict[str, int | None]
-    n_layers: int
-    counts_xor: bool
 
 
 def _output_cone(c: Circuit) -> set[str]:
@@ -234,108 +206,6 @@ def _output_cone(c: Circuit) -> set[str]:
         if g.id in needed:
             needed.update(args[g.id])
     return needed
-
-
-def layerize(c: Circuit, count_xor: bool = False) -> LayeredCircuit:
-    """Equalize level-consuming depth across paths with dummy AND-one gates.
-
-    Gates outside the output cone are dropped. The transform preserves
-    eval_plain on every input: a dummy multiplies by the constant one.
-    """
-    leveled = MULT_KINDS + ("XOR",) if count_xor else MULT_KINDS
-    cone = _output_cone(c)
-    used = {g.id for g in c.gates} | set(c.inputs) | {"__one"}
-    new_gates: list[Gate] = []
-    lvl: dict[str, int | None] = {name: 0 for name in c.inputs}
-    gate_layers: dict[str, int] = {}
-    lift_cache: dict[tuple[str, int], str] = {}
-    counter = 0
-    need_one = False
-
-    def fresh() -> str:
-        nonlocal counter
-        while True:
-            name = f"__lift{counter}"
-            counter += 1
-            if name not in used:
-                used.add(name)
-                return name
-
-    def lift(w: str, target: int) -> str:
-        nonlocal need_one
-        cur = lvl[w]
-        while cur < target:
-            key = (w, cur + 1)
-            if key in lift_cache:
-                w = lift_cache[key]
-            else:
-                need_one = True
-                nid = fresh()
-                new_gates.append(Gate(nid, "AND", (w, "__one")))
-                lvl[nid] = cur + 1
-                gate_layers[nid] = cur + 1
-                lift_cache[key] = nid
-                w = nid
-            cur += 1
-        return w
-
-    for g in c.gates:
-        if g.id not in cone:
-            continue
-        op_lvls = [lvl[a] for a in g.args if lvl[a] is not None]
-        if not op_lvls:  # constant-only: folds, as in compile_schedule
-            lvl[g.id] = None
-            new_gates.append(g)
-            continue
-        base = max(op_lvls)
-        args = tuple(a if lvl[a] is None else lift(a, base) for a in g.args)
-        new_gates.append(Gate(g.id, g.kind, args))
-        if g.kind in leveled:
-            lvl[g.id] = base + 1
-            gate_layers[g.id] = base + 1
-        else:
-            lvl[g.id] = base
-
-    n_layers = max((v for v in lvl.values() if v is not None), default=0)
-    outputs = tuple(o if lvl[o] is None else lift(o, n_layers) for o in c.outputs)
-    gates = (
-        [Gate("__one", "CONST1", ())] + new_gates if need_one else new_gates
-    )
-    circ = Circuit(c.inputs, gates, outputs)
-    if need_one:
-        lvl["__one"] = None
-    levels = {w: (None if lvl[w] is None else lvl[w] + 1) for w in lvl}
-    return LayeredCircuit(circ, gate_layers, levels, n_layers, count_xor)
-
-
-def check_layering(lc: LayeredCircuit) -> bool:
-    """Structural invariant: operand levels agree, leveled gates step by one."""
-    leveled = MULT_KINDS + ("XOR",) if lc.counts_xor else MULT_KINDS
-    lv = lc.wire_levels
-    for name in lc.circuit.inputs:
-        if lv[name] != 1:
-            return False
-    for g in lc.circuit.gates:
-        ops = [lv[a] for a in g.args if lv[a] is not None]
-        if not ops:
-            if lv[g.id] is not None:
-                return False
-            continue
-        if len(set(ops)) > 1:
-            return False
-        base = ops[0]
-        want = base + 1 if g.kind in leveled else base
-        if lv[g.id] != want:
-            return False
-        if g.kind in leveled and lc.gate_layers.get(g.id) != want - 1:
-            return False
-    top = lc.n_layers + 1
-    return all(lv[o] in (None, top) for o in lc.circuit.outputs)
-
-
-# ---------------------------------------------------------------------------
-# The compiled schedule and its array interpreter.
-# ---------------------------------------------------------------------------
 
 
 def _xor_any(a, b):
@@ -445,6 +315,33 @@ def run_schedule(spec: FieldSpec, s: Schedule, X, cross, const_block) -> list:
             W = cross(level, np.stack([vals[w] for w in s.carries[level]]))
             vals.update(zip(s.carries[level], W))
     return [const_block(s.consts[o]) if o in s.consts else vals[o] for o in s.outputs]
+
+
+def layerize(c: Circuit, count_xor: bool = False) -> Circuit:
+    """The netlist of compile_schedule(c, count_xor, depth), crossings written as gates.
+
+    Each wire crossing after level l >= 1 gets a dummy AND with the
+    constant one at l, unless a level-consuming gate made it at l; so in
+    the result every crossing follows the gate that made its wire.
+    Folded constants become CONST gates, COPYs and dead gates vanish.
+    A dummy multiplies by one, so every evaluator gives it c's bytes.
+    """
+    s = compile_schedule(c, count_xor, max(compile_schedule(c, count_xor, 1).depth, 1))
+    fresh = (f"__lift{i}" for i in count() if f"__lift{i}" not in c.kind_of)
+    one = next(fresh)
+    gates = [Gate(w, f"CONST{bit}", ()) for w, bit in s.consts.items()]
+    cur: dict[str, str] = {}  # a carried wire's latest dummy
+    for level in range(1, s.levels + 1):
+        gates += [Gate(g.id, g.kind, tuple(cur.get(a, a) for a in g.args)) for g in s.runs[level]]
+        own = {g.id for g in s.runs[level] if count_xor or g.kind in MULT_KINDS}
+        for w in s.carries[level] if level < s.levels else ():
+            if w not in own:
+                lift = next(fresh)
+                gates.append(Gate(lift, "AND", (cur.get(w, w), one)))
+                cur[w] = lift
+    if cur:
+        gates.insert(0, Gate(one, "CONST1", ()))
+    return Circuit(c.inputs, gates, [cur.get(o, o) for o in s.outputs])
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ visibly, which is the point of dry-running it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import tempfile
 from functools import reduce
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .serial import (
     load_kciphertext,
     load_public_key,
     load_secret_key,
+    read_text,
     save_ciphertext,
     save_hom_keys,
     save_kciphertext,
@@ -69,16 +70,9 @@ def _parse_hex(text: str) -> int:
         raise UsageError(f"not a hex message: {text!r}") from None
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text()
-    except FileNotFoundError:
-        raise DataFormatError(f"no such file: {path}") from None
-
-
 def _load_circuit(path):
     try:
-        return parse_netlist(_read_text(path))
+        return parse_netlist(read_text(path))
     except UsageError as e:
         raise DataFormatError(f"bad netlist {path}: {e}") from None
 
@@ -232,6 +226,8 @@ def _cmd_analyze_noise(args) -> None:
 
 
 def _cmd_analyze_budget(args) -> None:
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise UsageError(f"--scale must be a finite number > 0, got {args.scale}")
     trials = {name: max(1, round(t * args.scale)) for name, t in BUDGET_TRIALS.items()}
     rows = error_budget(np.random.default_rng(args.seed), trials=trials,
                         negative_control=args.negative_control)

@@ -280,10 +280,6 @@ def fe_recompose(spec: FieldSpec, bits) -> FieldElement:
 # broadcast like the underlying numpy ops.
 # ---------------------------------------------------------------------------
 
-def add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.bitwise_xor(a, b)
-
-
 def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
     """Elementwise product over GF(2^k); a and b broadcast like numpy.
 

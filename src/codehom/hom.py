@@ -250,15 +250,6 @@ def dec_k_contains(sk: SecretKey, m, kc: KCiphertext) -> bool:
     return good >= dec_k_threshold(kc.k)
 
 
-def boost_depth(c: Circuit, count_xor: bool = True) -> int:
-    """Boost levels the circuit consumes on its worst output path.
-
-    Every XOR, AND and G burns a level by default; with count_xor off
-    only the multiplicative kinds do, and the result equals mult_depth.
-    """
-    return compile_schedule(c, count_xor, 1).depth
-
-
 def hom_eval(
     hk: HomKeys,
     c: Circuit,
@@ -268,10 +259,10 @@ def hom_eval(
     """Evaluate a bit circuit on replicated ciphertexts.
 
     Inputs must decode to bits under the level-0 key; outputs land at
-    level d, decryptable with hdec. A circuit whose boost_depth equals
-    d runs its final layer bare. compile_schedule(c, count_xor, d) is
+    level d, decryptable with hdec. compile_schedule(c, count_xor, d) is
     the schedule executed: its runs are the gates of each level, its
-    carries the wires each boost moves.
+    carries the wires each boost moves. A circuit whose schedule depth
+    equals d runs its final layer bare.
 
     Only the cone feeding the outputs is evaluated, matching the depth
     precondition, which ignores dead gates too.

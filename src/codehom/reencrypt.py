@@ -59,11 +59,6 @@ class AuxKeyInfo:
         self.target_n = Z.shape[1]
         self.target_params = target_params
 
-    @property
-    def z(self) -> list[Ciphertext]:
-        spec = self.target_params.field
-        return [Ciphertext(Vector(spec, row)) for row in self.Z]
-
     def __repr__(self):
         return f"AuxKeyInfo({self.source_n} -> {self.target_n})"
 
@@ -135,11 +130,6 @@ def reencrypt(aux: AuxKeyInfo, c: Ciphertext) -> Ciphertext:
     spec = aux.target_params.field
     out = matmul_arrays(spec, c.v.data[None, :], aux.Z)[0]
     return Ciphertext(Vector(spec, out))
-
-
-def reencrypt_batch(aux: AuxKeyInfo, C: np.ndarray) -> np.ndarray:
-    spec = aux.target_params.field
-    return matmul_arrays(spec, np.asarray(C, dtype=spec.dtype), aux.Z)
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +223,6 @@ def chain_eval_arrays(
 
     top_shape = X.shape[1:-1] + (level_params[-1].n,)
     return run_schedule(spec, s, X, cross, lambda v: np.full(top_shape, v, dtype=spec.dtype))
-
-
-def basic_eval(chain: ChainKeys, c: Circuit, inputs: list[Ciphertext]) -> list[Ciphertext]:
-    """Homomorphic evaluation through the chain; one ciphertext per output.
-
-    Inputs are level-0 ciphertexts; they only need to decrypt correctly
-    there. The result lives at the top level.
-    """
-    spec = chain.levels[0][0].field
-    n0 = chain.levels[0][0].n
-    for ct in inputs:
-        if ct.v.len != n0:
-            raise UsageError(f"input length {ct.v.len}, level 0 expects {n0}")
-    X = np.stack([ct.v.data for ct in inputs]) if inputs else np.zeros((0, n0), dtype=spec.dtype)
-    params = [p for p, _, _ in chain.levels]
-    links = [a.Z for a in chain.aux]
-    outs = chain_eval_arrays(params, links, c, X)
-    return [Ciphertext(Vector(spec, o)) for o in outs]
 
 
 # ---------------------------------------------------------------------------

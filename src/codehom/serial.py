@@ -274,11 +274,20 @@ def save_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def load_json(path) -> dict:
+def read_text(path) -> str:
+    """A file's UTF-8 text; a file that cannot be read or decoded is malformed data."""
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataFormatError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataFormatError(f"cannot read {path}: {e}") from None
+
+
+def load_json(path) -> dict:
+    text = read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path} is not JSON: {e}") from None
 

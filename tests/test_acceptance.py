@@ -38,13 +38,13 @@ from codehom.booster import (
     second_singular_value,
 )
 from codehom.circuit import (
-    build_apxmaj, build_corr, eval_plain, eval_plain_array, gtree_circuit, mult_depth,
+    build_apxmaj, build_corr, compile_schedule, eval_plain, eval_plain_array, gtree_circuit,
 )
 from codehom.field import FieldElement, FieldSpec, inv_arrays, mul_arrays, random_elements
 from codehom.hom import BoostConfig, enc_k_threshold, hdec, hom_encrypt, hom_eval, hom_keygen
 from codehom.homops import ct_add, ct_mul
-from codehom.linalg import matvec_arrays
-from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen, reencrypt_batch
+from codehom.linalg import matmul_arrays, matvec_arrays
+from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen
 from codehom.scheme import (
     Params,
     decrypt,
@@ -219,7 +219,7 @@ def test_c05_reencryption_exactness_and_aux_rate():
         ms = random_elements(GF16, rng, 2)
         C = _dec_members(sk, ms, rng)
         assert bool(dec_membership_batch(sk, ms, C).all())
-        exact += int(enc_membership_batch(sk2, ms, reencrypt_batch(aux, C)).sum())
+        exact += int(enc_membership_batch(sk2, ms, matmul_arrays(GF16, C, aux.Z)).sum())
         samples += 2
     good_trials = samples // 2
     n_aux = good_trials + bad_aux
@@ -456,7 +456,7 @@ def test_c11_end_to_end_evaluation():
     agree = 0
     for i in range(runs):
         circ = random_two_layer_circuit(rng, n_inputs=4, width=4 + int(rng.integers(5)))
-        assert len(circ.gates) <= 32 and mult_depth(circ) <= 2
+        assert len(circ.gates) <= 32 and compile_schedule(circ, False, 1).depth <= 2
         bits = [int(rng.integers(2)) for _ in range(4)]
         kcs = [hom_encrypt(hk, b, rng) for b in bits]
         outs = hom_eval(hk, circ, kcs, count_xor=False)

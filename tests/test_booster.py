@@ -7,20 +7,19 @@ from codehom.booster import (
     BoostAux,
     ExpanderGraph,
     bad_neighbor_counts,
-    boost,
     boost_arrays,
     boost_aux_gen,
     build_expander,
     heavy_output_bound,
     second_singular_value,
 )
-from codehom.circuit import build_apxmaj, eval_plain_array, gtree_circuit, layerize
+from codehom.circuit import (
+    build_apxmaj, compile_schedule, eval_plain_array, gtree_circuit, layerize,
+)
 from codehom.errors import ConstructionError, ParameterError, UsageError
 from codehom.field import FieldSpec
-from codehom.linalg import Vector
 from codehom.reencrypt import chain_eval_arrays
 from codehom.scheme import (
-    Ciphertext,
     Params,
     decrypt_batch,
     enc_membership_batch,
@@ -247,9 +246,9 @@ def test_matches_generic_chain_engine(boost_setup, maj8, graph16):
     rng = np.random.default_rng(51)
     C = rng.integers(16, size=(16, 16), dtype=np.uint8)
     lc = layerize(gtree_circuit(8, maj8))
-    assert lc.n_layers == aux.tree_depth
+    assert compile_schedule(lc, False, 1).depth == aux.tree_depth
     X = C[graph16.adjacency].transpose(1, 0, 2)
-    ref = chain_eval_arrays(aux.level_params, list(aux.links), lc.circuit, X)[0]
+    ref = chain_eval_arrays(aux.level_params, list(aux.links), lc, X)[0]
     assert np.array_equal(boost_arrays(aux, C), ref)
 
 
@@ -261,23 +260,6 @@ def test_batched_blocks_match_single(boost_setup):
     assert out.shape == (3, 16, 12)
     for t in range(3):
         assert np.array_equal(out[t], boost_arrays(aux, C[t]))
-
-
-def test_ciphertext_wrapper(boost_setup):
-    pk0, sk0, pk1, sk1, aux = boost_setup
-    rng = np.random.default_rng(71)
-    C = encrypt_batch(pk0, np.ones(16, dtype=np.uint8), rng)
-    parts = [Ciphertext(Vector(GF16, row)) for row in C]
-    outs = boost(aux, parts)
-    ref = boost_arrays(aux, C)
-    assert len(outs) == 16
-    for ct, row in zip(outs, ref):
-        assert ct.v.spec == GF16
-        assert np.array_equal(ct.v.data, row)
-    with pytest.raises(UsageError):
-        boost(aux, parts[:5])
-    with pytest.raises(UsageError):
-        boost(aux, [Ciphertext(Vector(GF16, np.zeros(12, dtype=np.uint8)))] * 16)
 
 
 def test_boost_arrays_shape_check(boost_setup):

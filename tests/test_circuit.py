@@ -1,4 +1,4 @@
-"""Netlist parsing, evaluation, layering, CORR, and APXMAJ.
+"""Netlist parsing, evaluation, the level schedule and its netlist view, CORR, and APXMAJ.
 
 The boolean oracle below evaluates with Python ints and bit operators,
 nothing shared with the field-based evaluator.
@@ -9,19 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codehom.circuit import (
+    MULT_KINDS,
     Circuit,
     Gate,
     build_apxmaj,
     build_corr,
-    check_layering,
     compile_schedule,
-    depth,
     eval_plain,
     eval_plain_array,
     format_netlist,
     gtree_circuit,
     layerize,
-    mult_depth,
     parse_netlist,
     verify_apxmaj,
     walk_gtree,
@@ -61,7 +59,7 @@ def fes(values):
 def test_parse_minimal():
     c = parse_netlist("inputs a b\ng1 = AND a b\noutput g1\n")
     assert c.size == 1
-    assert mult_depth(c) == 1
+    assert compile_schedule(c, False, 1).depth == 1
     assert c.outputs == ("g1",)
 
 
@@ -167,18 +165,37 @@ def test_eval_input_checks():
     assert eval_plain(onlyconst, [], spec=F16)[0].value == 1
 
 
-# --- depth and layering --------------------------------------------------------
+# --- the level schedule and its netlist view ------------------------------------
 
 
 def test_depth_measures():
     c = parse_netlist("inputs a b\ng1 = XOR a b\noutputs g1")
-    assert depth(c) == 1
-    assert mult_depth(c) == 0
+    assert compile_schedule(c, True, 1).depth == 1
+    assert compile_schedule(c, False, 1).depth == 0
     corr = build_corr(4)
-    assert depth(corr) == 4
-    assert mult_depth(corr) == 4
-    viaconst = parse_netlist("c = CONST1\no = COPY c\noutputs o")
-    assert depth(viaconst) == 1  # constants are sources
+    assert compile_schedule(corr, True, 1).depth == 4
+    assert compile_schedule(corr, False, 1).depth == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count_xor=st.booleans())
+def test_schedule_levels_are_consistent(seed, count_xor):
+    # at every level count up to one past the depth, gates read only what
+    # is live at their level, only live wires cross, and outputs reach the top
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_inputs=3, n_gates=int(rng.integers(1, 14)), p_const=0.25)
+    depth = compile_schedule(c, count_xor, 1).depth
+    for levels in range(1, depth + 2):
+        s = compile_schedule(c, count_xor, levels)
+        assert s.carries[0] == c.inputs
+        for level in range(1, levels + 1):
+            live = set(s.carries[level - 1])
+            for g in s.runs[level]:
+                assert all(a in s.consts or a in live for a in g.args)
+                live.add(g.id)
+            if level < levels:
+                assert set(s.carries[level]) <= live
+        assert {o for o in s.outputs if o not in s.consts} <= live
 
 
 def test_layerize_preserves_function():
@@ -188,21 +205,25 @@ def test_layerize_preserves_function():
         lc = layerize(c, count_xor=bool(trial % 2))
         X = random_elements(F16, rng, (4, 8))
         want = eval_plain_array(F16, c, X)
-        got = eval_plain_array(F16, lc.circuit, X)
+        got = eval_plain_array(F16, lc, X)
         assert np.array_equal(want, got)
 
 
 def test_layerize_structure():
+    # in the netlist view every wire crossing a level was made there by a
+    # level-consuming gate, and the depth is the raw circuit's
     rng = np.random.default_rng(5)
     for trial in range(100):
         c = random_circuit(rng, n_inputs=3, n_gates=int(rng.integers(2, 14)))
         count_xor = bool(trial % 2)
-        lc = layerize(c, count_xor=count_xor)
-        assert check_layering(lc)
-        if not count_xor:
-            assert lc.n_layers == mult_depth(c)
-        else:
-            assert lc.n_layers >= mult_depth(c)
+        depth = compile_schedule(c, count_xor, 1).depth
+        s = compile_schedule(layerize(c, count_xor=count_xor), count_xor, max(depth, 1))
+        assert s.depth == depth
+        for level in range(1, s.levels):
+            own = {g.id for g in s.runs[level] if count_xor or g.kind in MULT_KINDS}
+            assert set(s.carries[level]) <= own
+        if count_xor:
+            assert depth >= compile_schedule(c, False, 1).depth
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,31 +233,29 @@ def test_layerize_depth_is_schedule_depth(seed, count_xor):
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, n_inputs=3, n_gates=int(rng.integers(1, 14)), p_const=0.25)
     lc = layerize(c, count_xor=count_xor)
-    assert check_layering(lc)
-    assert lc.n_layers == compile_schedule(c, count_xor, 1).depth
+    assert compile_schedule(lc, count_xor, 1).depth == compile_schedule(c, count_xor, 1).depth
 
 
 def test_layerize_inserts_dummy_for_skew_paths():
-    # one operand passes through AND, the other arrives raw
-    c = parse_netlist("inputs a b\nm = AND a b\no = XOR m a\noutputs o")
+    # a passes the AND layer raw, so it crosses into level 2 through a dummy
+    c = parse_netlist("inputs a b\nm = AND a b\no = AND m a\noutputs o")
     lc = layerize(c)
-    assert lc.n_layers == 1
-    assert lc.circuit.size > c.size
-    assert check_layering(lc)
+    assert compile_schedule(lc, False, 1).depth == 2
+    assert lc.size == c.size + 2  # the constant one and a's dummy
 
 
 def test_layerize_corr_needs_no_dummies():
     corr = build_corr(4)
     lc = layerize(corr)
-    assert lc.circuit.size == corr.size
-    assert lc.n_layers == 4
+    assert lc.size == corr.size
+    assert compile_schedule(lc, False, 1).depth == 4
 
 
 def test_layerize_drops_dead_gates():
     c = parse_netlist("inputs a b\ndead = AND a b\no = XOR a b\noutputs o")
     lc = layerize(c)
-    assert all(g.id != "dead" for g in lc.circuit.gates)
-    assert lc.n_layers == 0
+    assert all(g.id != "dead" for g in lc.gates)
+    assert compile_schedule(lc, False, 1).depth == 0
 
 
 # --- CORR ----------------------------------------------------------------------

@@ -97,6 +97,26 @@ def test_missing_file_is_data_error(base_key, tmp_path, capsys):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("case", ["undecodable ct", "directory ct", "directory pk",
+                                  "undecodable circuit", "directory circuit", "file as keys"])
+def test_unreadable_input_is_data_error(case, base_key, mini_keys, tmp_path, capsys):
+    junk = tmp_path / "junk.json"
+    junk.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    argv = {
+        "undecodable ct": ["decrypt", "--sk", f"{base_key}.sk.json", "--ct", junk],
+        "directory ct": ["decrypt", "--sk", f"{base_key}.sk.json", "--ct", tmp_path],
+        "directory pk": ["encrypt", "--pk", tmp_path, "--m", "1", "--out", tmp_path / "ct"],
+        "undecodable circuit": ["hom-eval", "--keys", mini_keys, "--circuit", junk,
+                                "--inputs", junk, "--out", tmp_path / "r"],
+        "directory circuit": ["hom-eval", "--keys", mini_keys, "--circuit", tmp_path,
+                              "--inputs", junk, "--out", tmp_path / "r"],
+        "file as keys": ["hom-encrypt", "--keys", junk, "--m", "1", "--out", tmp_path / "m"],
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "cannot read" in err
+
+
 def test_unknown_command_is_usage(capsys):
     assert main(["nonsense"]) == 1
     capsys.readouterr()
@@ -237,6 +257,10 @@ def test_analyze_budget_exit_codes(capsys):
                        "--negative-control", "--seed", "8")
     assert code == 4
     assert "violated" in err
+    for scale in ("nan", "inf", "0", "-1"):
+        code, _, err = run(capsys, "analyze", "budget", "--scale", scale, "--seed", "7")
+        assert code == 1
+        assert "--scale" in err
 
 
 def test_selftest_passes(capsys):

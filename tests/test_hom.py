@@ -18,7 +18,6 @@ from codehom.circuit import (
     compile_schedule,
     eval_plain,
     layerize,
-    mult_depth,
     parse_netlist,
 )
 from codehom.errors import ParameterError, UsageError
@@ -27,7 +26,6 @@ from codehom.hom import (
     BoostConfig,
     HomKeys,
     KCiphertext,
-    boost_depth,
     dec_k_contains,
     dec_k_threshold,
     enc_k_contains,
@@ -259,9 +257,8 @@ def test_boost_depth_counts():
         outputs t2
         """
     )
-    assert boost_depth(c) == 2
-    assert boost_depth(c, count_xor=False) == 1
-    assert boost_depth(c, count_xor=False) == mult_depth(c)
+    assert compile_schedule(c, True, 1).depth == 2
+    assert compile_schedule(c, False, 1).depth == 1
 
 
 def test_boost_depth_copies_and_consts_free():
@@ -275,8 +272,8 @@ def test_boost_depth_copies_and_consts_free():
         outputs t3 t1
         """
     )
-    assert boost_depth(c) == 1
-    assert boost_depth(Circuit(["x0"], [], ["x0"])) == 0
+    assert compile_schedule(c, True, 1).depth == 1
+    assert compile_schedule(Circuit(["x0"], [], ["x0"]), True, 1).depth == 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +351,7 @@ def test_xor_burns_a_level_by_default(mini):
         outputs t3
         """
     )
-    assert boost_depth(chain) == 3
+    assert compile_schedule(chain, True, 1).depth == 3
     ins = [_enc(mini, b, 80 + i) for i, b in enumerate((1, 0, 1, 1))]
     with pytest.raises(UsageError, match="boosted layers"):
         hom_eval(mini, chain, ins)
@@ -377,7 +374,7 @@ def test_random_circuits_match_plain(mini):
     done = 0
     while done < 12:
         c = random_circuit(rng, n_inputs=3, n_gates=10)
-        if mult_depth(c) > 2:
+        if compile_schedule(c, False, 1).depth > 2:
             continue
         done += 1
         bits = [int(v) for v in rng.integers(2, size=3)]
@@ -393,7 +390,7 @@ def test_two_layer_circuits_conservative(mini):
     rng = np.random.default_rng(103)
     for _ in range(8):
         c = random_two_layer_circuit(rng, n_inputs=4, width=5)
-        assert boost_depth(c) == 2
+        assert compile_schedule(c, True, 1).depth == 2
         bits = [int(v) for v in rng.integers(2, size=4)]
         want = eval_plain(c, [FieldElement(GF16, b) for b in bits])
         ins = [_enc(mini, b, int(rng.integers(1 << 30))) for b in bits]
@@ -423,7 +420,7 @@ def test_layered_circuit_accepted(mini):
     c = parse_netlist("inputs x0 x1\nt = AND x0 x1\noutputs t\n")
     ins = [_enc(mini, 1, 120), _enc(mini, 1, 121)]
     (a,) = hom_eval(mini, c, ins)
-    (b,) = hom_eval(mini, layerize(c).circuit, ins)
+    (b,) = hom_eval(mini, layerize(c), ins)
     assert np.array_equal(a.P, b.P)
 
 
@@ -450,6 +447,6 @@ def test_dead_gates_do_not_count(mini):
         ],
         ["t"],
     )
-    assert mult_depth(c) == 1
+    assert compile_schedule(c, False, 1).depth == 1
     (out,) = hom_eval(mini, c, [_enc(mini, 1, 140), _enc(mini, 1, 141)])
     assert hdec(mini, out).value == 1

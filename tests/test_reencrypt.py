@@ -11,37 +11,33 @@ import pytest
 
 from codehom.circuit import (
     build_corr,
+    compile_schedule,
     eval_plain,
     eval_plain_array,
     layerize,
-    mult_depth,
     parse_netlist,
 )
 from codehom.errors import ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_elements
 from codehom.homops import const_ct
-from codehom.linalg import Vector
+from codehom.linalg import Vector, matmul_arrays
 from codehom.reencrypt import (
     AuxKeyInfo,
     ChainKeys,
     aux_gen_basic,
     aux_gen_preserving,
     aux_is_good,
-    basic_eval,
     chain_eval_arrays,
     chain_keygen,
     chain_sizes,
     preserving_sizes,
     reencrypt,
-    reencrypt_batch,
 )
 from codehom.scheme import (
     Ciphertext,
     Params,
-    decrypt,
     decrypt_batch,
     enc_membership_batch,
-    enc_space_contains,
     encrypt,
     encrypt_batch,
     keygen,
@@ -78,8 +74,6 @@ def test_aux_shapes_and_views(link_pair):
     pk, sk, pk2, sk2, aux = link_pair
     assert aux.Z.shape == (20, 28)
     assert (aux.source_n, aux.target_n) == (20, 28)
-    zs = aux.z
-    assert len(zs) == 20 and all(z.v.len == 28 for z in zs)
     # target noise rate is zero, so each z_i decrypts to y_i exactly
     assert np.array_equal(decrypt_batch(sk2, aux.Z), sk.y_dec.data)
     assert aux_is_good(aux, sk, sk2)
@@ -91,7 +85,7 @@ def test_reencrypt_dec_to_enc(link_pair):
     ms = random_elements(GF256, rng, 200)
     C = encrypt_batch(pk, ms, rng)
     vals = decrypt_batch(sk, C)  # what each row actually decrypts to
-    out = reencrypt_batch(aux, C)
+    out = matmul_arrays(GF256, C, aux.Z)
     assert enc_membership_batch(sk2, vals, out).all()
     assert np.array_equal(decrypt_batch(sk2, out), vals)
 
@@ -102,7 +96,7 @@ def test_reencrypt_arbitrary_vectors(link_pair):
     rng = np.random.default_rng(2)
     C = random_elements(GF256, rng, (100, 20))
     vals = decrypt_batch(sk, C)
-    out = reencrypt_batch(aux, C)
+    out = matmul_arrays(GF256, C, aux.Z)
     assert enc_membership_batch(sk2, vals, out).all()
 
 
@@ -111,7 +105,7 @@ def test_reencrypt_single_matches_batch(link_pair):
     rng = np.random.default_rng(3)
     c = encrypt(pk, GF256.element(77), rng)
     out = reencrypt(aux, c)
-    batch = reencrypt_batch(aux, c.v.data[None, :])
+    batch = matmul_arrays(GF256, c.v.data[None, :], aux.Z)
     assert np.array_equal(out.v.data, batch[0])
 
 
@@ -121,7 +115,8 @@ def test_reencrypt_is_additive(link_pair):
     A = random_elements(GF256, rng, (50, 20))
     B = random_elements(GF256, rng, (50, 20))
     assert np.array_equal(
-        reencrypt_batch(aux, A ^ B), reencrypt_batch(aux, A) ^ reencrypt_batch(aux, B)
+        matmul_arrays(GF256, A ^ B, aux.Z),
+        matmul_arrays(GF256, A, aux.Z) ^ matmul_arrays(GF256, B, aux.Z),
     )
 
 
@@ -220,6 +215,14 @@ def test_chain_keys_invariants():
         ChainKeys(((p16, pk16, sk16), (BASE24, pk24, sk24)), (bad_link,))
 
 
+def _chain_eval(chain, c, X):
+    return chain_eval_arrays([p for p, _, _ in chain.levels], [a.Z for a in chain.aux], c, X)
+
+
+def _encrypt_stack(pk, xs, rng):
+    return np.stack([encrypt(pk, x, rng).v.data for x in xs])
+
+
 def test_basic_eval_exact_mirror(flat3):
     # noiseless everything: the chain must reproduce eval_plain exactly,
     # and every output must be a genuine top-level encryption
@@ -229,25 +232,23 @@ def test_basic_eval_exact_mirror(flat3):
     done = 0
     while done < 25:
         circ = random_circuit(rng, n_inputs=3, n_gates=10)
-        if mult_depth(circ) > 2:
+        if compile_schedule(circ, False, 1).depth > 2:
             continue
         done += 1
         xs = [FieldElement(GF256, int(v)) for v in random_elements(GF256, rng, 3)]
-        cts = [encrypt(pk0, x, rng) for x in xs]
-        want = eval_plain(circ, xs)
-        outs = basic_eval(flat3, circ, cts)
-        assert len(outs) == len(want)
-        for got, w in zip(outs, want):
-            assert decrypt(sk_top, got) == w
-            assert enc_space_contains(sk_top, w, got)
+        X = _encrypt_stack(pk0, xs, rng)
+        want = np.array([w.value for w in eval_plain(circ, xs)], dtype=GF256.dtype)
+        outs = np.stack(_chain_eval(flat3, circ, X))
+        assert np.array_equal(decrypt_batch(sk_top, outs), want)
+        assert enc_membership_batch(sk_top, want, outs).all()
 
 
 def test_basic_eval_const_circuit(flat3):
     circ = parse_netlist("c1 = CONST1\noutputs c1\n")
-    (out,) = basic_eval(flat3, circ, [])
+    (out,) = _chain_eval(flat3, circ, np.zeros((0, 24), dtype=GF256.dtype))
     pk_top = flat3.levels[-1][1]
-    assert out == const_ct(pk_top, GF256.one())
-    assert decrypt(flat3.levels[-1][2], out) == GF256.one()
+    assert np.array_equal(out, const_ct(pk_top, GF256.one()).v.data)
+    assert decrypt_batch(flat3.levels[-1][2], out[None])[0] == 1
 
 
 def test_basic_eval_bare_final_layer(flat3):
@@ -264,15 +265,14 @@ def test_basic_eval_bare_final_layer(flat3):
         outputs t4
         """
     )
-    assert mult_depth(circ) == 3
+    assert compile_schedule(circ, False, 1).depth == 3
     rng = np.random.default_rng(14)
     pk0 = flat3.levels[0][1]
     sk_top = flat3.levels[-1][2]
     for _ in range(20):
         xs = [FieldElement(GF256, int(v)) for v in random_elements(GF256, rng, 3)]
-        cts = [encrypt(pk0, x, rng) for x in xs]
-        (out,) = basic_eval(flat3, circ, cts)
-        assert decrypt(sk_top, out) == eval_plain(circ, xs)[0]
+        (out,) = _chain_eval(flat3, circ, _encrypt_stack(pk0, xs, rng))
+        assert decrypt_batch(sk_top, out[None])[0] == eval_plain(circ, xs)[0].value
 
 
 def test_basic_eval_depth_excess(flat3):
@@ -289,7 +289,7 @@ def test_basic_eval_depth_excess(flat3):
     rng = np.random.default_rng(15)
     ct = encrypt(flat3.levels[0][1], GF256.element(3), rng)
     with pytest.raises(UsageError, match="layers"):
-        basic_eval(flat3, circ, [ct])
+        _chain_eval(flat3, circ, ct.v.data[None])
 
 
 def test_basic_eval_input_validation(flat3):
@@ -297,10 +297,10 @@ def test_basic_eval_input_validation(flat3):
     rng = np.random.default_rng(16)
     ct = encrypt(flat3.levels[0][1], GF256.element(3), rng)
     with pytest.raises(UsageError, match="inputs"):
-        basic_eval(flat3, circ, [ct])
-    short = Ciphertext(Vector(GF256, np.zeros(23, dtype=GF256.dtype)))
+        _chain_eval(flat3, circ, ct.v.data[None])
+    short = np.zeros((2, 23), dtype=GF256.dtype)
     with pytest.raises(UsageError, match="length"):
-        basic_eval(flat3, circ, [ct, short])
+        _chain_eval(flat3, circ, short)
 
 
 def test_chain_eval_batched_matches_single(flat3):
@@ -313,20 +313,17 @@ def test_chain_eval_batched_matches_single(flat3):
         outputs g
         """
     )
-    lc = layerize(circ).circuit
+    lc = layerize(circ)
     rng = np.random.default_rng(17)
     pk0 = flat3.levels[0][1]
     T = 40
     X = np.stack(
         [encrypt_batch(pk0, random_elements(GF256, rng, T), rng) for _ in range(3)]
     )
-    params = [p for p, _, _ in flat3.levels]
-    links = [a.Z for a in flat3.aux]
-    batch_out = chain_eval_arrays(params, links, lc, X)[0]
+    batch_out = _chain_eval(flat3, lc, X)[0]
     for t in range(0, T, 7):
-        cts = [Ciphertext(Vector(GF256, X[i, t])) for i in range(3)]
-        (single,) = basic_eval(flat3, lc, cts)
-        assert np.array_equal(single.v.data, batch_out[t])
+        (single,) = _chain_eval(flat3, lc, X[:, t])
+        assert np.array_equal(single, batch_out[t])
 
 
 def test_chain_raw_circuit_matches_layerized():
@@ -343,15 +340,15 @@ def test_chain_raw_circuit_matches_layerized():
         c = random_circuit(rng, n_inputs=3, n_gates=10, p_const=0.15)
         X = rng.integers(16, size=(3, 4, 16), dtype=np.uint8)
         for count_xor in (False, True):
-            lc = layerize(c, count_xor=count_xor)
-            if lc.n_layers > len(links):
+            if compile_schedule(c, count_xor, 1).depth > len(links):
                 continue
+            lc = layerize(c, count_xor=count_xor)
             # the chain levels AND and G only, as layerize does without
             # count_xor; with it, only XOR-free circuits level alike
-            if count_xor and any(g.kind == "XOR" for g in lc.circuit.gates):
+            if count_xor and any(g.kind == "XOR" for g in lc.gates):
                 continue
             raw = chain_eval_arrays(params, links, c, X)
-            layered = chain_eval_arrays(params, links, lc.circuit, X)
+            layered = chain_eval_arrays(params, links, lc, X)
             assert len(raw) == len(layered) == len(c.outputs)
             for a, b in zip(raw, layered):
                 assert a.shape == b.shape == (4, 16)
@@ -379,7 +376,7 @@ def test_chain_raw_circuit_folds_constant_layers():
     params = [p for p, _, _ in chain.levels]
     links = [a.Z for a in chain.aux]
     X = encrypt_batch(chain.levels[0][1], np.arange(16), np.random.default_rng(21))[None]
-    (layered,) = chain_eval_arrays(params, links, layerize(circ).circuit, X)
+    (layered,) = chain_eval_arrays(params, links, layerize(circ), X)
     (out,) = chain_eval_arrays(params, links, circ, X)
     assert np.array_equal(layered, out)
     assert np.array_equal(decrypt_batch(chain.levels[-1][2], out), np.arange(16) ^ 1)
@@ -445,7 +442,7 @@ def test_preserving_is_good(preserving_flat):
     rng = np.random.default_rng(20)
     C = random_elements(GF16, rng, (100, 16))
     vals = decrypt_batch(sk, C)
-    out = reencrypt_batch(aux, C)
+    out = matmul_arrays(GF16, C, aux.Z)
     assert enc_membership_batch(sk2, vals, out).all()
 
 
