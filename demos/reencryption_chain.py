@@ -50,9 +50,9 @@ print(f"over {pairs} random products: decryptable {in_dec}/{pairs},",
       f"still valid encryptions {in_enc}/{pairs}")
 
 pk2, sk2 = keygen(p, rng)
-aux = aux_gen_basic(sk, pk2, rng)
-print(f"\naux generated under a fresh key; good: {aux_is_good(aux, sk, sk2)}")
-back = reencrypt(aux, prod)
+link = aux_gen_basic(sk, pk2, rng)
+print(f"\naux generated under a fresh key; good: {aux_is_good(link, sk, sk2)}")
+back = reencrypt(link, prod)
 print(f"reencrypted product: decrypts to {decrypt(sk2, back).value},",
       f"valid encryption again: {enc_space_contains(sk2, a * b, back)}")
 
@@ -60,10 +60,9 @@ print(f"reencrypted product: decrypts to {decrypt(sk2, back).value},",
 # copies of a bit, one possibly ruined, and returns the bit.
 keys = chain_keygen(16, 0.0, 2, rng, base=p)
 bit = 1
-copies = encrypt_batch(keys.levels[0][1], np.full(4, bit, dtype=GF16.dtype), rng)
+copies = encrypt_batch(keys.levels[0][0], np.full(4, bit, dtype=GF16.dtype), rng)
 copies[2] ^= 9  # ruin the third copy arbitrarily
 X = copies[:, None, :]
-params = [lv[0] for lv in keys.levels]
-out = chain_eval_arrays(params, [a.Z for a in keys.aux], build_corr(2), X)[0]
-got = int(decrypt_batch(keys.levels[-1][2], out)[0])
+out = chain_eval_arrays(keys.level_params, keys.links, build_corr(2), X)[0]
+got = int(decrypt_batch(keys.levels[-1][1], out)[0])
 print(f"\nCORR_2 over encryptions of {bit} with one copy ruined -> {got}")

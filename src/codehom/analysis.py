@@ -218,8 +218,7 @@ def _reenc_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     for _ in range(trials):
         _, sk_src = keygen(p, rng)
         pk_tgt, sk_tgt = keygen(p, rng)
-        aux = aux_gen_basic(sk_src, pk_tgt, rng)
-        failures += not aux_is_good(aux, sk_src, sk_tgt)
+        failures += not aux_is_good(aux_gen_basic(sk_src, pk_tgt, rng), sk_src, sk_tgt)
     return _budget_row(
         "reencryption aux good except n*eta'*s'", p.n * p.eta * p.s, trials, failures, t0,
         {"n": p.n, "s": p.s, "eta_tgt": p.eta},
@@ -233,13 +232,11 @@ def _corr_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     eta0 = 0.1
     base = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.0)
     keys = chain_keygen(16, 0.0, 2, rng, base=base)
-    level_params = [p for p, _, _ in keys.levels]
-    links = [a.Z for a in keys.aux]
     ms = rng.integers(2, size=trials, dtype=np.uint8)
-    C = encrypt_batch(keys.levels[0][1], np.repeat(ms, 4), rng, eta=eta0 / base.s)
+    C = encrypt_batch(keys.levels[0][0], np.repeat(ms, 4), rng, eta=eta0 / base.s)
     X = C.reshape(trials, 4, 16).transpose(1, 0, 2)
-    out = chain_eval_arrays(level_params, links, build_corr(2), X)[0]
-    failures = int((decrypt_batch(keys.levels[-1][2], out) != ms).sum())
+    out = chain_eval_arrays(keys.level_params, keys.links, build_corr(2), X)[0]
+    failures = int((decrypt_batch(keys.levels[-1][1], out) != ms).sum())
     return _budget_row(
         "corrected block error <= 6*eta0^2", 6 * eta0 * eta0, trials, failures, t0,
         {"n": 16, "eta0": eta0, "per_input_eta": eta0 / base.s},
@@ -255,7 +252,7 @@ def _chain_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     for _ in range(trials):
         keys = chain_keygen(16, 0.0, d, rng, base=base)
         good = all(
-            aux_is_good(keys.aux[i], keys.levels[i][2], keys.levels[i + 1][2])
+            aux_is_good(keys.links[i], keys.levels[i][1], keys.levels[i + 1][1])
             for i in range(d)
         )
         failures += not good

@@ -210,9 +210,9 @@ def boost_aux_gen(
         sk_prev = sk
         for l in range(d_tree):
             pk_mid, sk_mid = keygen(p_mid, rng)
-            links[l][j] = aux_gen_basic(sk_prev, pk_mid, rng).Z
+            links[l][j] = aux_gen_basic(sk_prev, pk_mid, rng)
             sk_prev = sk_mid
-        links[d_tree][j] = aux_gen_basic(sk_prev, pk_next, rng).Z
+        links[d_tree][j] = aux_gen_basic(sk_prev, pk_next, rng)
     return BoostAux(graph, assignment, level_params, links)
 
 

@@ -166,20 +166,6 @@ class FieldSpec:
     def hex_digits(self) -> int:
         return (self.k + 3) // 4
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def from_hex(self, s: str) -> "FieldElement":
-        if len(s) != self.hex_digits:
-            raise UsageError(f"expected {self.hex_digits} hex digits, got {len(s)}")
-        return FieldElement(self, int(s, 16))
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -221,16 +207,6 @@ class FieldElement:
 def _check_same(a: FieldElement, b: FieldElement):
     if a.spec != b.spec:
         raise UsageError("operands come from different fields")
-
-
-def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """a + b; coefficientwise XOR in characteristic 2."""
-    return a + b
-
-
-def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Polynomial product reduced modulo the field modulus."""
-    return a * b
 
 
 def fe_inv(a: FieldElement) -> FieldElement:

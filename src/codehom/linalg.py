@@ -40,14 +40,6 @@ def matmul_arrays(spec: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def matvec_arrays(spec: FieldSpec, A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=spec.dtype)
-    x = np.asarray(x, dtype=spec.dtype)
-    if A.shape[-1] != x.shape[-1]:
-        raise UsageError(f"matrix has {A.shape[-1]} columns, vector has {x.shape[-1]}")
-    return dot_arrays(spec, A, x[..., None, :])
-
-
 def dot_arrays(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product along the last axis; XOR is the field sum."""
     prod = mul_arrays(spec, a, b)

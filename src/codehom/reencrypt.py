@@ -1,10 +1,15 @@
 """Reencryption: carrying decryptable ciphertexts back into encryption spaces.
 
-The auxiliary information for a link is the componentwise encryption of
-the source decryption vector under the target key. Reencryption is then
-a linear map: ReEnc(c) = sum_i c_i z_i. When every z_i is a valid target
-encryption of y_i ("good" aux), linearity gives ReEnc(c) in Enc'(<y,c>)
-for arbitrary c, so a link repairs proto-homomorphic damage exactly.
+A link from one key to the next is a bare (n_src, n_tgt) array Z whose
+row i encrypts y_i, entry i of the source decryption vector, under the
+target key; BoostAux.links stacks such arrays, one per part. Reencryption
+is the linear map ReEnc(c) = cZ = sum_i c_i z_i. When every row z_i is a
+valid target encryption of y_i (a "good" link), linearity gives ReEnc(c)
+in Enc'(<y,c>) for arbitrary c, so a link repairs proto-homomorphic
+damage exactly.
+
+A chain is its key pairs and links (ChainKeys). chain_eval_arrays takes
+it as keys.level_params and keys.links, the two fields a BoostAux has.
 
 chain evaluation convention: circuit.Schedule's, link l being the
 crossing after level l of a chain spanning levels 0..L. Link 0
@@ -45,91 +50,61 @@ from .scheme import (
 SIZE_CAP = 1 << 22  # largest level length chain generation will attempt
 
 
-class AuxKeyInfo:
-    """One link: encryptions of the source y under the target key.
-
-    Z is the (source_n, target_n) array whose row i is z_i.
-    """
-
-    __slots__ = ("Z", "source_n", "target_n", "target_params")
-
-    def __init__(self, Z: np.ndarray, target_params: Params):
-        self.Z = Z
-        self.source_n = Z.shape[0]
-        self.target_n = Z.shape[1]
-        self.target_params = target_params
-
-    def __repr__(self):
-        return f"AuxKeyInfo({self.source_n} -> {self.target_n})"
-
-
-class PreservingAux(AuxKeyInfo):
-    """Length-preserving link, built bitwise through CORR_{corr_depth}."""
-
-    __slots__ = ("corr_depth", "chain")
-
-    def __init__(self, Z: np.ndarray, corr_depth: int, chain: "ChainKeys", target_params: Params):
-        super().__init__(Z, target_params)
-        self.corr_depth = corr_depth
-        self.chain = chain
-
-    def __repr__(self):
-        return f"PreservingAux(n={self.source_n}, corr_depth={self.corr_depth})"
-
-
 @dataclass(frozen=True)
 class ChainKeys:
-    """Key levels plus the aux links between consecutive ones.
+    """Key levels as (pk, sk) pairs, as in HomKeys.levels, and the links between them.
 
-    A level's secret half may be None when only the public key is known
-    there (a chain closed onto someone else's key).
+    links[i] is the (n_i, n_{i+1}) array whose row j encrypts y_j of level i
+    under level i + 1's key, laid out as each part's link in BoostAux.links.
     """
 
-    levels: tuple[tuple[Params, PublicKey, SecretKey | None], ...]
-    aux: tuple[AuxKeyInfo, ...]
+    levels: tuple[tuple[PublicKey, SecretKey], ...]
+    links: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.levels) != len(self.aux) + 1:
+        if len(self.levels) != len(self.links) + 1:
             raise ParameterError("a chain needs exactly one more level than links")
-        field = self.levels[0][0].field
-        for i, (p, _, _) in enumerate(self.levels):
-            if p.field != field:
+        params = self.level_params
+        for i, p in enumerate(params):
+            if p.field != params[0].field:
                 raise ParameterError("chain levels must share one field")
-            if i and p.n < self.levels[i - 1][0].n:
+            if i and p.n < params[i - 1].n:
                 raise ParameterError("chain level sizes must be nondecreasing")
-        for i, a in enumerate(self.aux):
-            if a.source_n != self.levels[i][0].n or a.target_n != self.levels[i + 1][0].n:
+        for i, Z in enumerate(self.links):
+            if Z.shape != (params[i].n, params[i + 1].n):
                 raise ParameterError(f"link {i} does not match its level sizes")
 
     @property
+    def level_params(self) -> list[Params]:
+        return [pk.params for pk, _ in self.levels]
+
+    @property
     def depth(self) -> int:
-        return len(self.aux)
+        return len(self.links)
 
 
 def aux_gen_basic(
     sk: SecretKey, pk_next: PublicKey, rng: np.random.Generator, eta: float | None = None
-) -> AuxKeyInfo:
-    """Independent encryptions of each y_i under the next key.
+) -> np.ndarray:
+    """The link from sk's level to pk_next's: row i encrypts y_i under pk_next.
 
-    eta overrides the target noise rate; 0 makes the aux good surely.
+    eta overrides the target noise rate; 0 makes the link good surely.
     """
     if sk.params.field != pk_next.params.field:
         raise UsageError("source and target keys must share one field")
-    Z = encrypt_batch(pk_next, sk.y_dec.data, rng, eta=eta)
-    return AuxKeyInfo(Z, pk_next.params)
+    return encrypt_batch(pk_next, sk.y_dec.data, rng, eta=eta)
 
 
-def aux_is_good(aux: AuxKeyInfo, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
-    """Membership audit with both secret keys: every z_i in Enc'(y_i)."""
-    return bool(enc_membership_batch(sk_tgt, sk_src.y_dec.data, aux.Z).all())
+def aux_is_good(Z: np.ndarray, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
+    """Membership audit with both secret keys: every row z_i in Enc'(y_i)."""
+    return bool(enc_membership_batch(sk_tgt, sk_src.y_dec.data, Z).all())
 
 
-def reencrypt(aux: AuxKeyInfo, c: Ciphertext) -> Ciphertext:
-    if c.v.len != aux.source_n:
-        raise UsageError(f"ciphertext length {c.v.len}, link expects {aux.source_n}")
-    spec = aux.target_params.field
-    out = matmul_arrays(spec, c.v.data[None, :], aux.Z)[0]
-    return Ciphertext(Vector(spec, out))
+def reencrypt(Z: np.ndarray, c: Ciphertext) -> Ciphertext:
+    if c.v.len != Z.shape[0]:
+        raise UsageError(f"ciphertext length {c.v.len}, link expects {Z.shape[0]}")
+    spec = c.v.spec
+    return Ciphertext(Vector(spec, matmul_arrays(spec, c.v.data[None, :], Z)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +152,11 @@ def chain_keygen(
     if base is None and alpha == 0:
         raise ParameterError("a flat chain (alpha = 0) needs explicit base parameters")
     field = base.field if base is not None else _level_params(sizes[-1], alpha, None, None).field
-    levels = []
-    for n_i in sizes:
-        p = _level_params(n_i, alpha, base, field)
-        pk, sk = keygen(p, rng)
-        levels.append((p, pk, sk))
-    aux = []
-    for i in range(d):
-        aux.append(aux_gen_basic(levels[i][2], levels[i + 1][1], rng, eta=aux_eta))
-    return ChainKeys(tuple(levels), tuple(aux))
+    levels = tuple(keygen(_level_params(n_i, alpha, base, field), rng) for n_i in sizes)
+    links = tuple(
+        aux_gen_basic(levels[i][1], levels[i + 1][0], rng, eta=aux_eta) for i in range(d)
+    )
+    return ChainKeys(levels, links)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +216,16 @@ def aux_gen_preserving(
     alpha: float,
     d: int,
     rng: np.random.Generator,
-    sk_next: SecretKey | None = None,
     bit_eta: float | None = None,
     aux_eta: float | None = None,
-) -> PreservingAux:
+) -> np.ndarray:
     """Rebuild each z_i from its bits through CORR_d, keeping length n.
 
     The internal chain runs levels 0..d at geometrically growing lengths
     ending at n, then one more level holding the caller's target key, so
     the corrected bit encryptions exit as genuine target encryptions.
-    Only the target PUBLIC key is needed for that last link; pass
-    sk_next too if the stored chain should keep the full pair around
-    (membership audits want it).
+    Only the target PUBLIC key is needed for that last link. Returns the
+    (n, n) link array, like aux_gen_basic.
 
     bit_eta inflates (or silences) the noise of the 2^d bit encryptions;
     aux_eta does the same for every chain link.
@@ -277,26 +246,18 @@ def aux_gen_preserving(
             f"level-0 length {sizes[0]} derived from the top disagrees with n0={n0}"
         )
     base = None if alpha > 0 else p_src
-    levels = []
-    for n_i in sizes:
-        p = _level_params(n_i, alpha, base, spec)
-        pk_i, sk_i = keygen(p, rng)
-        levels.append((p, pk_i, sk_i))
-    levels.append((p_tgt, pk_next, sk_next))
-    aux = [
-        aux_gen_basic(levels[i][2], levels[i + 1][1], rng, eta=aux_eta)
-        for i in range(len(levels) - 1)
-    ]
-    chain = ChainKeys(tuple(levels), tuple(aux))
+    pks, sks = zip(*(keygen(_level_params(n_i, alpha, base, spec), rng) for n_i in sizes))
+    pks += (pk_next,)
+    links = [aux_gen_basic(sks[i], pks[i + 1], rng, eta=aux_eta) for i in range(d + 1)]
 
     k = spec.k
     bits = (sk.y_dec.data[:, None].astype(np.int64) >> np.arange(k)[None, :]) & 1
     copies = 1 << d
     ms = np.repeat(bits.reshape(-1), copies).astype(spec.dtype)  # (n*k*copies,)
-    C = encrypt_batch(levels[0][1], ms, rng, eta=bit_eta)
+    C = encrypt_batch(pks[0], ms, rng, eta=bit_eta)
     X = C.reshape(n * k, copies, sizes[0]).transpose(1, 0, 2)  # (copies, n*k, n0)
-    params = [p for p, _, _ in chain.levels]
-    zij = chain_eval_arrays(params, [a.Z for a in chain.aux], build_corr(d), X)[0]  # (n*k, n)
+    params = [pk.params for pk in pks]
+    zij = chain_eval_arrays(params, links, build_corr(d), X)[0]  # (n*k, n)
     zij = zij.reshape(n, k, n)
     # gamma^j, j = 0..k-1
     gpow = np.empty(k, dtype=spec.dtype)
@@ -304,5 +265,4 @@ def aux_gen_preserving(
     g = np.full(1, spec.gamma.value, dtype=spec.dtype)
     for j in range(1, k):
         gpow[j] = mul_arrays(spec, gpow[j - 1 : j], g)[0]
-    Z = np.bitwise_xor.reduce(mul_arrays(spec, zij, gpow[None, :, None]), axis=1)
-    return PreservingAux(Z, d, chain, p_tgt)
+    return np.bitwise_xor.reduce(mul_arrays(spec, zij, gpow[None, :, None]), axis=1)

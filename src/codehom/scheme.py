@@ -30,7 +30,6 @@ from .linalg import (
     Vector,
     dot_arrays,
     matmul_arrays,
-    matvec_arrays,
     rank_batch,
     random_unimodular_array,
     solve_canonical_array,
@@ -176,29 +175,11 @@ def noise_array(p: Params, rng: np.random.Generator, shape, eta: float | None = 
     return np.where(hit, vals, p.field.dtype(0))
 
 
-def sample_noise(p: Params, rng: np.random.Generator) -> Vector:
-    return Vector(p.field, noise_array(p, rng, p.n))
-
-
-def encrypt_with(pk: PublicKey, m: FieldElement, x: Vector, e: Vector) -> Ciphertext:
-    """Deterministic core: c = Px + m*1 + e."""
-    p = pk.params
-    if m.spec != p.field or x.spec != p.field or e.spec != p.field:
-        raise UsageError("message, randomness, and noise must live in the key's field")
-    if x.len != p.r:
-        raise UsageError(f"randomness has length {x.len}, expected r={p.r}")
-    if e.len != p.n:
-        raise UsageError(f"noise has length {e.len}, expected n={p.n}")
-    c = matvec_arrays(p.field, pk.P.data, x.data)
-    c ^= p.field.dtype(m.value)
-    c ^= e.data
-    return Ciphertext(Vector(p.field, c))
-
-
 def encrypt(pk: PublicKey, m: FieldElement, rng: np.random.Generator) -> Ciphertext:
-    p = pk.params
-    x = Vector(p.field, random_elements(p.field, rng, p.r))
-    return encrypt_with(pk, m, x, sample_noise(p, rng))
+    """encrypt_batch's one-row case: the same draws from rng, the same ciphertext."""
+    if m.spec != pk.params.field:
+        raise UsageError("message must live in the key's field")
+    return Ciphertext(Vector(m.spec, encrypt_batch(pk, [m.value], rng)[0]))
 
 
 def encrypt_batch(
@@ -209,16 +190,16 @@ def encrypt_batch(
     ms = np.asarray(ms, dtype=p.field.dtype)
     T = ms.shape[0]
     X = random_elements(p.field, rng, (T, p.r))
-    C = matvec_arrays(p.field, pk.P.data, X)
+    C = dot_arrays(p.field, pk.P.data, X[:, None, :])
     C ^= ms[:, None]
     C ^= noise_array(p, rng, (T, p.n), eta=eta)
     return C
 
 
 def decrypt(sk: SecretKey, c: Ciphertext) -> FieldElement:
-    """<y, c>; correctness is probabilistic, the value is always defined."""
+    """<y, c> as one row of decrypt_batch; correctness is probabilistic, the value is defined."""
     spec = sk.params.field
-    return FieldElement(spec, int(dot_arrays(spec, sk.y_dec.data, c.v.data)))
+    return FieldElement(spec, int(decrypt_batch(sk, c.v.data[None, :])[0]))
 
 
 def decrypt_batch(sk: SecretKey, C: np.ndarray) -> np.ndarray:

@@ -270,8 +270,16 @@ def decode_boost_aux(doc) -> BoostAux:
 # File and directory plumbing.
 
 
+def _cannot_write(path, e: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {e}")
+
+
 def save_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    text = json.dumps(doc, indent=1) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise _cannot_write(path, e) from None
 
 
 def read_text(path) -> str:
@@ -290,6 +298,8 @@ def load_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path} is not JSON: {e}") from None
+    except RecursionError:
+        raise DataFormatError(f"cannot read {path}: JSON nested too deeply") from None
 
 
 def save_public_key(pk: PublicKey, path) -> None:
@@ -327,7 +337,10 @@ def load_kciphertext(path) -> KCiphertext:
 def save_hom_keys(hk: HomKeys, directory) -> None:
     """One file per level key and per boost under a meta file."""
     d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _cannot_write(d, e) from None
     meta = {
         "format": FORMAT,
         "kind": "hom-keys",

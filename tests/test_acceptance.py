@@ -43,7 +43,7 @@ from codehom.circuit import (
 from codehom.field import FieldElement, FieldSpec, inv_arrays, mul_arrays, random_elements
 from codehom.hom import BoostConfig, enc_k_threshold, hdec, hom_encrypt, hom_eval, hom_keygen
 from codehom.homops import ct_add, ct_mul
-from codehom.linalg import matmul_arrays, matvec_arrays
+from codehom.linalg import dot_arrays, matmul_arrays
 from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen
 from codehom.scheme import (
     Params,
@@ -156,7 +156,7 @@ def _constructed_members(pk, sk, ms, rng):
     # trapdoor set, zero on it.
     p = pk.params
     X = random_elements(p.field, rng, (len(ms), p.r))
-    C = matvec_arrays(p.field, pk.P.data, X)
+    C = dot_arrays(p.field, pk.P.data, X[:, None, :])
     C ^= np.asarray(ms, dtype=p.field.dtype)[:, None]
     E = noise_array(p, rng, (len(ms), p.n), eta=0.3)
     E[:, np.asarray(sk.S)] = 0
@@ -212,14 +212,14 @@ def test_c05_reencryption_exactness_and_aux_rate():
     while samples < 2 * trials:
         _, sk = keygen(p, rng)
         pk2, sk2 = keygen(p, rng)
-        aux = aux_gen_basic(sk, pk2, rng)
-        if not aux_is_good(aux, sk, sk2):
+        Z = aux_gen_basic(sk, pk2, rng)
+        if not aux_is_good(Z, sk, sk2):
             bad_aux += 1
             continue
         ms = random_elements(GF16, rng, 2)
         C = _dec_members(sk, ms, rng)
         assert bool(dec_membership_batch(sk, ms, C).all())
-        exact += int(enc_membership_batch(sk2, ms, matmul_arrays(GF16, C, aux.Z)).sum())
+        exact += int(enc_membership_batch(sk2, ms, matmul_arrays(GF16, C, Z)).sum())
         samples += 2
     good_trials = samples // 2
     n_aux = good_trials + bad_aux
@@ -257,15 +257,13 @@ def test_c06_correction_tree():
     rng = np.random.default_rng(106)
     base = Params(16, 6, 3, GF4, 0.0)
     keys = chain_keygen(16, 0.0, 2, rng, base=base)
-    lp = [lv[0] for lv in keys.levels]
-    links = [a.Z for a in keys.aux]
     trials = 100_000
     eta0 = 0.05
     ms = rng.integers(0, 2, trials).astype(GF4.dtype)
-    C = encrypt_batch(keys.levels[0][1], np.repeat(ms, 4), rng, eta=eta0 / base.s)
+    C = encrypt_batch(keys.levels[0][0], np.repeat(ms, 4), rng, eta=eta0 / base.s)
     Xc = C.reshape(trials, 4, 16).transpose(1, 0, 2)
-    out = chain_eval_arrays(lp, links, corr, Xc)[0]
-    fails = int((decrypt_batch(keys.levels[-1][2], out) != ms).sum())
+    out = chain_eval_arrays(keys.level_params, keys.links, corr, Xc)[0]
+    fails = int((decrypt_batch(keys.levels[-1][1], out) != ms).sum())
     bound = 6 * eta0**2
     _, hi = wilson_interval(fails, trials)
     cap = bound + _three_sigma(bound, trials)

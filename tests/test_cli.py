@@ -98,10 +98,13 @@ def test_missing_file_is_data_error(base_key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["undecodable ct", "directory ct", "directory pk",
-                                  "undecodable circuit", "directory circuit", "file as keys"])
+                                  "undecodable circuit", "directory circuit", "file as keys",
+                                  "deeply nested ct"])
 def test_unreadable_input_is_data_error(case, base_key, mini_keys, tmp_path, capsys):
     junk = tmp_path / "junk.json"
     junk.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)  # past the JSON parser's recursion limit
     argv = {
         "undecodable ct": ["decrypt", "--sk", f"{base_key}.sk.json", "--ct", junk],
         "directory ct": ["decrypt", "--sk", f"{base_key}.sk.json", "--ct", tmp_path],
@@ -111,10 +114,32 @@ def test_unreadable_input_is_data_error(case, base_key, mini_keys, tmp_path, cap
         "directory circuit": ["hom-eval", "--keys", mini_keys, "--circuit", tmp_path,
                               "--inputs", junk, "--out", tmp_path / "r"],
         "file as keys": ["hom-encrypt", "--keys", junk, "--m", "1", "--out", tmp_path / "m"],
+        "deeply nested ct": ["decrypt", "--sk", f"{base_key}.sk.json", "--ct", deep],
     }[case]
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("case", ["directory as ct", "file as key directory",
+                                  "missing parent directory"])
+def test_unwritable_output_is_usage_error(case, base_key, tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv = {
+        "directory as ct": ["encrypt", "--pk", f"{base_key}.pk.json", "--m", "1",
+                            "--out", tmp_path],
+        "file as key directory": ["hom-keygen", "--n", "16", "--r", "6", "--s", "3",
+                                  "--field-k", "4", "--k", "32", "--d", "1", "--b", "8",
+                                  "--lambda-target", "0.9", "--mid-n", "8",
+                                  "--out", plain, "--seed", "1"],
+        "missing parent directory": ["keygen", "--n", "24", "--r", "9", "--s", "3",
+                                     "--out", tmp_path / "absent" / "x"],
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1, err
 
 
 def test_unknown_command_is_usage(capsys):

@@ -144,6 +144,6 @@ def test_shape_checks(keys):
     with pytest.raises(UsageError):
         ct_mul(c, short)
     with pytest.raises(UsageError):
-        ct_scale(FieldSpec(8).element(1), c)
+        ct_scale(FieldElement(FieldSpec(8), 1), c)
     with pytest.raises(UsageError):
-        const_ct(pk, FieldSpec(8).element(1))
+        const_ct(pk, FieldElement(FieldSpec(8), 1))

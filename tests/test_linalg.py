@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from codehom.errors import ParameterError, UsageError
-from codehom.field import _ROW_TABLE_SHARE, FieldSpec, fe_pow, random_elements
+from codehom.field import _ROW_TABLE_SHARE, FieldElement, FieldSpec, fe_pow, random_elements
 from codehom.linalg import (
     dot_arrays,
     identity_array,
     matmul_arrays,
-    matvec_arrays,
     random_unimodular_array,
     rank_batch,
     rref_array,
@@ -41,7 +40,7 @@ def rank_of(spec, A):
 def test_matvec_identity_and_zero():
     x = arr(F16, [3, 7, 12])
     I = identity_array(F16, 3)
-    assert np.array_equal(matvec_arrays(F16, I, x), x)
+    assert np.array_equal(dot_arrays(F16, I, x[None, :]), x)
     zero_y = arr(F16, [0, 0, 0])
     assert int(dot_arrays(F16, zero_y, x)) == 0
 
@@ -50,7 +49,7 @@ def test_char2_ones_matrix():
     # all-ones 2x2 times (a, a) gives (a+a, a+a) = 0
     a = 9
     M = arr(F16, [[1, 1], [1, 1]])
-    out = matvec_arrays(F16, M, arr(F16, [a, a]))
+    out = dot_arrays(F16, M, arr(F16, [a, a])[None, :])
     assert out.tolist() == [0, 0]
 
 
@@ -60,9 +59,13 @@ def test_matvec_matches_reference():
         m, n = rng.integers(1, 7, size=2)
         A = random_elements(F256, rng, (m, n))
         x = random_elements(F256, rng, n)
-        got = matvec_arrays(F256, A, x)
+        got = dot_arrays(F256, A, x[None, :])
         want = ref_matvec(A.tolist(), x.tolist(), F256.modulus)
         assert got.tolist() == want
+        # encrypt_batch's form: one product row per row of X
+        X = random_elements(F256, rng, (3, n))
+        got = dot_arrays(F256, A, X[:, None, :])
+        assert got.tolist() == [ref_matvec(A.tolist(), x.tolist(), F256.modulus) for x in X]
 
 
 def test_matmul_matches_composition():
@@ -70,8 +73,8 @@ def test_matmul_matches_composition():
     A = random_elements(F256, rng, (5, 4))
     B = random_elements(F256, rng, (4, 6))
     x = random_elements(F256, rng, 6)
-    lhs = matvec_arrays(F256, matmul_arrays(F256, A, B), x)
-    rhs = matvec_arrays(F256, A, matvec_arrays(F256, B, x))
+    lhs = dot_arrays(F256, matmul_arrays(F256, A, B), x[None, :])
+    rhs = dot_arrays(F256, A, dot_arrays(F256, B, x[None, :])[None, :])
     assert np.array_equal(lhs, rhs)
 
 
@@ -140,14 +143,12 @@ def test_elimination_row_tables_on_tall_matrices():
     assert got.tolist() == rank_batch(F16, stack.transpose(0, 2, 1)).tolist()
     assert got.tolist()[:3] == [4, 3, 1]
     A = stack[0]
-    b = matvec_arrays(F16, A, random_elements(F16, rng, 4))
+    b = dot_arrays(F16, A, random_elements(F16, rng, 4)[None, :])
     y = solve_canonical_array(F16, A, b)
     assert ref_matvec(A.tolist(), y.tolist(), F16.modulus) == b.tolist()
 
 
 def test_dimension_mismatch():
-    with pytest.raises(UsageError):
-        matvec_arrays(F16, arr(F16, [[1, 2]]), arr(F16, [1, 2, 3]))
     with pytest.raises(UsageError):
         matmul_arrays(F16, arr(F16, [[1, 2]]), arr(F16, [[1, 2]]))
     with pytest.raises(UsageError):
@@ -218,7 +219,7 @@ def test_solve_satisfies_system():
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         A = random_elements(F256, rng, (m, n))
         y0 = random_elements(F256, rng, n)
-        b = matvec_arrays(F256, A, y0)
+        b = dot_arrays(F256, A, y0[None, :])
         y = solve_canonical_array(F256, A, b)
         assert y is not None
         assert ref_matvec(A.tolist(), y.tolist(), F256.modulus) == b.tolist()
@@ -227,7 +228,7 @@ def test_solve_satisfies_system():
 def test_solve_deterministic():
     rng = np.random.default_rng(42)
     A = random_elements(F256, rng, (4, 9))
-    b = matvec_arrays(F256, A, random_elements(F256, rng, 9))
+    b = dot_arrays(F256, A, random_elements(F256, rng, 9)[None, :])
     y1 = solve_canonical_array(F256, A, b)
     y2 = solve_canonical_array(F256, A.copy(), b.copy())
     assert np.array_equal(y1, y2)
@@ -252,7 +253,7 @@ def test_vandermonde_frozen_gf4():
 
 
 def test_vandermonde_powers_start_at_one():
-    pts = [F256.element(v) for v in (3, 5, 17)]
+    pts = [FieldElement(F256, v) for v in (3, 5, 17)]
     M = vandermonde_array(F256, arr(F256, [p.value for p in pts]), 4)
     assert M.shape[1] == 4
     for i, p in enumerate(pts):
@@ -270,7 +271,7 @@ def test_vandermonde_rejects_zero_width():
 def test_tensor_row_basics():
     assert tensor_row_array(F16, arr(F16, [0, 0])).tolist() == [0, 0, 0, 0]
     assert tensor_row_array(F16, arr(F16, [1])).tolist() == [1]
-    a = F256.element(7)
+    a = FieldElement(F256, 7)
     t = tensor_row_array(F256, arr(F256, [a.value, (a * a).value]))
     assert t.tolist() == [
         fe_pow(a, 2).value, fe_pow(a, 3).value, fe_pow(a, 3).value, fe_pow(a, 4).value,
@@ -279,7 +280,7 @@ def test_tensor_row_basics():
 
 def test_tensor_of_vandermonde_row_is_power_range():
     # row (a, ..., a^w) tensored with itself covers exactly a^2 .. a^2w
-    a = F256.element(29)
+    a = FieldElement(F256, 29)
     w = 5
     row = np.array([fe_pow(a, j + 1).value for j in range(w)], dtype=F256.dtype)
     t = tensor_row_array(F256, row)

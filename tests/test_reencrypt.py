@@ -22,7 +22,6 @@ from codehom.field import FieldElement, FieldSpec, random_elements
 from codehom.homops import const_ct
 from codehom.linalg import Vector, matmul_arrays
 from codehom.reencrypt import (
-    AuxKeyInfo,
     ChainKeys,
     aux_gen_basic,
     aux_gen_preserving,
@@ -66,65 +65,64 @@ def link_pair():
     p_tgt = Params(n=28, r=10, s=3, field=GF256, eta=0.0)
     pk, sk = keygen(p_src, rng)
     pk2, sk2 = keygen(p_tgt, rng)
-    aux = aux_gen_basic(sk, pk2, rng)
-    return pk, sk, pk2, sk2, aux
+    Z = aux_gen_basic(sk, pk2, rng)
+    return pk, sk, pk2, sk2, Z
 
 
 def test_aux_shapes_and_views(link_pair):
-    pk, sk, pk2, sk2, aux = link_pair
-    assert aux.Z.shape == (20, 28)
-    assert (aux.source_n, aux.target_n) == (20, 28)
+    pk, sk, pk2, sk2, Z = link_pair
+    assert Z.shape == (20, 28)
     # target noise rate is zero, so each z_i decrypts to y_i exactly
-    assert np.array_equal(decrypt_batch(sk2, aux.Z), sk.y_dec.data)
-    assert aux_is_good(aux, sk, sk2)
+    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec.data)
+    assert aux_is_good(Z, sk, sk2)
 
 
 def test_reencrypt_dec_to_enc(link_pair):
-    pk, sk, pk2, sk2, aux = link_pair
+    pk, sk, pk2, sk2, Z = link_pair
     rng = np.random.default_rng(1)
     ms = random_elements(GF256, rng, 200)
     C = encrypt_batch(pk, ms, rng)
     vals = decrypt_batch(sk, C)  # what each row actually decrypts to
-    out = matmul_arrays(GF256, C, aux.Z)
+    out = matmul_arrays(GF256, C, Z)
     assert enc_membership_batch(sk2, vals, out).all()
     assert np.array_equal(decrypt_batch(sk2, out), vals)
 
 
 def test_reencrypt_arbitrary_vectors(link_pair):
     # linearity does not care whether c was ever a ciphertext
-    pk, sk, pk2, sk2, aux = link_pair
+    pk, sk, pk2, sk2, Z = link_pair
     rng = np.random.default_rng(2)
     C = random_elements(GF256, rng, (100, 20))
     vals = decrypt_batch(sk, C)
-    out = matmul_arrays(GF256, C, aux.Z)
+    out = matmul_arrays(GF256, C, Z)
     assert enc_membership_batch(sk2, vals, out).all()
 
 
 def test_reencrypt_single_matches_batch(link_pair):
-    pk, sk, pk2, sk2, aux = link_pair
+    pk, sk, pk2, sk2, Z = link_pair
     rng = np.random.default_rng(3)
-    c = encrypt(pk, GF256.element(77), rng)
-    out = reencrypt(aux, c)
-    batch = matmul_arrays(GF256, c.v.data[None, :], aux.Z)
+    c = encrypt(pk, FieldElement(GF256, 77), rng)
+    out = reencrypt(Z, c)
+    batch = matmul_arrays(GF256, c.v.data[None, :], Z)
     assert np.array_equal(out.v.data, batch[0])
 
 
 def test_reencrypt_is_additive(link_pair):
-    pk, sk, pk2, sk2, aux = link_pair
+    pk, sk, pk2, sk2, Z = link_pair
     rng = np.random.default_rng(4)
     A = random_elements(GF256, rng, (50, 20))
     B = random_elements(GF256, rng, (50, 20))
     assert np.array_equal(
-        matmul_arrays(GF256, A ^ B, aux.Z),
-        matmul_arrays(GF256, A, aux.Z) ^ matmul_arrays(GF256, B, aux.Z),
+        matmul_arrays(GF256, A ^ B, Z),
+        matmul_arrays(GF256, A, Z) ^ matmul_arrays(GF256, B, Z),
     )
 
 
 def test_reencrypt_length_check(link_pair):
-    _, _, _, _, aux = link_pair
+    _, _, _, _, Z = link_pair
     bad = Ciphertext(Vector(GF256, np.zeros(21, dtype=GF256.dtype)))
     with pytest.raises(UsageError, match="length"):
-        reencrypt(aux, bad)
+        reencrypt(Z, bad)
 
 
 def test_aux_field_mismatch():
@@ -165,28 +163,28 @@ def test_chain_sizes_frozen():
 def test_flat_chain_structure(flat3):
     assert flat3.depth == 3
     assert len(flat3.levels) == 4
-    for p, pk, sk in flat3.levels:
+    for p in flat3.level_params:
         assert p.n == 24 and p.field == GF256
-    for i, a in enumerate(flat3.aux):
-        assert a.Z.shape == (24, 24)
-        src_sk = flat3.levels[i][2]
-        tgt_sk = flat3.levels[i + 1][2]
-        assert aux_is_good(a, src_sk, tgt_sk)
+    for i, Z in enumerate(flat3.links):
+        assert Z.shape == (24, 24)
+        src_sk = flat3.levels[i][1]
+        tgt_sk = flat3.levels[i + 1][1]
+        assert aux_is_good(Z, src_sk, tgt_sk)
 
 
 def test_chain_keygen_deterministic():
     a = chain_keygen(24, 0.0, 2, np.random.default_rng(9), base=BASE24)
     b = chain_keygen(24, 0.0, 2, np.random.default_rng(9), base=BASE24)
-    for (pa, pka, ska), (pb, pkb, skb) in zip(a.levels, b.levels):
+    for (pka, ska), (pkb, skb) in zip(a.levels, b.levels):
         assert ska.S == skb.S
         assert np.array_equal(pka.P.data, pkb.P.data)
-    for xa, xb in zip(a.aux, b.aux):
-        assert np.array_equal(xa.Z, xb.Z)
+    for xa, xb in zip(a.links, b.links):
+        assert np.array_equal(xa, xb)
 
 
 def test_chain_keygen_alpha_family():
     chain = chain_keygen(16, 0.25, 1, np.random.default_rng(10))
-    p0, p1 = chain.levels[0][0], chain.levels[1][0]
+    p0, p1 = chain.level_params
     assert (p0.n, p1.n) == (16, 32)
     # both levels share the field the top level needs
     assert p0.field.k == 8 and p1.field.k == 8
@@ -207,16 +205,16 @@ def test_chain_keys_invariants():
     pk24, sk24 = keygen(BASE24, rng)
     up = aux_gen_basic(sk16, pk24, rng)
     with pytest.raises(ParameterError, match="nondecreasing"):
-        ChainKeys(((BASE24, pk24, sk24), (p16, pk16, sk16)), (up,))
+        ChainKeys(((pk24, sk24), (pk16, sk16)), (up,))
     with pytest.raises(ParameterError, match="one more level"):
-        ChainKeys(((p16, pk16, sk16), (BASE24, pk24, sk24)), ())
-    bad_link = AuxKeyInfo(np.zeros((16, 16), dtype=GF256.dtype), p16)
+        ChainKeys(((pk16, sk16), (pk24, sk24)), ())
+    bad_link = np.zeros((16, 16), dtype=GF256.dtype)
     with pytest.raises(ParameterError, match="link 0"):
-        ChainKeys(((p16, pk16, sk16), (BASE24, pk24, sk24)), (bad_link,))
+        ChainKeys(((pk16, sk16), (pk24, sk24)), (bad_link,))
 
 
 def _chain_eval(chain, c, X):
-    return chain_eval_arrays([p for p, _, _ in chain.levels], [a.Z for a in chain.aux], c, X)
+    return chain_eval_arrays(chain.level_params, chain.links, c, X)
 
 
 def _encrypt_stack(pk, xs, rng):
@@ -227,8 +225,8 @@ def test_basic_eval_exact_mirror(flat3):
     # noiseless everything: the chain must reproduce eval_plain exactly,
     # and every output must be a genuine top-level encryption
     rng = np.random.default_rng(13)
-    pk0 = flat3.levels[0][1]
-    sk_top = flat3.levels[-1][2]
+    pk0 = flat3.levels[0][0]
+    sk_top = flat3.levels[-1][1]
     done = 0
     while done < 25:
         circ = random_circuit(rng, n_inputs=3, n_gates=10)
@@ -246,9 +244,9 @@ def test_basic_eval_exact_mirror(flat3):
 def test_basic_eval_const_circuit(flat3):
     circ = parse_netlist("c1 = CONST1\noutputs c1\n")
     (out,) = _chain_eval(flat3, circ, np.zeros((0, 24), dtype=GF256.dtype))
-    pk_top = flat3.levels[-1][1]
-    assert np.array_equal(out, const_ct(pk_top, GF256.one()).v.data)
-    assert decrypt_batch(flat3.levels[-1][2], out[None])[0] == 1
+    pk_top = flat3.levels[-1][0]
+    assert np.array_equal(out, const_ct(pk_top, FieldElement(GF256, 1)).v.data)
+    assert decrypt_batch(flat3.levels[-1][1], out[None])[0] == 1
 
 
 def test_basic_eval_bare_final_layer(flat3):
@@ -267,8 +265,8 @@ def test_basic_eval_bare_final_layer(flat3):
     )
     assert compile_schedule(circ, False, 1).depth == 3
     rng = np.random.default_rng(14)
-    pk0 = flat3.levels[0][1]
-    sk_top = flat3.levels[-1][2]
+    pk0 = flat3.levels[0][0]
+    sk_top = flat3.levels[-1][1]
     for _ in range(20):
         xs = [FieldElement(GF256, int(v)) for v in random_elements(GF256, rng, 3)]
         (out,) = _chain_eval(flat3, circ, _encrypt_stack(pk0, xs, rng))
@@ -287,7 +285,7 @@ def test_basic_eval_depth_excess(flat3):
         """
     )
     rng = np.random.default_rng(15)
-    ct = encrypt(flat3.levels[0][1], GF256.element(3), rng)
+    ct = encrypt(flat3.levels[0][0], FieldElement(GF256, 3), rng)
     with pytest.raises(UsageError, match="layers"):
         _chain_eval(flat3, circ, ct.v.data[None])
 
@@ -295,7 +293,7 @@ def test_basic_eval_depth_excess(flat3):
 def test_basic_eval_input_validation(flat3):
     circ = parse_netlist("inputs x0 x1\ns = XOR x0 x1\noutputs s\n")
     rng = np.random.default_rng(16)
-    ct = encrypt(flat3.levels[0][1], GF256.element(3), rng)
+    ct = encrypt(flat3.levels[0][0], FieldElement(GF256, 3), rng)
     with pytest.raises(UsageError, match="inputs"):
         _chain_eval(flat3, circ, ct.v.data[None])
     short = np.zeros((2, 23), dtype=GF256.dtype)
@@ -315,7 +313,7 @@ def test_chain_eval_batched_matches_single(flat3):
     )
     lc = layerize(circ)
     rng = np.random.default_rng(17)
-    pk0 = flat3.levels[0][1]
+    pk0 = flat3.levels[0][0]
     T = 40
     X = np.stack(
         [encrypt_batch(pk0, random_elements(GF256, rng, T), rng) for _ in range(3)]
@@ -333,8 +331,7 @@ def test_chain_raw_circuit_matches_layerized():
     rng = np.random.default_rng(19)
     noisy = Params(n=16, r=6, s=3, field=GF16, eta=0.05)
     chain = chain_keygen(16, 0.0, 4, rng, base=noisy, aux_eta=0.05)
-    params = [p for p, _, _ in chain.levels]
-    links = [a.Z for a in chain.aux]
+    params, links = chain.level_params, chain.links
     compared = {False: 0, True: 0}
     for _ in range(80):
         c = random_circuit(rng, n_inputs=3, n_gates=10, p_const=0.15)
@@ -373,13 +370,12 @@ def test_chain_raw_circuit_folds_constant_layers():
         """
     )
     chain = chain_keygen(16, 0.0, 2, np.random.default_rng(20), base=BASE16)
-    params = [p for p, _, _ in chain.levels]
-    links = [a.Z for a in chain.aux]
-    X = encrypt_batch(chain.levels[0][1], np.arange(16), np.random.default_rng(21))[None]
+    params, links = chain.level_params, chain.links
+    X = encrypt_batch(chain.levels[0][0], np.arange(16), np.random.default_rng(21))[None]
     (layered,) = chain_eval_arrays(params, links, layerize(circ), X)
     (out,) = chain_eval_arrays(params, links, circ, X)
     assert np.array_equal(layered, out)
-    assert np.array_equal(decrypt_batch(chain.levels[-1][2], out), np.arange(16) ^ 1)
+    assert np.array_equal(decrypt_batch(chain.levels[-1][1], out), np.arange(16) ^ 1)
 
 
 def test_corr2_block_failure_bound():
@@ -389,16 +385,15 @@ def test_corr2_block_failure_bound():
     # bit for bit since the chain itself is noiseless
     rng = np.random.default_rng(18)
     chain = chain_keygen(16, 0.0, 3, rng, base=BASE16)
-    pk0, sk0 = chain.levels[0][1], chain.levels[0][2]
-    sk_top = chain.levels[-1][2]
+    pk0, sk0 = chain.levels[0]
+    sk_top = chain.levels[-1][1]
     eta0 = 0.1
     bit_eta = eta0 / BASE16.s  # union over the s trapdoor rows stays under eta0
     T = 20_000
     b = rng.integers(0, 2, T).astype(GF16.dtype)
     C = encrypt_batch(pk0, np.repeat(b, 4), rng, eta=bit_eta)
     X = C.reshape(T, 4, 16).transpose(1, 0, 2)
-    params = [p for p, _, _ in chain.levels]
-    out = chain_eval_arrays(params, [a.Z for a in chain.aux], build_corr(2), X)[0]
+    out = chain_eval_arrays(chain.level_params, chain.links, build_corr(2), X)[0]
     got = decrypt_batch(sk_top, out)
 
     fail = float(np.mean(got != b))
@@ -421,28 +416,25 @@ def preserving_flat():
     rng = np.random.default_rng(19)
     pk, sk = keygen(BASE16, rng)
     pk2, sk2 = keygen(BASE16, rng)
-    aux = aux_gen_preserving(sk, pk2, 16, 0.0, 2, rng, sk_next=sk2)
-    return sk, pk2, sk2, aux
+    Z = aux_gen_preserving(sk, pk2, 16, 0.0, 2, rng)
+    return sk, pk2, sk2, Z
 
 
 def test_preserving_structure(preserving_flat):
-    sk, pk2, sk2, aux = preserving_flat
-    assert aux.Z.shape == (16, 16)
-    assert aux.corr_depth == 2
-    assert aux.chain.depth == 3  # d links inside plus one onto the target key
-    assert [p.n for p, _, _ in aux.chain.levels] == [16, 16, 16, 16]
-    assert aux.chain.levels[-1][1] is pk2
+    sk, pk2, sk2, Z = preserving_flat
+    assert Z.shape == (16, 16)
+    assert Z.dtype == GF16.dtype
 
 
 def test_preserving_is_good(preserving_flat):
     # noiseless generation: every z_i is a target encryption of y_i
-    sk, pk2, sk2, aux = preserving_flat
-    assert np.array_equal(decrypt_batch(sk2, aux.Z), sk.y_dec.data)
-    assert aux_is_good(aux, sk, sk2)
+    sk, pk2, sk2, Z = preserving_flat
+    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec.data)
+    assert aux_is_good(Z, sk, sk2)
     rng = np.random.default_rng(20)
     C = random_elements(GF16, rng, (100, 16))
     vals = decrypt_batch(sk, C)
-    out = matmul_arrays(GF16, C, aux.Z)
+    out = matmul_arrays(GF16, C, Z)
     assert enc_membership_batch(sk2, vals, out).all()
 
 
@@ -452,7 +444,7 @@ def test_preserving_deterministic():
     pk2, sk2 = keygen(BASE16, rng)
     a = aux_gen_preserving(sk, pk2, 16, 0.0, 2, np.random.default_rng(3))
     b = aux_gen_preserving(sk, pk2, 16, 0.0, 2, np.random.default_rng(3))
-    assert np.array_equal(a.Z, b.Z)
+    assert np.array_equal(a, b)
 
 
 def test_preserving_alpha_family():
@@ -462,11 +454,11 @@ def test_preserving_alpha_family():
     pk2, sk2 = keygen(p32, rng)
     # derived internal levels carry their own eta; silence it here so
     # goodness is certain rather than merely likely
-    aux = aux_gen_preserving(sk, pk2, 9, 0.25, 2, rng, bit_eta=0.0, aux_eta=0.0)
-    assert [p.n for p, _, _ in aux.chain.levels] == [9, 16, 32, 32]
-    assert aux.chain.levels[1][0].field == GF256
-    assert np.array_equal(decrypt_batch(sk2, aux.Z), sk.y_dec.data)
-    assert aux_is_good(aux, sk, sk2)
+    # internal levels 9 -> 16 -> 32 (test_preserving_sizes) on GF(256): the
+    # links between them would raise on a field mismatch
+    Z = aux_gen_preserving(sk, pk2, 9, 0.25, 2, rng, bit_eta=0.0, aux_eta=0.0)
+    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec.data)
+    assert aux_is_good(Z, sk, sk2)
 
 
 def test_preserving_validation():
@@ -497,11 +489,9 @@ def test_preserving_bit_noise_budget():
     wrong = 0
     total = 0
     for _ in range(trials):
-        aux = aux_gen_preserving(
-            sk, pk2, 16, 0.0, 2, rng, bit_eta=eta0 / BASE16.s
-        )
-        vals = decrypt_batch(sk2, aux.Z)
-        assert enc_membership_batch(sk2, vals, aux.Z).all()
+        Z = aux_gen_preserving(sk, pk2, 16, 0.0, 2, rng, bit_eta=eta0 / BASE16.s)
+        vals = decrypt_batch(sk2, Z)
+        assert enc_membership_batch(sk2, vals, Z).all()
         wrong += int(np.sum(vals != sk.y_dec.data))
         total += 16
     bound = GF16.k * 6 * eta0 * eta0

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from codehom.errors import ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_elements
-from codehom.linalg import Vector, rank_batch, tensor_row_array
+from codehom.linalg import Matrix, Vector, dot_arrays, rank_batch, tensor_row_array
 from codehom.scheme import (
     Ciphertext,
     Params,
@@ -25,11 +25,9 @@ from codehom.scheme import (
     enc_space_contains,
     encrypt,
     encrypt_batch,
-    encrypt_with,
     keygen,
     noise_array,
     params_from_alpha,
-    sample_noise,
 )
 
 F16 = FieldSpec(16)
@@ -169,8 +167,8 @@ def test_noise_extremes():
     p0 = Params(n=48, r=12, s=6, field=F16, eta=0.0)
     p1 = Params(n=48, r=12, s=6, field=F16, eta=1.0)
     rng = np.random.default_rng(0)
-    assert not sample_noise(p0, rng).data.any()
-    assert sample_noise(p1, rng).data.all()
+    assert not noise_array(p0, rng, p0.n).any()
+    assert noise_array(p1, rng, p1.n).all()
 
 
 def test_noise_rate_within_3_sigma():
@@ -193,28 +191,29 @@ def test_noise_rate_override():
 # --- encrypt / decrypt ---------------------------------------------------------
 
 
-def test_encrypt_with_zero_randomness():
+def test_encrypt_batch_is_px_plus_m():
+    # Noiseless, each row is Px + m*1 for the x drawn first from rng; a zero
+    # P leaves exactly m*1.
     pk, sk = make_keys(10)
-    m = F16.element(0x1234)
-    zero_x = Vector(F16, np.zeros(P_SMALL.r, dtype=F16.dtype))
-    zero_e = Vector(F16, np.zeros(P_SMALL.n, dtype=F16.dtype))
-    c = encrypt_with(pk, m, zero_x, zero_e)
-    assert c.v.data.tolist() == [m.value] * P_SMALL.n
+    ms = np.array([0x1234, 0, 7], dtype=F16.dtype)
+    C = encrypt_batch(pk, ms, np.random.default_rng(10), eta=0.0)
+    X = random_elements(F16, np.random.default_rng(10), (3, P_SMALL.r))
+    assert np.array_equal(C, dot_arrays(F16, pk.P.data, X[:, None, :]) ^ ms[:, None])
+    zero_pk = PublicKey(Matrix(F16, np.zeros_like(pk.P.data)), P_SMALL)
+    C = encrypt_batch(zero_pk, ms, np.random.default_rng(10), eta=0.0)
+    assert C.tolist() == [[int(m)] * P_SMALL.n for m in ms]
 
 
 def test_noiseless_decryption_is_exact():
     pk, sk = make_keys(11)
     rng = np.random.default_rng(11)
-    zero_e = Vector(F16, np.zeros(P_SMALL.n, dtype=F16.dtype))
-    for _ in range(200):
-        m = FieldElement(F16, int(rng.integers(F16.q)))
-        x = Vector(F16, random_elements(F16, rng, P_SMALL.r))
-        assert decrypt(sk, encrypt_with(pk, m, x, zero_e)).value == m.value
+    ms = random_elements(F16, rng, 200)
+    assert np.array_equal(decrypt_batch(sk, encrypt_batch(pk, ms, rng, eta=0.0)), ms)
 
 
 def test_decrypt_all_m_vector():
     _, sk = make_keys(12)
-    m = F16.element(777)
+    m = FieldElement(F16, 777)
     c = Ciphertext(Vector(F16, np.full(P_SMALL.n, m.value, dtype=F16.dtype)))
     assert decrypt(sk, c).value == m.value
 
@@ -222,8 +221,8 @@ def test_decrypt_all_m_vector():
 def test_decrypt_linear():
     pk, sk = make_keys(13)
     rng = np.random.default_rng(13)
-    c1 = encrypt(pk, F16.element(3), rng)
-    c2 = encrypt(pk, F16.element(9), rng)
+    c1 = encrypt(pk, FieldElement(F16, 3), rng)
+    c2 = encrypt(pk, FieldElement(F16, 9), rng)
     lhs = decrypt(sk, Ciphertext(Vector(F16, c1.v.data ^ c2.v.data)))
     assert lhs.value == (decrypt(sk, c1) + decrypt(sk, c2)).value
 
@@ -252,13 +251,28 @@ def test_encrypt_batch_matches_single():
 
 def test_encrypt_dimension_errors():
     pk, _ = make_keys(18)
-    m = F16.element(1)
-    bad_x = Vector(F16, np.zeros(P_SMALL.r + 1, dtype=F16.dtype))
-    zero_e = Vector(F16, np.zeros(P_SMALL.n, dtype=F16.dtype))
     with pytest.raises(UsageError):
-        encrypt_with(pk, m, bad_x, zero_e)
-    with pytest.raises(UsageError):
-        encrypt_with(pk, FieldSpec(8).element(1), Vector(F16, np.zeros(12, dtype=F16.dtype)), zero_e)
+        encrypt(pk, FieldElement(FieldSpec(8), 1), np.random.default_rng(18))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([4, 8, 16, 32, 64]),
+    eta=st.sampled_from([0.0, 0.3]),
+    m=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scalar_path_is_one_row_batch(k, eta, m, seed):
+    spec = FieldSpec(k)
+    m %= spec.q
+    p = Params(n=12, r=6, s=3, field=spec, eta=eta)
+    pk, sk = keygen(p, np.random.default_rng(seed))
+    rng, rng2 = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    c = encrypt(pk, FieldElement(spec, m), rng)
+    row = encrypt_batch(pk, [m], rng2)[0]
+    assert np.array_equal(c.v.data, row)
+    assert rng.bit_generator.state == rng2.bit_generator.state
+    assert decrypt(sk, c).value == int(decrypt_batch(sk, row[None, :])[0])
 
 
 # --- membership ----------------------------------------------------------------
@@ -266,7 +280,7 @@ def test_encrypt_dimension_errors():
 
 def test_all_m_vector_in_enc_space():
     _, sk = make_keys(20)
-    m = F16.element(42)
+    m = FieldElement(F16, 42)
     c = Ciphertext(Vector(F16, np.full(P_SMALL.n, m.value, dtype=F16.dtype)))
     assert enc_space_contains(sk, m, c)
     assert dec_space_contains(sk, m, c)
@@ -288,9 +302,9 @@ def test_noiseless_encrypt_always_member():
     p = Params(n=48, r=12, s=6, field=F16, eta=0.0)
     pk, sk = keygen(p, np.random.default_rng(23))
     rng = np.random.default_rng(24)
-    c = encrypt(pk, F16.element(99), rng)
-    assert enc_space_contains(sk, F16.element(99), c)
-    assert not enc_space_contains(sk, F16.element(98), c)
+    c = encrypt(pk, FieldElement(F16, 99), rng)
+    assert enc_space_contains(sk, FieldElement(F16, 99), c)
+    assert not enc_space_contains(sk, FieldElement(F16, 98), c)
 
 
 def test_corrupting_s_coordinate_breaks_membership():
