@@ -11,10 +11,15 @@ y is the canonical solution of the constraint system that also defines
 the decryption spaces: sum_i y_i (M_i tensor M_i) = 0, sum_i y_i M_i = 0,
 sum_i y_i = 1, y zero off S. On S-rows every tensor or matrix entry is a
 power a_i^t with t <= 2s/3, so the whole system collapses to the 2s/3
-power equations plus the affine one. Both systems have the same row
-space, and reduced row-echelon form depends only on the row space, so
-solving the collapsed system yields exactly the canonical solution of
-the raw one.
+power equations plus the affine one; both have the same row space, and
+reduced row-echelon form depends only on the row space. The collapsed
+system asks sum_i y_i p(a_i) = p(0) for every polynomial p of degree at
+most 2s/3, so keygen writes y down in closed form: on the first 2s/3 + 1
+points of S it is the Lagrange weights at 0, y_i = prod_{j != i} a_j /
+(a_i + a_j), and on the rest of S it is zero. That is exactly the
+canonical solution. The columns of those first 2s/3 + 1 points form a
+nonsingular Vandermonde block (the points are distinct), so elimination
+pivots on exactly them and leaves every later, free variable at zero.
 """
 
 from __future__ import annotations
@@ -23,8 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError, UsageError
-from .field import FieldElement, FieldSpec, MODULI, random_distinct, random_elements, random_nonzero
+from .errors import ParameterError, UsageError
+from .field import (
+    MODULI,
+    FieldElement,
+    FieldSpec,
+    inv_arrays,
+    mul_arrays,
+    random_distinct,
+    random_elements,
+    random_nonzero,
+)
 from .linalg import (
     Matrix,
     Vector,
@@ -32,7 +46,6 @@ from .linalg import (
     matmul_arrays,
     rank_batch,
     random_unimodular_array,
-    solve_canonical_array,
     vandermonde_array,
 )
 
@@ -134,14 +147,22 @@ class Ciphertext:
 
 
 def _decryption_support_vector(spec: FieldSpec, a_S: np.ndarray, s: int) -> np.ndarray:
-    # Collapsed system: sum_i y_i a_i^t = 0 for t = 1..2s/3, sum_i y_i = 1.
-    A = vandermonde_array(spec, a_S, 2 * s // 3).T
-    A = np.concatenate([A, np.ones((1, s), dtype=spec.dtype)], axis=0)
-    b = np.zeros(2 * s // 3 + 1, dtype=spec.dtype)
-    b[-1] = 1
-    y = solve_canonical_array(spec, np.ascontiguousarray(A), b)
-    if y is None:
-        raise ConstructionError("decryption system inconsistent; distinct points should prevent this")
+    # Lagrange weights at 0 on the first 2s/3 + 1 points, zero on the rest:
+    # y_i = prod_{j != i} x_j / (x_i + x_j). Row i of terms[0] holds the
+    # x_j and of terms[1] the x_i + x_j, padded with ones to a power-of-two
+    # width and halved by pairwise products.
+    x = a_S[: 2 * s // 3 + 1]
+    d = x.size
+    terms = np.ones((2, d, 1 << (d - 1).bit_length()), dtype=spec.dtype)
+    terms[0, :, :d] = x
+    terms[1, :, :d] = x[:, None] ^ x
+    terms[:, np.arange(d), np.arange(d)] = 1
+    while terms.shape[-1] > 1:
+        half = terms.shape[-1] // 2
+        terms = mul_arrays(spec, terms[..., :half], terms[..., half:])
+    num, den = terms[..., 0]
+    y = np.zeros(s, dtype=spec.dtype)
+    y[:d] = mul_arrays(spec, num, inv_arrays(spec, den))
     return y
 
 

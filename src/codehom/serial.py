@@ -2,7 +2,8 @@
 
 Every file is one object tagged {"format": "codehom/v1", "kind": ...};
 field elements are plain integers so a desk-scale file stays greppable
-and diffable. A replicated ciphertext nests one complete ciphertext
+and diffable. The bytes written are json.dumps(doc, indent=1) plus a
+newline, streamed out a piece at a time rather than built whole. A replicated ciphertext nests one complete ciphertext
 envelope per part. A full key set is a directory, one file per level
 key and per boost, under a meta file naming the shape.
 
@@ -274,10 +275,40 @@ def _cannot_write(path, e: OSError) -> UsageError:
     return UsageError(f"cannot write {path}: {e}")
 
 
+def _write_json(write, obj, level: int) -> None:
+    # json.dumps(obj, indent=1) in pieces: a list of plain ints is one piece,
+    # and a scalar is json.dumps's own text for it.
+    pad = "\n" + " " * level
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = pad + " "
+        if set(map(type, obj)) == {int}:
+            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
+            return
+        for i, item in enumerate(obj):
+            write(("[" if i == 0 else ",") + inner)
+            _write_json(write, item, level + 1)
+        write(pad + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = pad + " "
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(("{" if i == 0 else ",") + inner + json.dumps(key) + ": ")
+            _write_json(write, value, level + 1)
+        write(pad + "}")
+    else:
+        write(json.dumps(obj))
+
+
 def save_json(doc: dict, path) -> None:
-    text = json.dumps(doc, indent=1) + "\n"
+    """Write doc to path; the bytes equal json.dumps(doc, indent=1) + "\n".
+
+    The text streams out piece by piece instead of being built whole.
+    """
     try:
-        Path(path).write_text(text)
+        with open(path, "w", encoding="utf-8") as f:
+            _write_json(f.write, doc, 0)
+            f.write("\n")
     except OSError as e:
         raise _cannot_write(path, e) from None
 

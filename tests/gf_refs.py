@@ -73,3 +73,11 @@ def ref_matmul(A: list[list[int]], B: list[list[int]], cols: int, modulus: int) 
                 acc[j] ^= ref_mul(a, b, modulus)
         out.append(acc)
     return out
+
+
+def ref_powers(a: int, width: int, modulus: int) -> list[int]:
+    """[a, a^2, ..., a^width], one multiplication after another."""
+    out = [a]
+    while len(out) < width:
+        out.append(ref_mul(out[-1], a, modulus))
+    return out[:width]

@@ -1,5 +1,7 @@
 """Linear algebra kernels against the naive references in gf_refs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from codehom.errors import ParameterError, UsageError
 from codehom.field import _ROW_TABLE_SHARE, FieldElement, FieldSpec, fe_pow, random_elements
+from codehom import linalg
 from codehom.linalg import (
     dot_arrays,
     identity_array,
@@ -19,7 +22,7 @@ from codehom.linalg import (
     vandermonde_array,
 )
 
-from gf_refs import ref_det, ref_matmul, ref_matvec, ref_mul, ref_rank_by_span
+from gf_refs import ref_det, ref_matmul, ref_matvec, ref_mul, ref_powers, ref_rank_by_span
 
 F4 = FieldSpec(2)
 F16 = FieldSpec(4)
@@ -119,6 +122,25 @@ def test_matmul_matches_naive_product(k, batches, m, p, n, seed):
     B = random_elements(spec, rng, bb + (p, n))
     A[rng.random(A.shape) < 0.2] = 0
     check_matmul_against_ref(spec, A, B)
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.sampled_from([4, 8, 16, 32, 64]), over=st.booleans(),
+       t=st.sampled_from([16, 32]), seed=st.integers(0, 2**32 - 1))
+def test_matmul_either_side_of_small_product_cutoff(k, over, t, seed):
+    # Batch (2, 2) x m x t x n products with t * n = 512: m = 16 is exactly
+    # _SMALL_PRODUCT elements and takes one mul_arrays call; m = 17 is one
+    # row over it and takes the t-step loop. Both must equal the naive
+    # product.
+    assert linalg._SMALL_PRODUCT == 2 * 2 * 16 * 512
+    spec = FieldSpec(k)
+    rng = np.random.default_rng(seed)
+    A = random_elements(spec, rng, (2, 1, 16 + over, t))
+    B = random_elements(spec, rng, (2, t, 512 // t))
+    A[rng.random(A.shape) < 0.1] = 0
+    with mock.patch.object(linalg, "mul_arrays", wraps=linalg.mul_arrays) as spy:
+        check_matmul_against_ref(spec, A, B)
+    assert spy.call_count == (t if over else 1)
 
 
 def test_matmul_row_tables_gf256():
@@ -263,6 +285,18 @@ def test_vandermonde_powers_start_at_one():
     assert col1[:, 0].tolist() == [3, 5, 17]
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([2, 4, 8, 16, 32, 64]), width=st.integers(1, 40),
+       shape=st.sampled_from([(), (5,), (2, 3)]), seed=st.integers(0, 2**32 - 1))
+def test_vandermonde_doubling_matches_sequential_powers(k, width, shape, seed):
+    spec = FieldSpec(k)
+    points = random_elements(spec, np.random.default_rng(seed), shape)
+    M = vandermonde_array(spec, points, width)
+    assert M.shape == shape + (width,) and M.dtype == spec.dtype
+    for ix in np.ndindex(*shape):
+        assert M[ix].tolist() == ref_powers(int(points[ix]), width, spec.modulus)
+
+
 def test_vandermonde_rejects_zero_width():
     with pytest.raises(ParameterError):
         vandermonde_array(F16, np.array([1], dtype=F16.dtype), 0)
@@ -302,6 +336,30 @@ def test_unimodular_det_one_100_seeds():
         M = random_unimodular_array(F16, 4, rng)
         assert ref_det(M.tolist(), F16.modulus) == 1
         assert rank_of(F16, M) == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from([4, 8, 16, 32, 64]), r=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_unimodular_is_explicit_lup(k, r, seed):
+    # Replay the draws (L below the diagonal, then U above it, both
+    # row-major, then the permutation) and multiply L, U and the
+    # permutation matrix P[i, perm[i]] = 1 out naively.
+    spec = FieldSpec(k)
+    rng = np.random.default_rng(seed)
+    got = random_unimodular_array(spec, r, rng)
+    replay = np.random.default_rng(seed)
+    L = identity_array(spec, r)
+    U = identity_array(spec, r)
+    il, jl = np.tril_indices(r, -1)
+    iu, ju = np.triu_indices(r, 1)
+    L[il, jl] = random_elements(spec, replay, il.size)
+    U[iu, ju] = random_elements(spec, replay, iu.size)
+    P = np.zeros((r, r), dtype=spec.dtype)
+    P[np.arange(r), replay.permutation(r)] = 1
+    LU = ref_matmul(L.tolist(), U.tolist(), r, spec.modulus)
+    assert got.tolist() == ref_matmul(LU, P.tolist(), r, spec.modulus)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_unimodular_rejects_bad_size():

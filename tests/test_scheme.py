@@ -2,7 +2,9 @@
 
 The substitution oracle here re-evaluates the full raw constraint system
 (tensor rows included) entry by entry, independent of the collapsed
-system the key generator actually solves.
+system behind the key generator's closed-form decryption vector; that
+closed form is also checked against the canonical solution of the
+collapsed system.
 """
 
 import numpy as np
@@ -10,13 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codehom.errors import ParameterError, UsageError
-from codehom.field import FieldElement, FieldSpec, random_elements
-from codehom.linalg import Matrix, Vector, dot_arrays, rank_batch, tensor_row_array
+from codehom.field import FieldElement, FieldSpec, random_distinct, random_elements
+from codehom.linalg import (
+    Matrix,
+    Vector,
+    dot_arrays,
+    rank_batch,
+    solve_canonical_array,
+    tensor_row_array,
+)
 from codehom.scheme import (
     Ciphertext,
     Params,
     PublicKey,
     SecretKey,
+    _decryption_support_vector,
     decrypt,
     decrypt_batch,
     dec_membership_batch,
@@ -29,6 +39,8 @@ from codehom.scheme import (
     noise_array,
     params_from_alpha,
 )
+
+from gf_refs import ref_powers
 
 F16 = FieldSpec(16)
 
@@ -143,6 +155,49 @@ def test_y_dec_satisfies_raw_system():
         residual, affine = raw_constraint_residuals(sk)
         assert residual == 0
         assert affine == 1
+
+
+def check_closed_form_y(k, s, zero_at, seed):
+    # The collapsed system, built from naive powers: sum_i y_i x_i^t = 0 for
+    # t = 1..2s/3 and sum_i y_i = 1, over s distinct points, 0 among them
+    # when zero_at is set.
+    spec = FieldSpec(k)
+    x = random_distinct(spec, np.random.default_rng(seed), s)
+    if zero_at is not None:
+        zero_at %= s
+        x[x == 0] = x[zero_at]
+        x[zero_at] = 0
+    d = 2 * s // 3
+    powers = [ref_powers(int(v), d, spec.modulus) for v in x]
+    A = np.array([[row[t] for row in powers] for t in range(d)] + [[1] * s], dtype=spec.dtype)
+    b = np.zeros(d + 1, dtype=spec.dtype)
+    b[-1] = 1
+    want = solve_canonical_array(spec, A, b)
+    assert want is not None
+    got = _decryption_support_vector(spec, x, s)
+    assert got.dtype == spec.dtype
+    assert got.tolist() == want.tolist()
+
+
+CLOSED_FORM_CASES = dict(
+    s=st.sampled_from([3, 6, 9, 12, 15]),
+    zero_at=st.one_of(st.none(), st.integers(0, 14)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([4, 8, 16]), **CLOSED_FORM_CASES)
+def test_closed_form_y_is_the_canonical_solution(k, s, zero_at, seed):
+    check_closed_form_y(k, s, zero_at, seed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(k=st.sampled_from([32, 64]), **CLOSED_FORM_CASES)
+def test_closed_form_y_is_the_canonical_solution_wide_fields(k, s, zero_at, seed):
+    # Above k = 16 every pivot of the oracle's elimination inverts through
+    # a power chain of about 2k products, so fewer examples.
+    check_closed_form_y(k, s, zero_at, seed)
 
 
 def test_y_dec_support():

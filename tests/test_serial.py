@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codehom import serial
 from codehom.circuit import format_netlist, gtree_circuit, parse_netlist
 from codehom.cli import main
-from codehom.errors import DataFormatError
+from codehom.errors import DataFormatError, UsageError
 from codehom.field import FieldElement, FieldSpec
 from codehom.hom import BoostConfig, hdec, hom_encrypt, hom_eval, hom_keygen
 from codehom.scheme import Params, decrypt, encrypt, keygen
@@ -89,6 +90,55 @@ def test_boost_aux_doc_round_trip(hom_keys):
     assert np.array_equal(back.assignment, aux.assignment)
     assert back.level_params == aux.level_params
     assert all(np.array_equal(x, y) for x, y in zip(back.links, aux.links))
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5)
+                   | st.lists(st.integers(0, 2**64 - 1), max_size=6)),
+    max_leaves=40,
+)
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_TREES)
+def test_writer_bytes_equal_json_dumps(doc, writer_dir):
+    # Empty containers, bools, floats (nan and infinities too), None,
+    # non-ASCII strings and lists of plain ints, nested.
+    path = writer_dir / "doc.json"
+    serial.save_json(doc, path)
+    assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
+
+
+def test_writer_deep_nesting_and_tuples(tmp_path):
+    doc = {"x": []}
+    for depth in range(150):
+        doc = [doc, depth, (True, None)] if depth % 2 else {"\u00e9\u4e2d": doc, "n": [depth, 2**64 - 1]}
+    serial.save_json(doc, tmp_path / "deep.json")
+    assert (tmp_path / "deep.json").read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
+
+
+def test_writer_key_file_bytes_equal_json_dumps(hom_keys, tmp_path):
+    for name, doc in [("boost", serial.encode_boost_aux(hom_keys.boosts[0])),
+                      ("sk", serial.encode_secret_key(hom_keys.levels[0][1]))]:
+        serial.save_json(doc, tmp_path / name)
+        assert (tmp_path / name).read_text() == json.dumps(doc, indent=1) + "\n"
+
+
+def test_writer_unwritable_path_is_usage_error(tmp_path):
+    with pytest.raises(UsageError, match="cannot write"):
+        serial.save_json({"a": [1, 2]}, tmp_path)
+    with pytest.raises(UsageError, match="cannot write"):
+        serial.save_json({"a": [1, 2]}, tmp_path / "absent" / "x.json")
 
 
 def test_rejects_wrong_format(keypair):
