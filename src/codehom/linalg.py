@@ -9,10 +9,10 @@ arithmetic goes through the kernels on their `.data`.
 Elimination pivots deterministically: first nonzero entry scanning
 left-to-right, top-to-bottom. solve_canonical_array returns the unique
 solution with that pivot choice and every free variable set to zero, so
-repeated calls on the same system agree bit for bit. No package path
-solves a system any more: keygen writes its decryption vector in closed
-form, and rref_array and solve_canonical_array stay as the test oracle
-that the closed form is checked against.
+repeated calls on the same system agree bit for bit. The package itself
+solves no system: keygen writes its decryption vector in closed form
+(scheme.py), and rref_array and solve_canonical_array are the test
+oracle that the closed form is checked against.
 """
 
 from __future__ import annotations

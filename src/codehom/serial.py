@@ -3,9 +3,10 @@
 Every file is one object tagged {"format": "codehom/v1", "kind": ...};
 field elements are plain integers so a desk-scale file stays greppable
 and diffable. The bytes written are json.dumps(doc, indent=1) plus a
-newline, streamed out a piece at a time rather than built whole. A replicated ciphertext nests one complete ciphertext
-envelope per part. A full key set is a directory, one file per level
-key and per boost, under a meta file naming the shape.
+newline, streamed out a piece at a time rather than built whole. A
+replicated ciphertext nests one complete ciphertext envelope per part.
+A full key set is a directory, one file per level key and per boost,
+under a meta file naming the shape.
 
 Loaders validate types, structure and value ranges and raise
 DataFormatError; a file that parses as JSON but violates a constructor
@@ -277,10 +278,11 @@ def _cannot_write(path, e: OSError) -> UsageError:
 
 def _write_json(write, obj, level: int) -> None:
     # json.dumps(obj, indent=1) in pieces: a list of plain ints is one piece,
-    # and a scalar is json.dumps's own text for it.
+    # and a scalar is json.dumps's own text for it. Dict keys are str, as in
+    # every envelope.
     pad = "\n" + " " * level
+    inner = pad + " "
     if isinstance(obj, (list, tuple)) and obj:
-        inner = pad + " "
         if set(map(type, obj)) == {int}:
             write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
             return
@@ -289,10 +291,7 @@ def _write_json(write, obj, level: int) -> None:
             _write_json(write, item, level + 1)
         write(pad + "]")
     elif isinstance(obj, dict) and obj:
-        inner = pad + " "
         for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             write(("{" if i == 0 else ",") + inner + json.dumps(key) + ": ")
             _write_json(write, value, level + 1)
         write(pad + "}")
@@ -301,10 +300,7 @@ def _write_json(write, obj, level: int) -> None:
 
 
 def save_json(doc: dict, path) -> None:
-    """Write doc to path; the bytes equal json.dumps(doc, indent=1) + "\n".
-
-    The text streams out piece by piece instead of being built whole.
-    """
+    """Write doc to path; the bytes equal json.dumps(doc, indent=1) + "\n"."""
     try:
         with open(path, "w", encoding="utf-8") as f:
             _write_json(f.write, doc, 0)
