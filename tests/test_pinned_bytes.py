@@ -1,9 +1,11 @@
-"""Seeded key files, pinned byte for byte.
+"""Seeded key files and reports, pinned byte for byte.
 
-Each case runs one CLI key command under a fixed seed and compares the
+Each case runs one CLI command under a fixed seed and compares the
 sha256 of what it wrote with a recorded digest. Any change to the RNG
 stream, to the key arithmetic or to the JSON bytes shows up here; a
 speed-up of keygen or of the key writer must leave every digest as it is.
+The error-budget report is pinned by its stdout: its text format carries
+no timings, so the seed fixes every byte of it.
 """
 
 import hashlib
@@ -56,3 +58,11 @@ def test_seeded_key_files_are_pinned(case, tmp_path, capsys):
     assert main([a.format(out=tmp_path) for a in argv]) == 0
     capsys.readouterr()
     assert tree_digest(tmp_path) == digest
+
+
+def test_seeded_budget_report_is_pinned(capsys):
+    assert main(["analyze", "budget", "--seed", "1", "--scale", "0.25"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ec523ef8eed7d83b8cdfd8ec5bad11604db1092b1abc76d0592761169ee355b3"
+    )
