@@ -6,6 +6,15 @@ rates against their stated bound with a 3-sigma tolerance computed at
 the bound itself. Reports merge associatively, so trial batches can be
 split across seeds or workers and recombined.
 
+The error budget's reenc and chain rows draw every trial's randomness in
+order, trial after trial, and then compute a block of TRIAL_BLOCK trials
+at once: keys, links and membership audits stacked along a trial axis.
+That is the draw-then-compute convention of scheme.py, sound because no
+draw depends on a computed value; the rows count exactly the failures a
+trial-by-trial loop counts, and a fixed block keeps their memory flat in
+the trial count. Every experiment refuses more than MAX_TRIALS trials
+before it allocates anything.
+
 The rank experiment realizes only the t selected key rows: the sampled
 evaluation points of a key restricted to T are distributed exactly like
 a fresh injective t-tuple, and the unimodular mixing factor is dropped
@@ -28,17 +37,43 @@ from .circuit import build_apxmaj, build_corr
 from .field import FieldSpec, random_distinct_batch, random_elements
 from .hom import enc_k_threshold
 from .linalg import rank_batch, vandermonde_array
-from .reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen
+from .reencrypt import chain_eval_arrays, chain_keygen, chain_keygen_batch
 from .scheme import (
     Params,
     decrypt_batch,
+    draw_encryption,
+    draw_key,
+    enc_membership_arrays,
     enc_membership_batch,
+    encrypt_arrays,
     encrypt_batch,
+    key_stack,
     keygen,
     noise_array,
+    stack_tuples,
 )
 
 Z95 = 1.959963984540054
+
+# Largest trial count any experiment accepts. The rank and noise
+# experiments and the budget's encfail and corr rows hold all their
+# trials in one array, tens to a few hundred bytes per trial.
+MAX_TRIALS = 1_000_000
+
+# Trials the budget's reenc and chain rows compute per stacked block.
+TRIAL_BLOCK = 512
+
+
+def check_trials(trials: int, what: str = "trials") -> None:
+    """UsageError unless 1 <= trials <= MAX_TRIALS."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise UsageError(f"{what} must lie in [1, {MAX_TRIALS:,}], got {trials:,}")
+
+
+def _blocks(trials: int):
+    """Trial counts of the successive blocks: TRIAL_BLOCK each, the rest last."""
+    for start in range(0, trials, TRIAL_BLOCK):
+        yield min(TRIAL_BLOCK, trials - start)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
@@ -215,10 +250,13 @@ def _reenc_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     t0 = time.perf_counter()
     p = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.004)
     failures = 0
-    for _ in range(trials):
-        _, sk_src = keygen(p, rng)
-        pk_tgt, sk_tgt = keygen(p, rng)
-        failures += not aux_is_good(aux_gen_basic(sk_src, pk_tgt, rng), sk_src, sk_tgt)
+    for T in _blocks(trials):
+        # per trial, in order: source key, target key, the link between them
+        src, tgt, link = zip(*((draw_key(p, rng), draw_key(p, rng), draw_encryption(p, rng, p.n))
+                               for _ in range(T)))
+        src, tgt = key_stack(p, src), key_stack(p, tgt)
+        Z = encrypt_arrays(p.field, tgt.P, src.y, *stack_tuples(link))
+        failures += int((~enc_membership_arrays(p, tgt.M, tgt.S, src.y, Z).all(axis=1)).sum())
     return _budget_row(
         "reencryption aux good except n*eta'*s'", p.n * p.eta * p.s, trials, failures, t0,
         {"n": p.n, "s": p.s, "eta_tgt": p.eta},
@@ -249,13 +287,13 @@ def _chain_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     base = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.002)
     d = 3
     failures = 0
-    for _ in range(trials):
-        keys = chain_keygen(16, 0.0, d, rng, base=base)
-        good = all(
-            aux_is_good(keys.links[i], keys.levels[i][1], keys.levels[i + 1][1])
-            for i in range(d)
-        )
-        failures += not good
+    for T in _blocks(trials):
+        chains = chain_keygen_batch(16, 0.0, d, rng, T, base=base)
+        good = np.ones(T, dtype=bool)
+        for i, Z in enumerate(chains.links):
+            src, tgt = chains.levels[i], chains.levels[i + 1]
+            good &= enc_membership_arrays(base, tgt.M, tgt.S, src.y, Z).all(axis=1)
+        failures += int((~good).sum())
     return _budget_row(
         "chain setup error <= d*kappa", d * 16 * base.eta * base.s, trials, failures, t0,
         {"n": 16, "d": d, "eta": base.eta},
@@ -302,6 +340,8 @@ def error_budget(
     the harness honest about its own power.
     """
     t = dict(BUDGET_TRIALS, **(trials or {}))
+    for name, n in t.items():
+        check_trials(n, f"{name} trials")
     return [
         _encfail_row(t["encfail"], rng, 2.0 if negative_control else 1.0),
         _reenc_row(t["reenc"], rng),

@@ -29,8 +29,15 @@ import numpy as np
 from .errors import ConstructionError, ParameterError, UsageError
 from .circuit import walk_gtree
 from .linalg import matmul_arrays
-from .reencrypt import aux_gen_basic
-from .scheme import Params, PublicKey, SecretKey, keygen
+from .scheme import (
+    Params,
+    PublicKey,
+    SecretKey,
+    draw_encryption,
+    encrypt_arrays,
+    keygen,
+    stack_tuples,
+)
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,10 @@ def boost_aux_gen(
 
     The chain runs source key, tree_depth midway keys of length mid_n,
     target key; every layer of the G-tree crosses one link. mid_n only
-    has to carry the bit through, so it is small by default.
+    has to carry the bit through, so it is small by default. Every draw
+    is taken in the order of output, then level: a midway key, then the
+    link into it. Each level's links are then encrypted for all outputs
+    in one stacked call.
     """
     p_src = sk.params
     p_tgt = pk_next.params
@@ -202,17 +212,21 @@ def boost_aux_gen(
         eta=p_src.eta,
     )
     level_params = [p_src] + [p_mid] * d_tree + [p_tgt]
-    links = [
-        np.empty((graph.k, a.n, bnext.n), dtype=p_src.field.dtype)
-        for a, bnext in zip(level_params[:-1], level_params[1:])
-    ]
-    for j in range(graph.k):
-        sk_prev = sk
+    mids = [[] for _ in range(d_tree)]          # per level: each output's (P, y)
+    draws = [[] for _ in range(d_tree + 1)]     # per link: each output's (X, E)
+    for _ in range(graph.k):
         for l in range(d_tree):
             pk_mid, sk_mid = keygen(p_mid, rng)
-            links[l][j] = aux_gen_basic(sk_prev, pk_mid, rng)
-            sk_prev = sk_mid
-        links[d_tree][j] = aux_gen_basic(sk_prev, pk_next, rng)
+            mids[l].append((pk_mid.P.data, sk_mid.y_dec.data))
+            draws[l].append(draw_encryption(p_mid, rng, level_params[l].n))
+        draws[d_tree].append(draw_encryption(p_tgt, rng, mid_n))
+    mids = [stack_tuples(level) for level in mids]
+    targets = [P for P, _ in mids] + [pk_next.P.data]
+    sources = [sk.y_dec.data] + [y for _, y in mids]
+    links = [
+        encrypt_arrays(p_src.field, P, y, *stack_tuples(level))
+        for P, y, level in zip(targets, sources, draws)
+    ]
     return BoostAux(graph, assignment, level_params, links)
 
 

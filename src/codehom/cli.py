@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 usage, 2 parameter validation, 3 malformed
 data, 4 violated bound. An explicit --seed makes any command
 bit-reproducible; no environment variable is consulted, seeds are
 always spelled out. --jobs changes only how experiment trials are
-chunked across worker threads; the chunk count enters seed derivation,
-so one (seed, jobs) pair always produces one output.
+chunked; the chunk count enters seed derivation, so one (seed, jobs)
+pair always produces one output. The chunks run on at most os.cpu_count()
+worker threads. No experiment takes more than MAX_TRIALS trials, per run
+or per budget row; larger counts exit 1 before anything is allocated.
 
 Two hom-keygen presets exist. `desk` is the configuration everything
 else in the artifact uses: noiseless, sized to run in seconds. In
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import tempfile
 from functools import reduce
@@ -35,6 +38,7 @@ from .errors import (
 from .analysis import (
     BUDGET_TRIALS,
     budget_text,
+    check_trials,
     error_budget,
     merge_reports,
     rank_deficiency_constant,
@@ -85,15 +89,14 @@ def _split_trials(trials: int, jobs: int) -> list[int]:
 
 def _run_split(fn, trials: int, seed, jobs: int):
     """fn(trials, rng) on split RNG streams, merged associatively."""
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     chunks = _split_trials(trials, jobs)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = [np.random.default_rng(s) for s in ss.spawn(len(chunks))]
+    seeds = ss.spawn(len(chunks))
     if len(chunks) == 1:
-        return fn(trials, streams[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(fn, chunks, streams))
+        return fn(trials, np.random.default_rng(seeds[0]))
+    with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+        parts = list(pool.map(lambda n, s: fn(n, np.random.default_rng(s)), chunks, seeds))
     return reduce(merge_reports, parts)
 
 

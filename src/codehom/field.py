@@ -360,20 +360,16 @@ def random_distinct(spec: FieldSpec, rng: np.random.Generator, n: int) -> np.nda
     """n distinct field elements, sampled without replacement by rejection."""
     if n > spec.q:
         raise ParameterError(f"cannot draw {n} distinct elements from a field of size {spec.q}")
-    out = np.empty(n, dtype=spec.dtype)
+    out: list[int] = []
     seen: set[int] = set()
-    have = 0
-    while have < n:
-        batch = rng.integers(0, spec.q, size=n - have + 8, dtype=spec.dtype)
-        for v in batch:
-            iv = int(v)
-            if iv not in seen:
-                seen.add(iv)
-                out[have] = v
-                have += 1
-                if have == n:
+    while len(out) < n:
+        for v in rng.integers(0, spec.q, size=n - len(out) + 8, dtype=spec.dtype).tolist():
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+                if len(out) == n:
                     break
-    return out
+    return np.array(out, dtype=spec.dtype)
 
 
 def random_distinct_batch(

@@ -180,18 +180,44 @@ def random_unimodular_array(spec: FieldSpec, r: int, rng: np.random.Generator) -
     L and U are random unitriangular, P a permutation matrix. det(P) = 1
     because -1 = 1 in characteristic 2. Not uniform over the full
     determinant-one group; nothing downstream is sensitive to that.
-    The off-diagonal entries are drawn in row-major order, L's first.
-    P[i, perm[i]] = 1, so (L · U · P)[:, perm] = L · U.
+    The draws are unimodular_draws', the arithmetic unimodular_from_draws'.
+    """
+    lower, upper, perm = unimodular_draws(spec, r, rng)
+    return unimodular_from_draws(spec, lower[None], upper[None], perm[None])[0]
+
+
+def unimodular_draws(
+    spec: FieldSpec, r: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random values of one r x r unimodular matrix, in order.
+
+    L's off-diagonal entries, then U's, each in row-major order, then
+    the permutation.
     """
     if r < 1:
         raise ParameterError(f"matrix size must be >= 1, got {r}")
+    m = r * (r - 1) // 2
+    return random_elements(spec, rng, m), random_elements(spec, rng, m), rng.permutation(r)
+
+
+def unimodular_from_draws(
+    spec: FieldSpec, lower: np.ndarray, upper: np.ndarray, perm: np.ndarray
+) -> np.ndarray:
+    """(T, r, r) stack of L · U · P from T stacked unimodular_draws.
+
+    lower and upper are (T, r(r-1)/2), perm is (T, r). P[i, perm[i]] = 1,
+    so (L · U · P)[:, perm] = L · U.
+    """
+    T, r = perm.shape
     below = np.tri(r, r, -1, dtype=bool)
-    L = identity_array(spec, r)
-    U = identity_array(spec, r)
-    L[below] = random_elements(spec, rng, r * (r - 1) // 2)
-    U[below.T] = random_elements(spec, rng, r * (r - 1) // 2)
-    out = np.empty((r, r), dtype=spec.dtype)
-    out[:, rng.permutation(r)] = matmul_arrays(spec, L, U)
+    LU = np.zeros((2, T, r, r), dtype=spec.dtype)
+    LU[0][:, below] = lower
+    LU[1][:, below.T] = upper
+    diag = np.arange(r)
+    LU[..., diag, diag] = 1
+    LU = matmul_arrays(spec, LU[0], LU[1])
+    out = np.empty_like(LU)
+    out[np.arange(T)[:, None, None], diag[:, None], perm[:, None, :]] = LU
     return out
 
 

@@ -10,6 +10,10 @@ damage exactly.
 
 A chain is its key pairs and links (ChainKeys). chain_eval_arrays takes
 it as keys.level_params and keys.links, the two fields a BoostAux has.
+chain_keygen_batch draws T chains in order, one after the other, and
+then computes each level's keys and links for all T at once (the
+draw-then-compute convention of scheme.py); chain_keygen is its T = 1
+case.
 
 chain evaluation convention: circuit.Schedule's, link l being the
 crossing after level l of a chain spanning levels 0..L. Link 0
@@ -38,13 +42,19 @@ from .field import FieldSpec, mul_arrays
 from .linalg import Vector, matmul_arrays
 from .scheme import (
     Ciphertext,
+    KeyStack,
     Params,
     PublicKey,
     SecretKey,
+    draw_encryption,
+    draw_key,
     enc_membership_batch,
+    encrypt_arrays,
     encrypt_batch,
+    key_stack,
     keygen,
     params_from_alpha,
+    stack_tuples,
 )
 
 SIZE_CAP = 1 << 22  # largest level length chain generation will attempt
@@ -133,6 +143,53 @@ def _level_params(n_i: int, alpha: float, base: Params | None, field: FieldSpec 
     return p
 
 
+@dataclass(frozen=True)
+class ChainStack:
+    """T chains of one shape: levels[i] holds every chain's level-i keys,
+    links[i] is the (T, n_i, n_{i+1}) stack of their level-i links."""
+
+    levels: tuple[KeyStack, ...]
+    links: tuple[np.ndarray, ...]
+
+    def chain(self, t: int) -> ChainKeys:
+        return ChainKeys(tuple(ks.pair(t) for ks in self.levels),
+                         tuple(Z[t] for Z in self.links))
+
+
+def chain_keygen_batch(
+    n0: int,
+    alpha: float,
+    d: int,
+    rng: np.random.Generator,
+    trials: int,
+    base: Params | None = None,
+    aux_eta: float | None = None,
+) -> ChainStack:
+    """trials fresh chains, each as chain_keygen would draw it, in turn.
+
+    With alpha > 0 and no base, each level gets the alpha-family
+    parameters at its own length (sharing the largest level's field).
+    A flat chain (alpha = 0) has no parameter family to draw from, so it
+    requires an explicit base whose r, s, eta every level inherits.
+    Each chain draws its d + 1 keys, then its d links; the arithmetic
+    then runs once per level over all chains.
+    """
+    sizes = chain_sizes(n0, alpha, d)
+    if base is None and alpha == 0:
+        raise ParameterError("a flat chain (alpha = 0) needs explicit base parameters")
+    field = base.field if base is not None else _level_params(sizes[-1], alpha, None, None).field
+    params = [_level_params(n_i, alpha, base, field) for n_i in sizes]
+    keys, links = [], []
+    for _ in range(trials):
+        keys.append([draw_key(p, rng) for p in params])
+        links.append([draw_encryption(q, rng, p.n, aux_eta) for p, q in zip(params, params[1:])])
+    levels = tuple(key_stack(p, level) for p, level in zip(params, zip(*keys)))
+    return ChainStack(levels, tuple(
+        encrypt_arrays(field, tgt.P, src.y, *stack_tuples(draws))
+        for src, tgt, draws in zip(levels, levels[1:], zip(*links))
+    ))
+
+
 def chain_keygen(
     n0: int,
     alpha: float,
@@ -141,22 +198,9 @@ def chain_keygen(
     base: Params | None = None,
     aux_eta: float | None = None,
 ) -> ChainKeys:
-    """Fresh keys at geometrically growing lengths, linked by basic aux.
-
-    With alpha > 0 and no base, each level gets the alpha-family
-    parameters at its own length (sharing the largest level's field).
-    A flat chain (alpha = 0) has no parameter family to draw from, so it
-    requires an explicit base whose r, s, eta every level inherits.
-    """
-    sizes = chain_sizes(n0, alpha, d)
-    if base is None and alpha == 0:
-        raise ParameterError("a flat chain (alpha = 0) needs explicit base parameters")
-    field = base.field if base is not None else _level_params(sizes[-1], alpha, None, None).field
-    levels = tuple(keygen(_level_params(n_i, alpha, base, field), rng) for n_i in sizes)
-    links = tuple(
-        aux_gen_basic(levels[i][1], levels[i + 1][0], rng, eta=aux_eta) for i in range(d)
-    )
-    return ChainKeys(levels, links)
+    """Fresh keys at geometrically growing lengths, linked by basic aux:
+    chain_keygen_batch's one-chain case."""
+    return chain_keygen_batch(n0, alpha, d, rng, 1, base, aux_eta).chain(0)
 
 
 # ---------------------------------------------------------------------------

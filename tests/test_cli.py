@@ -5,6 +5,9 @@ import shutil
 
 import pytest
 
+import codehom.analysis
+import codehom.cli
+from codehom.analysis import MAX_TRIALS
 from codehom.cli import main
 
 
@@ -286,6 +289,89 @@ def test_analyze_budget_exit_codes(capsys):
         code, _, err = run(capsys, "analyze", "budget", "--scale", scale, "--seed", "7")
         assert code == 1
         assert "--scale" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "budget", "--scale", "1e15", "--seed", "1"],
+    ["analyze", "budget", "--scale", "1e300", "--seed", "1", "--format", "json"],
+    ["analyze", "rank", "--trials", str(MAX_TRIALS + 1), "--seed", "1"],
+    ["analyze", "noise", "--trials", "10000000000000", "--jobs", "1000000000000"],
+    ["analyze", "noise", "--trials", "0"],
+])
+def test_analyze_trial_counts_outside_the_cap_exit_1(argv, capsys, monkeypatch):
+    # Rejected before any experiment runs, so before anything is allocated.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+    for name in ("_encfail_row", "_reenc_row", "_corr_row", "_chain_row", "_boost_row"):
+        monkeypatch.setattr(codehom.analysis, name, must_not_run)
+    monkeypatch.setattr(codehom.cli, "rank_experiment", must_not_run)
+    monkeypatch.setattr(codehom.cli, "randomness_recovery_experiment", must_not_run)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"[1, {MAX_TRIALS:,}]" in err
+
+
+def test_analyze_budget_at_the_cap_is_accepted(capsys, monkeypatch):
+    # encfail at scale 250 asks for exactly MAX_TRIALS trials; the rows are
+    # stubbed, so only the check runs.
+    seen = {}
+
+    def row(trials, rng, *rest):
+        seen[len(seen)] = trials
+        return codehom.analysis._budget_row("stub", 1.0, trials, 0, 0.0, {})
+    for name in ("_encfail_row", "_reenc_row", "_corr_row", "_chain_row", "_boost_row"):
+        monkeypatch.setattr(codehom.analysis, name, row)
+    assert run(capsys, "analyze", "budget", "--scale", "250", "--seed", "1")[0] == 0
+    assert seen[0] == MAX_TRIALS
+    assert run(capsys, "analyze", "budget", "--scale", "250.001", "--seed", "1")[0] == 1
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [(8, 2, 2), (1000, 2, 2), (3, 16, 3), (8, None, 1)])
+def test_jobs_run_on_at_most_cpu_count_threads(jobs, cpus, workers, capsys, monkeypatch):
+    monkeypatch.setattr(codehom.cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(codehom.cli.os, "cpu_count", lambda: cpus)
+    RecordingPool.workers = []
+    code, out, _ = run(capsys, "analyze", "rank", "--trials", "100", "--jobs", jobs,
+                       "--seed", "3", "--format", "json")
+    assert code == 0
+    assert RecordingPool.workers == [workers]
+    assert json.loads(out)["trials"] == 100
+
+
+def test_jobs_output_is_fixed_by_seed_and_jobs(capsys, monkeypatch):
+    # The chunk split, and so the output, depends on --jobs alone, never on
+    # the worker count: 8 chunks over 2 threads (the real pool) or run
+    # serially give the report recorded before the pool was capped.
+    argv = ["analyze", "rank", "--trials", "100", "--jobs", "8", "--seed", "3",
+            "--format", "json"]
+    monkeypatch.setattr(codehom.cli.os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    real = json.loads(out)
+    monkeypatch.setattr(codehom.cli, "ThreadPoolExecutor", RecordingPool)
+    serial = json.loads(run(capsys, *argv)[1])
+    real.pop("seconds"), serial.pop("seconds")
+    assert real == serial
+    assert (real["trials"], real["successes"]) == (100, 99)
 
 
 def test_selftest_passes(capsys):
