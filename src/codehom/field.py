@@ -40,17 +40,16 @@ MODULI = {
 _TABLE_LIMIT = 16   # largest k that gets log/exp tables
 _PRODUCT_LIMIT = 8  # largest k that gets a q x q product table
 
-# mul_arrays gathers rows from a table of a row operand's multiples when
-# that table has at most 1/_ROW_TABLE_SHARE of the output's elements. With
-# row tables sliced from the product table, on a boost's link-step layout
-# (column (m, rows, 1, 1) x row (rows, 1, n); rows 4 or 32, n 16 or 128)
-# the row path ran 1.0-1.2x (k = 4) and 1.3-3.1x (k = 8) as fast as the
-# one-gather product at table = 2x output, and 1.7-6x at table = output.
-# The cut-off still stays at half the output: no end-to-end run has shown
-# a gain from moving it, and in a desk-eval cycle the link steps with
-# table between 1/2 and 2x their output take 0.11 s of 0.83 s (numpy 2.4
-# on a 2-core Xeon host).
-_ROW_TABLE_SHARE = 2
+# mul_arrays gathers rows from a table of a row operand's multiples whenever
+# that table has no more elements than the output it replaces. Measured at
+# table = output on a boost's link-step layout (column (q, rows, 1, 1) x row
+# (rows, 1, n); best of 7, numpy 2.4 on a 2-core Xeon host), the row path
+# against the element-wise product: k = 4, 0.97x at rows 4, n 16 (1K
+# outputs) and 1.7-2.3x at 8K-64K outputs; k = 8, 3.5-5.9x (rows 4 or 32,
+# n 16 or 128); k = 16, whose table is built through log/exp, 1.0-1.06x.
+# An encryption step at paper-dryrun, (256, 1) x (1, 32) at k = 8, ran
+# 2.9x as fast. No shape measured at or below the cut-off ran slower by
+# more than the 3% at the smallest one.
 
 # Whole-row redraws random_distinct_batch makes before it draws the rows
 # that still collide with random_distinct. A row that is injective with
@@ -269,10 +268,10 @@ def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
       row operand) is not, as in the steps A[..., :, t, None] *
       B[..., t, None, :] of matmul_arrays. Every multiple of each row is
       tabled once, and the output is gathered a whole row at a time
-      (0.16-0.3 ns per element in a desk boost). Taken only when the
-      table has at most half the output's elements (_ROW_TABLE_SHARE);
-      for k <= 8 the table is rows of the product table, 2-5x faster to
-      build than through log/exp.
+      (0.16-0.3 ns per element in a desk boost). Taken whenever the
+      table has no more elements than the output; for k <= 8 the table
+      is rows of the product table, 2-5x faster to build than through
+      log/exp.
 
     Above k = 16 the product is _mul_bitloop's shift-and-reduce. The
     result never shares memory with the tables or the inputs.
@@ -285,7 +284,7 @@ def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
         col, row = (a, b) if a.shape[-1] == 1 else (b, a)
         rows = math.prod(row.shape[:-1])
         table, out = rows * spec.q * row.shape[-1], np.broadcast(a, b).size
-        if _ROW_TABLE_SHARE * table <= out:
+        if table <= out:
             return _mul_rows(spec, col, row, rows)
     # asarray: with two 0-d operands the gather gives a numpy scalar.
     if spec._prod is not None:

@@ -39,6 +39,9 @@ from .field import FieldSpec, inv_arrays, mul_arrays, random_elements
 # once its steps gather from row tables (numpy 2.4 on a 2-core Xeon host).
 _SMALL_PRODUCT = 1 << 15
 
+# Width of the column blocks unimodular_from_draws contracts L · U in.
+_LU_BLOCK = 32
+
 
 def matmul_arrays(spec: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix product over F_q; leading batch dimensions broadcast."""
@@ -51,13 +54,20 @@ def matmul_arrays(spec: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if math.prod(batch) * m * t * n <= _SMALL_PRODUCT:
         prod = mul_arrays(spec, A[..., :, :, None], B[..., None, :, :])
         return np.bitwise_xor.reduce(prod, axis=-2)
-    out = np.zeros(batch + (m, n), dtype=spec.dtype)
     # Contraction loop. Each step is a column x row product, which mul_arrays
-    # gathers whole rows for from a table of B's row multiples when the
-    # table is small next to the step's output.
+    # gathers whole rows for from a table of the row operand's multiples when
+    # that table is no larger than the step's output. The table has q entries
+    # per element of the row operand's step slice, so the smaller slice is
+    # made the row operand: B's rows B[..., j, :] as they stand, or A's
+    # columns A[..., :, j] by looping over (B^T A^T)^T instead. The same
+    # products are formed either way, so the result is the same.
+    flip = math.prod(A.shape[:-1]) < math.prod(B.shape[:-2]) * n
+    if flip:
+        A, B = np.swapaxes(B, -1, -2), np.swapaxes(A, -1, -2)
+    out = np.zeros(batch + A.shape[-2:-1] + B.shape[-1:], dtype=spec.dtype)
     for j in range(t):
         out ^= mul_arrays(spec, A[..., :, j, None], B[..., j, None, :])
-    return out
+    return np.ascontiguousarray(np.swapaxes(out, -1, -2)) if flip else out
 
 
 def dot_arrays(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,7 +225,17 @@ def unimodular_from_draws(
     LU[1][:, below.T] = upper
     diag = np.arange(r)
     LU[..., diag, diag] = 1
-    LU = matmul_arrays(spec, LU[0], LU[1])
+    L, U = LU
+    # L · U in column blocks of L (row blocks of U). L's columns [j0, j1)
+    # are zero above row j0 and U's rows [j0, j1) left of column j0, so a
+    # block adds only into LU[j0:, j0:]. Skipping the structural zeros
+    # leaves 41% of the r^3 products at r = 215: 13 ms per key against
+    # 28 ms for the full product (2-core Xeon host). r <= _LU_BLOCK is one
+    # call.
+    LU = matmul_arrays(spec, L[..., :_LU_BLOCK], U[:, :_LU_BLOCK])
+    for j0 in range(_LU_BLOCK, r, _LU_BLOCK):
+        j1 = j0 + _LU_BLOCK
+        LU[:, j0:, j0:] ^= matmul_arrays(spec, L[:, j0:, j0:j1], U[:, j0:j1, j0:])
     out = np.empty_like(LU)
     out[np.arange(T)[:, None, None], diag[:, None], perm[:, None, :]] = LU
     return out

@@ -273,18 +273,12 @@ def encrypt_arrays(
 
     P is (..., n, r), ms (..., T), X (..., T, r), E (..., T, n); the
     leading axes broadcast, so one call encrypts under a stack of keys.
-    One key's block forms its T·n·r products in one dot_arrays call,
-    1.5-1.7x as fast as matmul_arrays' r-step loop on hom_encrypt's
-    shapes (T = 32, n = 128 or 256, r = 48 or 215). A stack takes the
-    loop: its one-call product would be T·n·r per key, 14M elements for
-    the top level of a paper-dryrun boost, and the loop was as fast or
-    faster on every stacked shape measured.
+    One matmul_arrays call forms X P^T for one key and for a stack alike.
+    It chooses which operand to table; at hom_encrypt's shapes (T = 32
+    rows against n = 128 or 256 entries) that is X's columns.
     """
     ms = np.asarray(ms, dtype=spec.dtype)
-    if P.ndim == 2 and X.ndim == 2:
-        C = dot_arrays(spec, P, X[:, None, :])
-    else:
-        C = matmul_arrays(spec, X, np.swapaxes(P, -1, -2))
+    C = matmul_arrays(spec, X, np.swapaxes(P, -1, -2))
     return C ^ ms[..., None] ^ E
 
 

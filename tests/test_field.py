@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 from codehom import field
 from codehom.errors import ParameterError, UsageError
 from codehom.field import (
-    _ROW_TABLE_SHARE,
     MODULI,
     FieldElement,
     FieldSpec,
@@ -203,7 +202,8 @@ def test_mul_arrays_column_times_row_matches_bitloop(k, batches, n, step, zero_r
         rb = (1,) * len(rb)  # keeps the GF(2^16) products near the cut-off small
     row_shape = (n,) if rb is None else rb + (1, n)
     batch = np.broadcast_shapes(cb, rb or ())
-    edge = -(-_ROW_TABLE_SHARE * int(np.prod(rb or ())) * f.q // int(np.prod(batch)))
+    # table = rows * q * n and output = prod(batch) * length * n
+    edge = -(-int(np.prod(rb or ())) * f.q // int(np.prod(batch)))
     length = int(rng.integers(0, 6)) if step is None else max(edge + step, 0)
     col = sample(f, rng, cb + (length, 1), zero_rate)
     row = sample(f, rng, row_shape, zero_rate)
@@ -219,7 +219,7 @@ def test_row_table_cut_off(k, monkeypatch):
     taken = []
     real = field._mul_rows
     monkeypatch.setattr(field, "_mul_rows", lambda *args: taken.append(1) or real(*args))
-    edge = _ROW_TABLE_SHARE * f.q  # column length where table = output / share
+    edge = f.q  # column length where table = output
     row = sample(f, rng, (1, 3), 0.3)
     for length, row_path in ((edge - 1, False), (edge, True)):
         col = sample(f, rng, (length, 1), 0.3)
@@ -277,7 +277,7 @@ def test_cached_tables_are_read_only(k):
 @pytest.mark.parametrize("k", TABLE_KS)
 @pytest.mark.parametrize("sa, sb", [
     ((64, 8), (64, 8)),                       # element-wise
-    ((4 * _ROW_TABLE_SHARE * 4, 1), (1, 4)),  # row path for k <= 4
+    ((16, 1), (1, 4)),                        # row path for k <= 4: table 4q, output 64
     ((), ()),
 ])
 def test_in_place_xor_on_a_product_leaves_tables_intact(k, sa, sb):

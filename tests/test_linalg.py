@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from codehom.errors import ParameterError, UsageError
-from codehom.field import _ROW_TABLE_SHARE, FieldElement, FieldSpec, fe_pow, random_elements
-from codehom import linalg
+from codehom import field, linalg
+from codehom.field import FieldElement, FieldSpec, fe_pow, random_elements
 from codehom.linalg import (
     dot_arrays,
     identity_array,
     matmul_arrays,
     random_unimodular_array,
     rank_batch,
+    unimodular_draws,
+    unimodular_from_draws,
     rref_array,
     solve_canonical_array,
     tensor_row_array,
@@ -65,7 +67,7 @@ def test_matvec_matches_reference():
         got = dot_arrays(F256, A, x[None, :])
         want = ref_matvec(A.tolist(), x.tolist(), F256.modulus)
         assert got.tolist() == want
-        # encrypt_batch's form: one product row per row of X
+        # a block of vectors: one product row per row of X
         X = random_elements(F256, rng, (3, n))
         got = dot_arrays(F256, A, X[:, None, :])
         assert got.tolist() == [ref_matvec(A.tolist(), x.tolist(), F256.modulus) for x in X]
@@ -143,31 +145,124 @@ def test_matmul_either_side_of_small_product_cutoff(k, over, t, seed):
     assert spy.call_count == (t if over else 1)
 
 
-def test_matmul_row_tables_gf256():
-    # Each contraction step makes 2 x 256 x 5 outputs from a table of
-    # 256 x 5 multiples of B's row: exactly at the cut-off, on the row path.
+@pytest.fixture
+def tabled_rows(monkeypatch):
+    """Row operand shape of every mul_arrays call that takes the row-table case."""
+    rows, real = [], field._mul_rows
+    monkeypatch.setattr(field, "_mul_rows",
+                        lambda spec, col, row, n: rows.append(row.shape) or real(spec, col, row, n))
+    return rows
+
+
+def test_matmul_row_tables_gf256(tabled_rows):
+    # (2, m, 3) x (3, 5) is one mul_arrays call of (2, m, 3, 1) x (3, 5)
+    # columns and rows: a table of 3 x 256 x 5 multiples of B's rows against
+    # 2 x m x 3 x 5 outputs. m = q/2 puts the table exactly at the output's
+    # size, on the row path; one row fewer stays element-wise.
     rng = np.random.default_rng(24)
-    A = random_elements(F256, rng, (2, _ROW_TABLE_SHARE * F256.q // 2, 3))
-    A[:, ::7] = 0
-    B = random_elements(F256, rng, (3, 5))
-    check_matmul_against_ref(F256, A, B)
+    for m, row_path in ((F256.q // 2 - 1, False), (F256.q // 2, True)):
+        A = random_elements(F256, rng, (2, m, 3))
+        A[:, ::7] = 0
+        B = random_elements(F256, rng, (3, 5))
+        tabled_rows.clear()
+        check_matmul_against_ref(F256, A, B)
+        assert len(tabled_rows) == row_path, m
 
 
-def test_elimination_row_tables_on_tall_matrices():
-    # With _ROW_TABLE_SHARE * q rows or more, the rref and rank_batch
-    # updates take the row-table case; the 4-row transposes do not.
+def test_elimination_row_tables_on_tall_matrices(tabled_rows):
+    # A rank_batch or rref update multiplies an (m, 1) column of factors by
+    # a pivot row of length n: its table q x n is no larger than its m x n
+    # output once m >= q. With q + 3 rows the updates take the row-table
+    # case; the 4-row transposes do not.
     rng = np.random.default_rng(25)
-    m = _ROW_TABLE_SHARE * F16.q + 3
+    m = F16.q + 3
     stack = random_elements(F16, rng, (6, m, 4))
     stack[1, :, 3] = stack[1, :, 0]
     stack[2, :, 1:] = 0
     got = rank_batch(F16, stack)
+    assert tabled_rows
+    tabled_rows.clear()
     assert got.tolist() == rank_batch(F16, stack.transpose(0, 2, 1)).tolist()
+    assert not tabled_rows
     assert got.tolist()[:3] == [4, 3, 1]
     A = stack[0]
     b = dot_arrays(F16, A, random_elements(F16, rng, 4)[None, :])
     y = solve_canonical_array(F16, A, b)
     assert ref_matvec(A.tolist(), y.tolist(), F16.modulus) == b.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([4, 8, 16, 32]),
+    batches=mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=2),
+    shared=st.booleans(),
+    long=st.integers(1, 300),
+    short=st.integers(1, 4),
+    tall=st.booleans(),
+    t=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_loop_matches_naive_product(k, batches, shared, long, short, tall, t, seed):
+    # The contraction loop (the one-call path switched off) on shapes where
+    # either operand's step slice is the smaller, so either one is tabled:
+    # a tall A (long m, short n) tables B's rows, a wide B A's columns. With
+    # `shared`, one unbatched B against a stack of A, as an encryption of
+    # stacked X under one key's P^T. Long sides up to 300 reach the row
+    # path for q = 16 and q = 256.
+    spec = FieldSpec(k)
+    rng = np.random.default_rng(seed)
+    ba, bb = ((2,), ()) if shared else batches.input_shapes
+    m, n = (long, short) if tall else (short, long)
+    A = random_elements(spec, rng, ba + (m, t))
+    B = random_elements(spec, rng, bb + (t, n))
+    A[rng.random(A.shape) < 0.2] = 0
+    with mock.patch.object(linalg, "_SMALL_PRODUCT", 0):
+        check_matmul_against_ref(spec, A, B)
+
+
+@pytest.mark.parametrize("k, shape_a, shape_b, tabled", [
+    (4, (300, 3), (3, 5), (1, 5)),          # A's slice 300 > B's 5: B's rows
+    (8, (2, 4, 3), (3, 256), (2, 1, 4)),    # stacked X (8 rows) against one P^T (256)
+    (4, (4, 3), (2, 3, 8), (1, 4)),         # A's slice 4 < B's 2 x 8: A's columns
+    (4, (32, 3), (2, 3, 16), (2, 1, 16)),   # equal slices, 32 each, keep B's rows
+    (8, (4, 3), (3, 5), None),              # either table would outgrow the output
+])
+def test_matmul_tables_the_smaller_operand(k, shape_a, shape_b, tabled, tabled_rows):
+    # Every contraction step tables the operand with the smaller step slice:
+    # B's row j, shape B.batch + (1, n), or A's column j as a row, shape
+    # A.batch + (1, m).
+    spec = FieldSpec(k)
+    rng = np.random.default_rng(26)
+    A = random_elements(spec, rng, shape_a)
+    B = random_elements(spec, rng, shape_b)
+    with mock.patch.object(linalg, "_SMALL_PRODUCT", 0):
+        check_matmul_against_ref(spec, A, B)
+    assert tabled_rows == ([tabled] * A.shape[-1] if tabled else [])
+
+
+@pytest.mark.parametrize("r", [1, 31, 32, 33, 64, 215])
+def test_blocked_lu_matches_full_product(r):
+    # unimodular_from_draws contracts L · U in column blocks and skips
+    # their structural zeros; the full matmul_arrays(L, U), with its
+    # columns placed by the permutation, is the oracle. Three stacked keys.
+    spec = F256
+    rng = np.random.default_rng(27 + r)
+    draws = [np.array(d) for d in zip(*(unimodular_draws(spec, r, rng) for _ in range(3)))]
+    lower, upper, perm = draws
+    L = np.zeros((3, r, r), dtype=spec.dtype)
+    U = np.zeros((3, r, r), dtype=spec.dtype)
+    below = np.tri(r, r, -1, dtype=bool)
+    L[:, below] = lower
+    U[:, below.T] = upper
+    L[:, np.arange(r), np.arange(r)] = U[:, np.arange(r), np.arange(r)] = 1
+    want = np.empty_like(L)
+    for t in range(3):
+        want[t][:, perm[t]] = matmul_arrays(spec, L[t], U[t])
+    with mock.patch.object(linalg, "matmul_arrays", wraps=linalg.matmul_arrays) as spy:
+        got = unimodular_from_draws(spec, *draws)
+    assert spy.call_count == -(-r // linalg._LU_BLOCK)
+    assert got.dtype == spec.dtype
+    assert np.array_equal(got, want)
 
 
 def test_dimension_mismatch():

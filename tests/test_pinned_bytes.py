@@ -1,9 +1,10 @@
-"""Seeded key files and reports, pinned byte for byte.
+"""Seeded key files, ciphertexts and reports, pinned byte for byte.
 
 Each case runs one CLI command under a fixed seed and compares the
 sha256 of what it wrote with a recorded digest. Any change to the RNG
 stream, to the key arithmetic or to the JSON bytes shows up here; a
-speed-up of keygen or of the key writer must leave every digest as it is.
+speed-up of keygen, of encryption, of the boost or of the key writer
+must leave every digest as it is.
 The error-budget report is pinned by its stdout: its text format carries
 no timings, so the seed fixes every byte of it.
 """
@@ -66,3 +67,38 @@ def test_seeded_budget_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ec523ef8eed7d83b8cdfd8ec5bad11604db1092b1abc76d0592761169ee355b3"
     )
+
+
+AND_NETLIST = "inputs x0 x1\nt = AND x0 x1\noutputs t\n"
+
+# (preset, sha256 of the two hom-encrypt files, sha256 of the hom-eval output)
+CIPHERTEXT_CASES = {
+    "desk": (
+        "fb667878a7d6ef9a0848fc6c7a37d6b0f7e631d4210ef8d45310ac3d620b8183",
+        "5fd1f0148f32a5ea7f2a5401339005b3c19a75651280e7f4f35d8b604b247b1b",
+    ),
+    "paper-dryrun": (
+        "0ef53f5724ad7ff2d9f8765dbe82c4854300efcb1c04f60d4902a8616c3d5316",
+        "c00b894c238438245bc8d23680d7e6936b12ababd1dc72a9932c3f951704e18a",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", list(CIPHERTEXT_CASES))
+def test_seeded_ciphertexts_are_pinned(preset, tmp_path, capsys):
+    """Two seeded hom-encrypt files and the hom-eval of one AND over them."""
+    enc_digest, eval_digest = CIPHERTEXT_CASES[preset]
+    keys, cts, result = tmp_path / "keys", tmp_path / "ct", tmp_path / "eval"
+    net = tmp_path / "and.net"
+    net.write_text(AND_NETLIST)
+    cts.mkdir()
+    result.mkdir()
+    assert main(["hom-keygen", "--preset", preset, "--seed", "1", "--out", str(keys)]) == 0
+    for name, seed in (("a", "2"), ("b", "3")):
+        assert main(["hom-encrypt", "--keys", str(keys), "--m", "1",
+                     "--out", str(cts / f"{name}.kct.json"), "--seed", seed]) == 0
+    assert main(["hom-eval", "--keys", str(keys), "--circuit", str(net), "--inputs",
+                 str(cts / "a.kct.json"), str(cts / "b.kct.json"), "--out", str(result / "r")]) == 0
+    capsys.readouterr()
+    assert tree_digest(cts) == enc_digest
+    assert tree_digest(result) == eval_digest
