@@ -7,9 +7,9 @@ Run: python3 demos/reencryption_chain.py
 import numpy as np
 
 from codehom.circuit import build_corr
-from codehom.field import FieldElement, FieldSpec
-from codehom.homops import ct_add, ct_mul
-from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen, reencrypt
+from codehom.field import FieldElement, FieldSpec, mul_arrays
+from codehom.linalg import matmul_arrays
+from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen
 from codehom.scheme import (
     Params,
     decrypt,
@@ -29,11 +29,11 @@ pk, sk = keygen(p, rng)
 a, b = FieldElement(GF16, 3), FieldElement(GF16, 7)
 ca, cb = encrypt(pk, a, rng), encrypt(pk, b, rng)
 
-s = ct_add(ca, cb)
+s = ca ^ cb
 print(f"xor: decrypts to {decrypt(sk, s).value} (= 3 xor 7),",
       f"still a valid encryption: {enc_space_contains(sk, a + b, s)}")
 
-prod = ct_mul(ca, cb)
+prod = mul_arrays(GF16, ca, cb)
 print(f"mul: decrypts to {decrypt(sk, prod).value} (= 3*7 in GF(16)),",
       f"decryptable member: {dec_space_contains(sk, a * b, prod)}")
 
@@ -43,7 +43,7 @@ pairs = 200
 in_enc = in_dec = 0
 for _ in range(pairs):
     u, v = (FieldElement(GF16, int(x)) for x in rng.integers(0, GF16.q, 2))
-    pr = ct_mul(encrypt(pk, u, rng), encrypt(pk, v, rng))
+    pr = mul_arrays(GF16, encrypt(pk, u, rng), encrypt(pk, v, rng))
     in_enc += enc_space_contains(sk, u * v, pr)
     in_dec += dec_space_contains(sk, u * v, pr)
 print(f"over {pairs} random products: decryptable {in_dec}/{pairs},",
@@ -52,7 +52,7 @@ print(f"over {pairs} random products: decryptable {in_dec}/{pairs},",
 pk2, sk2 = keygen(p, rng)
 link = aux_gen_basic(sk, pk2, rng)
 print(f"\naux generated under a fresh key; good: {aux_is_good(link, sk, sk2)}")
-back = reencrypt(link, prod)
+back = matmul_arrays(GF16, prod[None], link)[0]
 print(f"reencrypted product: decrypts to {decrypt(sk2, back).value},",
       f"valid encryption again: {enc_space_contains(sk2, a * b, back)}")
 

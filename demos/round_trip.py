@@ -18,7 +18,7 @@ print(f"randomness has length r={p.r}, the hidden trapdoor set is S={sk.S}")
 
 m = FieldElement(GF256, 0x5A)
 c = encrypt(pk, m, rng)
-print(f"\nencrypt(0x{m.value:02x}) -> first coords {[int(v) for v in c.v.data[:6]]}...")
+print(f"\nencrypt(0x{m.value:02x}) -> first coords {c[:6].tolist()}...")
 print(f"decrypt -> 0x{decrypt(sk, c).value:02x} (noiseless, always exact)")
 
 noisy = Params(n=24, r=9, s=3, field=GF256, eta=0.05)

@@ -137,17 +137,16 @@ def _cmd_keygen(args) -> None:
 def _cmd_encrypt(args) -> None:
     pk = load_public_key(args.pk)
     m = FieldElement(pk.params.field, _parse_hex(args.m))
-    ct = encrypt(pk, m, np.random.default_rng(args.seed))
-    save_ciphertext(ct, args.out)
+    save_ciphertext(m.spec, encrypt(pk, m, np.random.default_rng(args.seed)), args.out)
     print(f"wrote {args.out}")
 
 
 def _cmd_decrypt(args) -> None:
     sk = load_secret_key(args.sk)
-    ct = load_ciphertext(args.ct)
-    if ct.v.spec != sk.params.field or ct.v.len != sk.params.n:
+    spec, c = load_ciphertext(args.ct)
+    if spec != sk.params.field or len(c) != sk.params.n:
         raise UsageError("ciphertext does not match this key's field and length")
-    print(f"{decrypt(sk, ct).value:x}")
+    print(f"{decrypt(sk, c).value:x}")
 
 
 _DESK = dict(n=128, r=48, s=12, field_k=8, eta=0.0, parts=32, depth=2,

@@ -36,9 +36,7 @@ from .errors import ParameterError, UsageError
 from .booster import boost_arrays, boost_aux_gen, build_expander
 from .circuit import Circuit, build_apxmaj, compile_schedule, run_schedule
 from .field import FieldElement, FieldSpec
-from .linalg import Vector
 from .scheme import (
-    Ciphertext,
     Params,
     SecretKey,
     dec_membership_batch,
@@ -69,16 +67,6 @@ class KCiphertext:
         self.spec = spec
         self.P = P
 
-    @classmethod
-    def from_parts(cls, parts: list[Ciphertext]) -> "KCiphertext":
-        if not parts:
-            raise UsageError("a replicated ciphertext needs at least one part")
-        spec = parts[0].v.spec
-        for ct in parts:
-            if ct.v.spec != spec or ct.v.len != parts[0].v.len:
-                raise UsageError("parts must share one field and one length")
-        return cls(spec, np.stack([ct.v.data for ct in parts]))
-
     @property
     def k(self) -> int:
         return self.P.shape[0]
@@ -86,10 +74,6 @@ class KCiphertext:
     @property
     def n(self) -> int:
         return self.P.shape[1]
-
-    @property
-    def parts(self) -> list[Ciphertext]:
-        return [Ciphertext(Vector(self.spec, row)) for row in self.P]
 
     def __repr__(self):
         return f"KCiphertext(k={self.k}, n={self.n})"

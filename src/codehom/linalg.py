@@ -76,12 +76,6 @@ def dot_arrays(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(prod, axis=-1)
 
 
-def identity_array(spec: FieldSpec, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=spec.dtype)
-    np.fill_diagonal(out, 1)
-    return out
-
-
 def rank_batch(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     """Row ranks of a (trials, m, n) stack, eliminated in lockstep.
 

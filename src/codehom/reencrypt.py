@@ -3,7 +3,8 @@
 A link from one key to the next is a bare (n_src, n_tgt) array Z whose
 row i encrypts y_i, entry i of the source decryption vector, under the
 target key; BoostAux.links stacks such arrays, one per part. Reencryption
-is the linear map ReEnc(c) = cZ = sum_i c_i z_i. When every row z_i is a
+is the linear map ReEnc(c) = cZ = sum_i c_i z_i, which for one row c
+is matmul_arrays(spec, c[None], Z)[0]. When every row z_i is a
 valid target encryption of y_i (a "good" link), linearity gives ReEnc(c)
 in Enc'(<y,c>) for arbitrary c, so a link repairs proto-homomorphic
 damage exactly.
@@ -39,9 +40,8 @@ from .errors import ParameterError, UsageError
 from .circuit import Circuit, build_corr, compile_schedule, run_schedule
 from .circuit import _mul_any, _xor_any  # noqa: F401  perfbench traces them at this path
 from .field import FieldSpec, mul_arrays
-from .linalg import Vector, matmul_arrays
+from .linalg import matmul_arrays
 from .scheme import (
-    Ciphertext,
     KeyStack,
     Params,
     PublicKey,
@@ -108,13 +108,6 @@ def aux_gen_basic(
 def aux_is_good(Z: np.ndarray, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
     """Membership audit with both secret keys: every row z_i in Enc'(y_i)."""
     return bool(enc_membership_batch(sk_tgt, sk_src.y_dec.data, Z).all())
-
-
-def reencrypt(Z: np.ndarray, c: Ciphertext) -> Ciphertext:
-    if c.v.len != Z.shape[0]:
-        raise UsageError(f"ciphertext length {c.v.len}, link expects {Z.shape[0]}")
-    spec = c.v.spec
-    return Ciphertext(Vector(spec, matmul_arrays(spec, c.v.data[None, :], Z)[0]))
 
 
 # ---------------------------------------------------------------------------

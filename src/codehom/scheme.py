@@ -32,6 +32,15 @@ depend on earlier draws alone. So a caller may draw T keys in order and
 compute them together, and every key equals the one a sequential keygen
 would have made. keygen, encrypt_batch and enc_membership_batch are the
 one-key cases of the stacked functions.
+
+A ciphertext is its length-n row, and a block of them a (T, n) array.
+Pointwise operations on rows are the homomorphic ones. The sum c ^ d of
+two valid encryptions is again a valid encryption. The product
+mul_arrays(spec, c, d) is weaker: it decrypts to the product but lands
+outside the encryption space (the noiseless part picks up tensor
+structure the key matrix cannot express), which is exactly what
+reencryption repairs. The trivial encryption of m is the constant row
+m*1, with zero randomness and zero noise.
 """
 
 from __future__ import annotations
@@ -146,19 +155,6 @@ class PublicKey:
         return f"PublicKey(n={p.n}, r={p.r}, s={p.s}, k={p.field.k})"
 
 
-class Ciphertext:
-    __slots__ = ("v",)
-
-    def __init__(self, v: Vector):
-        self.v = v
-
-    def __eq__(self, other):
-        return isinstance(other, Ciphertext) and self.v == other.v
-
-    def __repr__(self):
-        return f"Ciphertext(n={self.v.len}, k={self.v.spec.k})"
-
-
 def _decryption_support_vector(spec: FieldSpec, a_S: np.ndarray, s: int) -> np.ndarray:
     # Lagrange weights at 0 on the first 2s/3 + 1 points, zero on the rest:
     # y_i = prod_{j != i} x_j / (x_i + x_j). Row i of terms[0] holds the
@@ -251,11 +247,11 @@ def noise_array(p: Params, rng: np.random.Generator, shape, eta: float | None = 
     return np.where(hit, vals, p.field.dtype(0))
 
 
-def encrypt(pk: PublicKey, m: FieldElement, rng: np.random.Generator) -> Ciphertext:
-    """encrypt_batch's one-row case: the same draws from rng, the same ciphertext."""
+def encrypt(pk: PublicKey, m: FieldElement, rng: np.random.Generator) -> np.ndarray:
+    """encrypt_batch's one-row case: the same draws from rng, the same (n,) row."""
     if m.spec != pk.params.field:
         raise UsageError("message must live in the key's field")
-    return Ciphertext(Vector(m.spec, encrypt_batch(pk, [m.value], rng)[0]))
+    return encrypt_batch(pk, [m.value], rng)[0]
 
 
 def draw_encryption(
@@ -291,10 +287,9 @@ def encrypt_batch(
     return encrypt_arrays(p.field, pk.P.data, ms, *draw_encryption(p, rng, ms.shape[0], eta))
 
 
-def decrypt(sk: SecretKey, c: Ciphertext) -> FieldElement:
+def decrypt(sk: SecretKey, c: np.ndarray) -> FieldElement:
     """<y, c> as one row of decrypt_batch; correctness is probabilistic, the value is defined."""
-    spec = sk.params.field
-    return FieldElement(spec, int(decrypt_batch(sk, c.v.data[None, :])[0]))
+    return FieldElement(sk.params.field, int(decrypt_batch(sk, c[None])[0]))
 
 
 def decrypt_batch(sk: SecretKey, C: np.ndarray) -> np.ndarray:
@@ -336,10 +331,8 @@ def enc_membership_batch(sk: SecretKey, ms: np.ndarray, C: np.ndarray) -> np.nda
                                  np.asarray(C)[None])[0]
 
 
-def enc_space_contains(sk: SecretKey, m: FieldElement, c: Ciphertext) -> bool:
-    spec = sk.params.field
-    ms = np.array([m.value], dtype=spec.dtype)
-    return bool(enc_membership_batch(sk, ms, c.v.data[None, :])[0])
+def enc_space_contains(sk: SecretKey, m: FieldElement, c: np.ndarray) -> bool:
+    return bool(enc_membership_batch(sk, [m.value], c[None])[0])
 
 
 def dec_membership_batch(sk: SecretKey, ms: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -347,5 +340,5 @@ def dec_membership_batch(sk: SecretKey, ms: np.ndarray, C: np.ndarray) -> np.nda
     return decrypt_batch(sk, C) == np.asarray(ms, dtype=spec.dtype)
 
 
-def dec_space_contains(sk: SecretKey, m: FieldElement, c: Ciphertext) -> bool:
+def dec_space_contains(sk: SecretKey, m: FieldElement, c: np.ndarray) -> bool:
     return decrypt(sk, c).value == m.value

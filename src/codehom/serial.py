@@ -27,7 +27,7 @@ from .booster import BoostAux, ExpanderGraph, leaf_row_depth, second_singular_va
 from .field import FieldSpec
 from .hom import HomKeys, KCiphertext, check_key_shape
 from .linalg import Matrix, Vector
-from .scheme import Ciphertext, Params, PublicKey, SecretKey
+from .scheme import Params, PublicKey, SecretKey
 
 FORMAT = "codehom/v1"
 
@@ -162,8 +162,9 @@ def decode_secret_key(doc) -> SecretKey:
     p = decode_params(_get(doc, "params"))
     S = _get(doc, "S")
     if (not isinstance(S, list) or len(S) != p.s
-            or any(not isinstance(i, int) or not 0 <= i < p.n for i in S)):
-        raise DataFormatError(f"S must list {p.s} row indices below {p.n}")
+            or any(isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < p.n for i in S)
+            or any(i >= j for i, j in zip(S, S[1:]))):
+        raise DataFormatError(f"S must list {p.s} increasing row indices below {p.n}")
     a = _field_array(p.field, _get(doc, "a"), "a", 1)
     M = _field_array(p.field, _get(doc, "M"), "M", 2)
     y = _field_array(p.field, _get(doc, "y"), "y", 1)
@@ -172,11 +173,11 @@ def decode_secret_key(doc) -> SecretKey:
     return SecretKey(tuple(S), Vector(p.field, a), Matrix(p.field, M), Vector(p.field, y), p)
 
 
-def encode_ciphertext(ct: Ciphertext) -> dict:
-    return {"format": FORMAT, "kind": "ct", "field_k": ct.v.spec.k, "c": ct.v.data.tolist()}
+def encode_ciphertext(spec: FieldSpec, c: np.ndarray) -> dict:
+    return {"format": FORMAT, "kind": "ct", "field_k": spec.k, "c": c.tolist()}
 
 
-def decode_ciphertext(doc) -> Ciphertext:
+def decode_ciphertext(doc) -> tuple[FieldSpec, np.ndarray]:
     _expect(doc, "ct")
     try:
         spec = FieldSpec(_int(doc, "field_k"))
@@ -185,14 +186,14 @@ def decode_ciphertext(doc) -> Ciphertext:
     c = _field_array(spec, _get(doc, "c"), "c", 1)
     if c.size == 0:
         raise DataFormatError("empty ciphertext")
-    return Ciphertext(Vector(spec, c))
+    return spec, c
 
 
 def encode_kciphertext(kc: KCiphertext) -> dict:
     return {
         "format": FORMAT,
         "kind": "kct",
-        "parts": [encode_ciphertext(ct) for ct in kc.parts],
+        "parts": [encode_ciphertext(kc.spec, row) for row in kc.P],
     }
 
 
@@ -201,10 +202,11 @@ def decode_kciphertext(doc) -> KCiphertext:
     parts = _get(doc, "parts")
     if not isinstance(parts, list) or not parts:
         raise DataFormatError("parts must be a non-empty list of ciphertext envelopes")
-    try:
-        return KCiphertext.from_parts([decode_ciphertext(d) for d in parts])
-    except UsageError as e:
-        raise DataFormatError(f"inconsistent parts: {e}") from None
+    rows = [decode_ciphertext(d) for d in parts]
+    spec, first = rows[0]
+    if any(s != spec or c.shape != first.shape for s, c in rows):
+        raise DataFormatError("inconsistent parts: parts must share one field and one length")
+    return KCiphertext(spec, np.stack([c for _, c in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +347,11 @@ def load_secret_key(path) -> SecretKey:
     return decode_secret_key(load_json(path))
 
 
-def save_ciphertext(ct: Ciphertext, path) -> None:
-    save_json(encode_ciphertext(ct), path)
+def save_ciphertext(spec: FieldSpec, c: np.ndarray, path) -> None:
+    save_json(encode_ciphertext(spec, c), path)
 
 
-def load_ciphertext(path) -> Ciphertext:
+def load_ciphertext(path) -> tuple[FieldSpec, np.ndarray]:
     return decode_ciphertext(load_json(path))
 
 

@@ -42,7 +42,6 @@ from codehom.circuit import (
 )
 from codehom.field import FieldElement, FieldSpec, inv_arrays, mul_arrays, random_elements
 from codehom.hom import BoostConfig, enc_k_threshold, hdec, hom_encrypt, hom_eval, hom_keygen
-from codehom.homops import ct_add, ct_mul
 from codehom.linalg import dot_arrays, matmul_arrays
 from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen
 from codehom.scheme import (

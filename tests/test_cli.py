@@ -43,6 +43,13 @@ def test_encrypt_decrypt_round_trip(base_key, tmp_path, capsys):
     code, out, _ = run(capsys, "decrypt", "--sk", f"{base_key}.sk.json", "--ct", ct)
     assert code == 0
     assert out.strip() == "1a"
+    # a well-formed ciphertext of another length or field does not fit the key
+    doc = json.loads(ct.read_text())
+    for bad in ({**doc, "c": doc["c"][:-1]}, {**doc, "field_k": 16}):
+        ct.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "decrypt", "--sk", f"{base_key}.sk.json", "--ct", ct)
+        assert code == 1
+        assert "does not match this key" in err
 
 
 def test_gf64_round_trip(tmp_path, capsys):
@@ -91,6 +98,24 @@ def test_wrong_file_kind_is_data_error(base_key, capsys):
                        "--ct", f"{base_key}.pk.json")
     assert code == 3
     assert "kind" in err
+
+
+def test_secret_key_with_bad_S_is_data_error(base_key, tmp_path, capsys):
+    # keygen writes S as distinct, increasing indices; a bool is not an index
+    ct = tmp_path / "ct.json"
+    assert run(capsys, "encrypt", "--pk", f"{base_key}.pk.json", "--m", "1a",
+               "--out", ct, "--seed", "3")[0] == 0
+    with open(f"{base_key}.sk.json") as f:
+        good = json.load(f)
+    lo, mid, hi = good["S"]
+    sk = tmp_path / "sk.json"
+    for S in ([True, mid, hi], [lo, lo, lo], [lo, hi, mid], [mid, mid, hi]):
+        sk.write_text(json.dumps({**good, "S": S}))
+        code, _, err = run(capsys, "decrypt", "--sk", sk, "--ct", ct)
+        assert code == 3, S
+        assert "increasing row indices" in err
+    sk.write_text(json.dumps(good))
+    assert run(capsys, "decrypt", "--sk", sk, "--ct", ct)[:2] == (0, "1a\n")
 
 
 def test_missing_file_is_data_error(base_key, tmp_path, capsys):

@@ -36,8 +36,7 @@ from codehom.hom import (
     hom_eval,
     hom_keygen,
 )
-from codehom.linalg import Vector
-from codehom.scheme import Ciphertext, Params, decrypt_batch, encrypt_batch, keygen
+from codehom.scheme import Params, decrypt_batch, encrypt_batch, keygen
 
 GF16 = FieldSpec(4)
 GF256 = FieldSpec(8)
@@ -73,7 +72,7 @@ def _enc(hk, m, seed):
 
 
 # ---------------------------------------------------------------------------
-# Ciphertext container and thresholds.
+# Replicated ciphertext container and thresholds.
 
 
 def test_kciphertext_round_trip():
@@ -81,8 +80,8 @@ def test_kciphertext_round_trip():
     P = rng.integers(16, size=(8, 16), dtype=np.uint8)
     kc = KCiphertext(GF16, P)
     assert (kc.k, kc.n) == (8, 16)
-    again = KCiphertext.from_parts(kc.parts)
-    assert np.array_equal(again.P, P)
+    assert np.array_equal(kc.P, P)
+    assert kc.P.dtype == GF16.dtype
     assert "k=8" in repr(kc)
 
 
@@ -90,14 +89,7 @@ def test_kciphertext_validation():
     with pytest.raises(UsageError):
         KCiphertext(GF16, np.zeros(16, dtype=np.uint8))
     with pytest.raises(UsageError):
-        KCiphertext.from_parts([])
-    a = Ciphertext(Vector(GF16, np.zeros(16, dtype=np.uint8)))
-    b = Ciphertext(Vector(GF16, np.zeros(12, dtype=np.uint8)))
-    with pytest.raises(UsageError):
-        KCiphertext.from_parts([a, b])
-    c = Ciphertext(Vector(GF256, np.zeros(16, dtype=np.uint8)))
-    with pytest.raises(UsageError):
-        KCiphertext.from_parts([a, c])
+        KCiphertext(GF16, np.zeros((2, 8, 16), dtype=np.uint8))
 
 
 def test_threshold_values():

@@ -12,7 +12,6 @@ from codehom import field, linalg
 from codehom.field import FieldElement, FieldSpec, fe_pow, random_elements
 from codehom.linalg import (
     dot_arrays,
-    identity_array,
     matmul_arrays,
     random_unimodular_array,
     rank_batch,
@@ -44,7 +43,7 @@ def rank_of(spec, A):
 
 def test_matvec_identity_and_zero():
     x = arr(F16, [3, 7, 12])
-    I = identity_array(F16, 3)
+    I = np.eye(3, dtype=F16.dtype)
     assert np.array_equal(dot_arrays(F16, I, x[None, :]), x)
     zero_y = arr(F16, [0, 0, 0])
     assert int(dot_arrays(F16, zero_y, x)) == 0
@@ -315,7 +314,7 @@ def test_rank_invariant_under_unimodular():
 
 def test_solve_identity():
     b = arr(F16, [5, 9, 1])
-    assert np.array_equal(solve_canonical_array(F16, identity_array(F16, 3), b), b)
+    assert np.array_equal(solve_canonical_array(F16, np.eye(3, dtype=F16.dtype), b), b)
 
 
 def test_solve_free_variable_zeroed():
@@ -444,8 +443,8 @@ def test_unimodular_is_explicit_lup(k, r, seed):
     rng = np.random.default_rng(seed)
     got = random_unimodular_array(spec, r, rng)
     replay = np.random.default_rng(seed)
-    L = identity_array(spec, r)
-    U = identity_array(spec, r)
+    L = np.eye(r, dtype=spec.dtype)
+    U = np.eye(r, dtype=spec.dtype)
     il, jl = np.tril_indices(r, -1)
     iu, ju = np.triu_indices(r, 1)
     L[il, jl] = random_elements(spec, replay, il.size)

@@ -102,3 +102,24 @@ def test_seeded_ciphertexts_are_pinned(preset, tmp_path, capsys):
     capsys.readouterr()
     assert tree_digest(cts) == enc_digest
     assert tree_digest(result) == eval_digest
+
+
+# (keygen case, sha256 of the seeded encrypt --m 5a file under that key)
+BASE_CIPHERTEXT_CASES = {
+    "keygen k=8": "29fac283f893cad903b1443d53d29aaff32e91d8269aac3bfcaa38ee2c09a9ae",
+    "keygen k=64": "4e32efdae7c29d23b7c1acd83cd228140620b75a0a197003218437832c2f254d",
+}
+
+
+@pytest.mark.parametrize("case", list(BASE_CIPHERTEXT_CASES))
+def test_seeded_base_ciphertext_is_pinned(case, tmp_path, capsys):
+    """A seeded encrypt file under a pinned key, and decrypt's stdout on it."""
+    argv, _ = CASES[case]
+    assert main([a.format(out=tmp_path) for a in argv]) == 0
+    ct = tmp_path / "ct.json"
+    assert main(["encrypt", "--pk", str(tmp_path / "key.pk.json"), "--m", "5a",
+                 "--out", str(ct), "--seed", "2"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(ct.read_bytes()).hexdigest() == BASE_CIPHERTEXT_CASES[case]
+    assert main(["decrypt", "--sk", str(tmp_path / "key.sk.json"), "--ct", str(ct)]) == 0
+    assert capsys.readouterr().out == "5a\n"

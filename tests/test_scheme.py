@@ -15,14 +15,12 @@ from codehom.errors import ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_distinct, random_elements
 from codehom.linalg import (
     Matrix,
-    Vector,
     dot_arrays,
     rank_batch,
     solve_canonical_array,
     tensor_row_array,
 )
 from codehom.scheme import (
-    Ciphertext,
     Params,
     PublicKey,
     SecretKey,
@@ -269,7 +267,7 @@ def test_noiseless_decryption_is_exact():
 def test_decrypt_all_m_vector():
     _, sk = make_keys(12)
     m = FieldElement(F16, 777)
-    c = Ciphertext(Vector(F16, np.full(P_SMALL.n, m.value, dtype=F16.dtype)))
+    c = np.full(P_SMALL.n, m.value, dtype=F16.dtype)
     assert decrypt(sk, c).value == m.value
 
 
@@ -278,7 +276,7 @@ def test_decrypt_linear():
     rng = np.random.default_rng(13)
     c1 = encrypt(pk, FieldElement(F16, 3), rng)
     c2 = encrypt(pk, FieldElement(F16, 9), rng)
-    lhs = decrypt(sk, Ciphertext(Vector(F16, c1.v.data ^ c2.v.data)))
+    lhs = decrypt(sk, c1 ^ c2)
     assert lhs.value == (decrypt(sk, c1) + decrypt(sk, c2)).value
 
 
@@ -325,7 +323,7 @@ def test_scalar_path_is_one_row_batch(k, eta, m, seed):
     rng, rng2 = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     c = encrypt(pk, FieldElement(spec, m), rng)
     row = encrypt_batch(pk, [m], rng2)[0]
-    assert np.array_equal(c.v.data, row)
+    assert np.array_equal(c, row)
     assert rng.bit_generator.state == rng2.bit_generator.state
     assert decrypt(sk, c).value == int(decrypt_batch(sk, row[None, :])[0])
 
@@ -336,7 +334,7 @@ def test_scalar_path_is_one_row_batch(k, eta, m, seed):
 def test_all_m_vector_in_enc_space():
     _, sk = make_keys(20)
     m = FieldElement(F16, 42)
-    c = Ciphertext(Vector(F16, np.full(P_SMALL.n, m.value, dtype=F16.dtype)))
+    c = np.full(P_SMALL.n, m.value, dtype=F16.dtype)
     assert enc_space_contains(sk, m, c)
     assert dec_space_contains(sk, m, c)
 
@@ -370,7 +368,7 @@ def test_corrupting_s_coordinate_breaks_membership():
     trials = 300
     for _ in range(trials):
         m = FieldElement(F16, int(rng.integers(F16.q)))
-        c = encrypt(pk, m, rng).v.data.copy()
+        c = encrypt(pk, m, rng)
         i = sk.S[int(rng.integers(p.s))]
         c[i] ^= int(rng.integers(1, F16.q))
         if not enc_membership_batch(sk, np.array([m.value], dtype=F16.dtype), c[None, :])[0]:
@@ -398,7 +396,7 @@ def test_encryption_error_rate_bound():
 def test_dec_spaces_partition(m1, m2, seed):
     _, sk = make_keys(30)
     rng = np.random.default_rng(seed)
-    c = Ciphertext(Vector(F16, random_elements(F16, rng, P_SMALL.n)))
+    c = random_elements(F16, rng, P_SMALL.n)
     got = decrypt(sk, c).value
     assert dec_space_contains(sk, FieldElement(F16, m1), c) == (m1 == got)
     assert dec_space_contains(sk, FieldElement(F16, m2), c) == (m2 == got)

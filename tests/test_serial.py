@@ -53,10 +53,11 @@ def test_secret_key_round_trip(keypair, tmp_path):
 
 def test_ciphertext_round_trip_decrypts(keypair, tmp_path):
     pk, sk = keypair
-    ct = encrypt(pk, FieldElement(GF16, 9), rng(1))
-    serial.save_ciphertext(ct, tmp_path / "ct.json")
-    back = serial.load_ciphertext(tmp_path / "ct.json")
-    assert back == ct
+    c = encrypt(pk, FieldElement(GF16, 9), rng(1))
+    serial.save_ciphertext(GF16, c, tmp_path / "ct.json")
+    spec, back = serial.load_ciphertext(tmp_path / "ct.json")
+    assert spec == GF16
+    assert back.dtype == GF16.dtype and np.array_equal(back, c)
     assert decrypt(sk, back).value == 9
 
 
@@ -191,9 +192,11 @@ def test_rejects_invalid_params(keypair):
 def test_rejects_inconsistent_parts(hom_keys):
     kc = hom_encrypt(hom_keys, 0, rng(4))
     doc = serial.encode_kciphertext(kc)
-    doc["parts"][3]["c"] = doc["parts"][3]["c"][:-1]
-    with pytest.raises(DataFormatError, match="inconsistent parts"):
-        serial.decode_kciphertext(doc)
+    part = doc["parts"][3]
+    for bad in ({**part, "c": part["c"][:-1]}, {**part, "field_k": 16}):
+        doc["parts"][3] = bad
+        with pytest.raises(DataFormatError, match="inconsistent parts"):
+            serial.decode_kciphertext(doc)
 
 
 def test_rejects_non_json_file(tmp_path):
@@ -332,6 +335,10 @@ def test_mutated_ciphertext_fields_are_data_errors(hom_keys, tmp_path):
     docs = [{**good, field: junk} for field in good for junk in JUNK]
     docs += [{**good, "parts": [{**good["parts"][0], field: junk}] + good["parts"][1:]}
              for field in good["parts"][0] for junk in JUNK]
+    # each part well formed on its own: one in another valid field, one an entry short
+    part = good["parts"][3]
+    docs += [{**good, "parts": good["parts"][:3] + [bad] + good["parts"][4:]}
+             for bad in ({**part, "field_k": 16}, {**part, "c": part["c"][:-1]})]
     for doc in docs:
         serial.save_json(doc, ct)
         with pytest.raises(DataFormatError):
