@@ -3,7 +3,10 @@
 Every file is one object tagged {"format": "codehom/v1", "kind": ...};
 field elements are plain integers so a desk-scale file stays greppable
 and diffable. The bytes written are json.dumps(doc, indent=1) plus a
-newline, streamed out a piece at a time rather than built whole. A
+newline, streamed out a piece at a time rather than built whole. The
+encoders put copies of the key and ciphertext arrays in their documents,
+and the writer turns an integer array into that same text a row and a
+2-D slab at a time; the decoders accept arrays as well as lists. A
 replicated ciphertext nests one complete ciphertext envelope per part.
 A full key set is a directory, one file per level key and per boost,
 under a meta file naming the shape.
@@ -132,7 +135,7 @@ def encode_public_key(pk: PublicKey) -> dict:
         "format": FORMAT,
         "kind": "pk",
         "params": encode_params(pk.params),
-        "P": pk.P.data.tolist(),
+        "P": pk.P.data.copy(),
     }
 
 
@@ -151,9 +154,9 @@ def encode_secret_key(sk: SecretKey) -> dict:
         "kind": "sk",
         "params": encode_params(sk.params),
         "S": list(sk.S),
-        "a": sk.a.data.tolist(),
-        "M": sk.M.data.tolist(),
-        "y": sk.y_dec.data.tolist(),
+        "a": sk.a.data.copy(),
+        "M": sk.M.data.copy(),
+        "y": sk.y_dec.data.copy(),
     }
 
 
@@ -174,7 +177,7 @@ def decode_secret_key(doc) -> SecretKey:
 
 
 def encode_ciphertext(spec: FieldSpec, c: np.ndarray) -> dict:
-    return {"format": FORMAT, "kind": "ct", "field_k": spec.k, "c": c.tolist()}
+    return {"format": FORMAT, "kind": "ct", "field_k": spec.k, "c": c.copy()}
 
 
 def decode_ciphertext(doc) -> tuple[FieldSpec, np.ndarray]:
@@ -221,10 +224,10 @@ def encode_boost_aux(aux: BoostAux) -> dict:
         "k": g.k,
         "b": g.b,
         "lambda_measured": g.lambda_measured,
-        "adjacency": g.adjacency.tolist(),
-        "assignment": aux.assignment.tolist(),
+        "adjacency": g.adjacency.copy(),
+        "assignment": aux.assignment.copy(),
         "level_params": [encode_params(p) for p in aux.level_params],
-        "links": [link.tolist() for link in aux.links],
+        "links": [link.copy() for link in aux.links],
     }
 
 
@@ -250,15 +253,12 @@ def decode_boost_aux(doc) -> BoostAux:
             f"got {len(raw_links)}"
         )
     assignment = _int_array(_get(doc, "assignment"), "assignment", 1)
-    if len(assignment) != 2 ** (len(raw_links) - 1):
-        raise DataFormatError(
-            f"a tree over {len(raw_links)} links has {2 ** (len(raw_links) - 1)} leaves, "
-            f"assignment maps {len(assignment)}"
-        )
     try:
-        leaf_row_depth(assignment, b)
+        d = leaf_row_depth(assignment, b)
     except UsageError as e:
         raise DataFormatError(f"bad assignment: {e}") from None
+    if len(raw_links) != d + 1:
+        raise DataFormatError(f"a tree of depth {d} needs {d + 1} links, got {len(raw_links)}")
     spec = level_params[0].field
     links = []
     for l, raw in enumerate(raw_links):
@@ -278,16 +278,51 @@ def _cannot_write(path, e: OSError) -> UsageError:
     return UsageError(f"cannot write {path}: {e}")
 
 
+# Decimal text of every uint8 value, the dtype of desk keys and links;
+# indexing it with an array gives the array's text in one step. Saving a
+# desk key directory took 0.03-0.04 s with it and 0.09-0.12 s with
+# int.__repr__ for every entry (2-core Xeon), about 1.17x desk-keygen
+# ops/s (BENCH_pr14.json, table_vs_single_seed13). Wider dtypes go
+# through int.__repr__ as a ufunc, as fast as a join over tolist().
+_U8_TEXT = np.array([str(v) for v in range(256)], dtype=object)
+_INT_TEXT = np.frompyfunc(int.__repr__, 1, 1)
+
+
+def _write_array(write, a: np.ndarray, level: int) -> None:
+    # json.dumps(a.tolist(), indent=1) at this level for a non-empty integer
+    # array of one or more dimensions: each innermost row is one join, each
+    # 2-D slab one more join over its rows, written as soon as it is built.
+    pad = "\n" + " " * level
+    inner = pad + " "
+    if a.ndim > 2:
+        for i, sub in enumerate(a):
+            write(("[" if i == 0 else ",") + inner)
+            _write_array(write, sub, level + 1)
+        write(pad + "]")
+        return
+    cells = (_U8_TEXT[a] if a.dtype == np.uint8 else _INT_TEXT(a.astype(object))).tolist()
+    if a.ndim == 1:
+        write("[" + inner + ("," + inner).join(cells) + pad + "]")
+        return
+    item = inner + " "
+    rows = [("," + item).join(row) for row in cells]
+    write("[" + inner + "[" + item + (inner + "]," + inner + "[" + item).join(rows)
+          + inner + "]" + pad + "]")
+
+
 def _write_json(write, obj, level: int) -> None:
-    # json.dumps(obj, indent=1) in pieces: a list of plain ints is one piece,
-    # and a scalar is json.dumps's own text for it. Dict keys are str, as in
-    # every envelope.
+    # json.dumps(obj, indent=1) in pieces: a non-empty integer array is
+    # written by _write_array, any other array as its tolist(), and a scalar
+    # is json.dumps's own text for it. Dict keys are str, as in every
+    # envelope.
+    if isinstance(obj, np.ndarray):
+        if obj.size and obj.ndim and obj.dtype.kind in "iu":
+            _write_array(write, obj, level)
+            return
+        obj = obj.tolist()
     pad = "\n" + " " * level
     inner = pad + " "
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:
-            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
-            return
         for i, item in enumerate(obj):
             write(("[" if i == 0 else ",") + inner)
             _write_json(write, item, level + 1)

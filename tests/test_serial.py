@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from codehom import serial
 from codehom.circuit import format_netlist, gtree_circuit, parse_netlist
@@ -128,11 +129,67 @@ def test_writer_deep_nesting_and_tuples(tmp_path):
     assert (tmp_path / "deep.json").read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
 
 
+# Array leaves of every dtype the writer meets or must pass to tolist():
+# uint64 past 2^63, negative int64, bool and float64 (nan too), 0-3
+# dimensions with zero-length axes, at depth 0-3 among dicts and lists.
+ARRAY_LEAVES = st.sampled_from(
+    [np.uint8, np.uint16, np.uint32, np.uint64, np.int64, np.bool_, np.float64]
+).flatmap(lambda dtype: hnp.arrays(
+    dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)))
+
+
+def _nested(depth):
+    doc = ARRAY_LEAVES
+    for _ in range(depth):
+        item = doc | JSON_SCALARS
+        doc = (st.lists(item, min_size=1, max_size=3)
+               | st.dictionaries(st.text(max_size=3), item, min_size=1, max_size=3))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.integers(0, 3).flatmap(_nested))
+def test_writer_array_leaves_equal_json_dumps(doc, writer_dir):
+    path = writer_dir / "arrays.json"
+    serial.save_json(doc, path)
+    want = json.dumps(doc, indent=1, default=np.ndarray.tolist) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
 def test_writer_key_file_bytes_equal_json_dumps(hom_keys, tmp_path):
+    pk, sk = hom_keys.levels[0]
     for name, doc in [("boost", serial.encode_boost_aux(hom_keys.boosts[0])),
-                      ("sk", serial.encode_secret_key(hom_keys.levels[0][1]))]:
+                      ("pk", serial.encode_public_key(pk)),
+                      ("sk", serial.encode_secret_key(sk)),
+                      ("kct", serial.encode_kciphertext(hom_encrypt(hom_keys, 1, rng(3))))]:
         serial.save_json(doc, tmp_path / name)
-        assert (tmp_path / name).read_text() == json.dumps(doc, indent=1) + "\n"
+        want = json.dumps(doc, indent=1, default=np.ndarray.tolist) + "\n"
+        assert (tmp_path / name).read_text() == want
+
+
+def _array_leaves(doc):
+    if isinstance(doc, np.ndarray):
+        yield doc
+    elif isinstance(doc, (list, dict)):
+        for item in (doc.values() if isinstance(doc, dict) else doc):
+            yield from _array_leaves(item)
+
+
+def test_encoded_documents_own_their_arrays(keypair, hom_keys):
+    # tests edit encoded documents in place; the shared keys must not see it
+    pk, sk = keypair
+    aux = hom_keys.boosts[0]
+    kc = hom_encrypt(hom_keys, 1, rng(3))
+    held = [pk.P.data, sk.a.data, sk.M.data, sk.y_dec.data,
+            aux.graph.adjacency, aux.assignment, *aux.links, kc.P]
+    before = [a.copy() for a in held]
+    docs = [serial.encode_public_key(pk), serial.encode_secret_key(sk),
+            serial.encode_boost_aux(aux), serial.encode_kciphertext(kc)]
+    leaves = list(_array_leaves(docs))
+    assert len(leaves) == 4 + 2 + len(aux.links) + kc.k
+    for a in leaves:
+        np.bitwise_not(a, out=a)
+    assert all(np.array_equal(a, b) for a, b in zip(held, before))
 
 
 def test_writer_unwritable_path_is_usage_error(tmp_path):
@@ -261,6 +318,24 @@ def test_rejects_repeated_adjacency_entries(hom_keys):
         serial.decode_boost_aux(doc)
 
 
+def test_boost_link_count_must_fit_the_tree(hom_keys, tmp_path, capsys):
+    # levels and links agree in number, but not with the assignment's tree
+    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    links, levels = doc["links"], doc["level_params"]
+    d = len(links) - 1
+    for n in (0, 1, 2, d + 2):
+        bad = {**doc, "links": (links * 2)[:n], "level_params": (levels * 2)[:n + 1]}
+        with pytest.raises(DataFormatError, match=f"depth {d} needs {d + 1} links, got {n}$"):
+            serial.decode_boost_aux(bad)
+    keys = tmp_path / "keys"
+    serial.save_hom_keys(hom_keys, keys)
+    serial.save_json({**doc, "links": [], "level_params": levels[:1]}, keys / "boost0.json")
+    capsys.readouterr()
+    out = str(tmp_path / "m.kct.json")
+    assert main(["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]) == 3
+    assert f"needs {d + 1} links, got 0" in capsys.readouterr().err
+
+
 def test_key_directory_must_match_meta(hom_keys, tmp_path):
     keys = tmp_path / "keys"
     serial.save_hom_keys(hom_keys, keys)
@@ -287,9 +362,10 @@ def test_gf64_keys_load_and_reject_junk(tmp_path):
     back = serial.load_secret_key(tmp_path / "sk.json")
     for a, b in ((back.a, sk.a), (back.M, sk.M), (back.y_dec, sk.y_dec)):
         assert np.array_equal(a.data, b.data)
-    good = serial.encode_public_key(pk)["P"]
+    # as lists: an array entry would cast the junk or refuse it on assignment
+    good = serial.encode_public_key(pk)["P"].tolist()
     for junk in (1.5, "x", True, -1, 2**64):
-        doc = serial.encode_public_key(pk)
+        doc = {**serial.encode_public_key(pk), "P": [row[:] for row in good]}
         doc["P"][0][0] = junk
         with pytest.raises(DataFormatError, match="P"):
             serial.decode_public_key(doc)
