@@ -6,9 +6,11 @@ rates against their stated bound with a 3-sigma tolerance computed at
 the bound itself. Reports merge associatively, so trial batches can be
 split across seeds or workers and recombined.
 
-The error budget's reenc and chain rows draw every trial's randomness in
-order, trial after trial, and then compute a block of TRIAL_BLOCK trials
-at once: keys, links and membership audits stacked along a trial axis.
+The error budget's reenc and chain rows both audit flat chains, of
+depth 1 and 3: a reenc trial is a source key, a target key and the link
+between them. They draw every trial's randomness in order, trial after
+trial, and then compute a block of TRIAL_BLOCK trials at once: keys,
+links and membership audits stacked along a trial axis.
 That is the draw-then-compute convention of scheme.py, sound because no
 draw depends on a computed value; the rows count exactly the failures a
 trial-by-trial loop counts, and a fixed block keeps their memory flat in
@@ -41,16 +43,11 @@ from .reencrypt import chain_eval_arrays, chain_keygen, chain_keygen_batch
 from .scheme import (
     Params,
     decrypt_batch,
-    draw_encryption,
-    draw_key,
     enc_membership_arrays,
     enc_membership_batch,
-    encrypt_arrays,
     encrypt_batch,
-    key_stack,
     keygen,
     noise_array,
-    stack_tuples,
 )
 
 Z95 = 1.959963984540054
@@ -245,18 +242,25 @@ def _encfail_row(trials: int, rng: np.random.Generator, eta_scale: float) -> Bud
     )
 
 
-def _reenc_row(trials: int, rng: np.random.Generator) -> BudgetRow:
-    # a freshly generated reencryption key is good except w.p. n*eta'*s'
-    t0 = time.perf_counter()
-    p = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.004)
+def _link_failures(base: Params, d: int, trials: int, rng: np.random.Generator) -> int:
+    """How many of `trials` flat chains of d links at base hold a link
+    that fails its membership audit; TRIAL_BLOCK chains at a time."""
     failures = 0
     for T in _blocks(trials):
-        # per trial, in order: source key, target key, the link between them
-        src, tgt, link = zip(*((draw_key(p, rng), draw_key(p, rng), draw_encryption(p, rng, p.n))
-                               for _ in range(T)))
-        src, tgt = key_stack(p, src), key_stack(p, tgt)
-        Z = encrypt_arrays(p.field, tgt.P, src.y, *stack_tuples(link))
-        failures += int((~enc_membership_arrays(p, tgt.M, tgt.S, src.y, Z).all(axis=1)).sum())
+        chains = chain_keygen_batch(base.n, 0.0, d, rng, T, base=base)
+        good = np.ones(T, dtype=bool)
+        for src, tgt, Z in zip(chains.levels, chains.levels[1:], chains.links):
+            good &= enc_membership_arrays(base, tgt.M, tgt.S, src.y, Z).all(axis=1)
+        failures += int((~good).sum())
+    return failures
+
+
+def _reenc_row(trials: int, rng: np.random.Generator) -> BudgetRow:
+    # a freshly generated reencryption key is good except w.p. n*eta'*s';
+    # one trial is a chain of depth 1: source key, target key, their link
+    t0 = time.perf_counter()
+    p = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.004)
+    failures = _link_failures(p, 1, trials, rng)
     return _budget_row(
         "reencryption aux good except n*eta'*s'", p.n * p.eta * p.s, trials, failures, t0,
         {"n": p.n, "s": p.s, "eta_tgt": p.eta},
@@ -286,14 +290,7 @@ def _chain_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     t0 = time.perf_counter()
     base = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.002)
     d = 3
-    failures = 0
-    for T in _blocks(trials):
-        chains = chain_keygen_batch(16, 0.0, d, rng, T, base=base)
-        good = np.ones(T, dtype=bool)
-        for i, Z in enumerate(chains.links):
-            src, tgt = chains.levels[i], chains.levels[i + 1]
-            good &= enc_membership_arrays(base, tgt.M, tgt.S, src.y, Z).all(axis=1)
-        failures += int((~good).sum())
+    failures = _link_failures(base, d, trials, rng)
     return _budget_row(
         "chain setup error <= d*kappa", d * 16 * base.eta * base.s, trials, failures, t0,
         {"n": 16, "d": d, "eta": base.eta},
@@ -339,6 +336,9 @@ def error_budget(
     while leaving its bound alone; the row must then fail, which keeps
     the harness honest about its own power.
     """
+    unknown = sorted(set(trials or {}) - set(BUDGET_TRIALS))
+    if unknown:
+        raise UsageError(f"unknown budget rows {unknown}; the rows are {sorted(BUDGET_TRIALS)}")
     t = dict(BUDGET_TRIALS, **(trials or {}))
     for name, n in t.items():
         check_trials(n, f"{name} trials")

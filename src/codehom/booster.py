@@ -217,12 +217,12 @@ def boost_aux_gen(
     for _ in range(graph.k):
         for l in range(d_tree):
             pk_mid, sk_mid = keygen(p_mid, rng)
-            mids[l].append((pk_mid.P.data, sk_mid.y_dec.data))
+            mids[l].append((pk_mid.P, sk_mid.y_dec))
             draws[l].append(draw_encryption(p_mid, rng, level_params[l].n))
         draws[d_tree].append(draw_encryption(p_tgt, rng, mid_n))
     mids = [stack_tuples(level) for level in mids]
-    targets = [P for P, _ in mids] + [pk_next.P.data]
-    sources = [sk.y_dec.data] + [y for _, y in mids]
+    targets = [P for P, _ in mids] + [pk_next.P]
+    sources = [sk.y_dec] + [y for _, y in mids]
     links = [
         encrypt_arrays(p_src.field, P, y, *stack_tuples(level))
         for P, y, level in zip(targets, sources, draws)

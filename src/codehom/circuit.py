@@ -401,6 +401,26 @@ def _agreement_patterns(m: int, flips: int):
 
 _EXHAUSTIVE_CAP = 100_000  # most boolean patterns verify_apxmaj enumerates
 
+# Most leaf values verify_apxmaj gathers at once. The tree walks a block
+# of patterns at a time, len(leaves) values per pattern: at m = 32 one
+# gather of all 82,898 patterns over 16 m^2 = 16,384 leaves is 1.4 GB.
+APXMAJ_BLOCK = 1 << 22
+
+
+def _gtree_agrees(spec: FieldSpec, leaves: np.ndarray, X: np.ndarray, want: np.ndarray) -> bool:
+    """True iff the G-tree over X[leaves] gives want in every column.
+
+    Columns are independent patterns, walked APXMAJ_BLOCK // len(leaves)
+    at a time; the walk draws nothing, so the verdict is the one walk
+    over all of X would give.
+    """
+    width = max(1, APXMAJ_BLOCK // len(leaves))
+    for c0 in range(0, X.shape[1], width):
+        root = walk_gtree(spec, X[leaves, c0 : c0 + width], lambda l, V: V)
+        if not np.array_equal(root, want[c0 : c0 + width]):
+            return False
+    return True
+
 
 def verify_apxmaj(
     leaves: np.ndarray,
@@ -437,7 +457,7 @@ def verify_apxmaj(
         for i in pos:
             X[i, t] = 1 - b
         want[t] = b
-    if not np.array_equal(walk_gtree(spec, X[leaves], lambda l, V: V), want):
+    if not _gtree_agrees(spec, leaves, X, want):
         return False
     if trials > 0:
         X = np.empty((m, trials), dtype=spec.dtype)
@@ -450,7 +470,7 @@ def verify_apxmaj(
                 pos = rng.choice(m, size=j, replace=False)
                 X[pos, t] = random_nonzero(spec, rng, j)
             want[t] = b
-        if not np.array_equal(walk_gtree(spec, X[leaves], lambda l, V: V), want):
+        if not _gtree_agrees(spec, leaves, X, want):
             return False
     return True
 

@@ -138,7 +138,7 @@ class HomKeys:
 
     def key_size_fields(self) -> int:
         """Total public key material, counted in field elements."""
-        size = sum(pk.P.data.size for pk in self.pks)
+        size = sum(pk.P.size for pk in self.pks)
         size += sum(link.size for aux in self.boosts for link in aux.links)
         return size
 

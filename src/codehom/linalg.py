@@ -2,9 +2,8 @@
 
 The kernels work on raw numpy arrays of the field's dtype and broadcast
 over leading batch dimensions; rank_batch eliminates a stack of trial
-matrices in lockstep. Vector and Matrix only hold a FieldSpec next to
-the data: they are the containers of keys and ciphertexts, and all
-arithmetic goes through the kernels on their `.data`.
+matrices in lockstep. There are no container types: keys, ciphertexts
+and links are those arrays themselves.
 
 Elimination pivots deterministically: first nonzero entry scanning
 left-to-right, top-to-bottom. solve_canonical_array returns the unique
@@ -233,59 +232,3 @@ def unimodular_from_draws(
     out = np.empty_like(LU)
     out[np.arange(T)[:, None, None], diag[:, None], perm[:, None, :]] = LU
     return out
-
-
-# ---------------------------------------------------------------------------
-# Containers.
-# ---------------------------------------------------------------------------
-
-
-class Vector:
-    """A vector over one field; thin shell around a 1-D numpy array."""
-
-    __slots__ = ("spec", "data")
-
-    def __init__(self, spec: FieldSpec, data):
-        data = np.asarray(data, dtype=spec.dtype)
-        if data.ndim != 1:
-            raise UsageError(f"vector data must be 1-D, got shape {data.shape}")
-        self.spec = spec
-        self.data = data
-
-    @property
-    def len(self) -> int:
-        return self.data.shape[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vector)
-            and self.spec == other.spec
-            and np.array_equal(self.data, other.data)
-        )
-
-    def __repr__(self):
-        return f"Vector(len={self.len}, k={self.spec.k})"
-
-
-class Matrix:
-    """A row-major matrix over one field; thin shell around a 2-D numpy array."""
-
-    __slots__ = ("spec", "data")
-
-    def __init__(self, spec: FieldSpec, data):
-        data = np.asarray(data, dtype=spec.dtype)
-        if data.ndim != 2:
-            raise UsageError(f"matrix data must be 2-D, got shape {data.shape}")
-        self.spec = spec
-        self.data = data
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.spec == other.spec
-            and np.array_equal(self.data, other.data)
-        )
-
-    def __repr__(self):
-        rows, cols = self.data.shape
-        return f"Matrix({rows}x{cols}, k={self.spec.k})"

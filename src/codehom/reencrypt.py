@@ -102,12 +102,12 @@ def aux_gen_basic(
     """
     if sk.params.field != pk_next.params.field:
         raise UsageError("source and target keys must share one field")
-    return encrypt_batch(pk_next, sk.y_dec.data, rng, eta=eta)
+    return encrypt_batch(pk_next, sk.y_dec, rng, eta=eta)
 
 
 def aux_is_good(Z: np.ndarray, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
     """Membership audit with both secret keys: every row z_i in Enc'(y_i)."""
-    return bool(enc_membership_batch(sk_tgt, sk_src.y_dec.data, Z).all())
+    return bool(enc_membership_batch(sk_tgt, sk_src.y_dec, Z).all())
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def aux_gen_preserving(
     links = [aux_gen_basic(sks[i], pks[i + 1], rng, eta=aux_eta) for i in range(d + 1)]
 
     k = spec.k
-    bits = (sk.y_dec.data[:, None].astype(np.int64) >> np.arange(k)[None, :]) & 1
+    bits = (sk.y_dec[:, None].astype(np.int64) >> np.arange(k)[None, :]) & 1
     copies = 1 << d
     ms = np.repeat(bits.reshape(-1), copies).astype(spec.dtype)  # (n*k*copies,)
     C = encrypt_batch(pks[0], ms, rng, eta=bit_eta)

@@ -33,6 +33,10 @@ compute them together, and every key equals the one a sequential keygen
 would have made. keygen, encrypt_batch and enc_membership_batch are the
 one-key cases of the stacked functions.
 
+A key is its arrays: PublicKey.P is the (n, r) array P, and SecretKey
+holds a (n,), M (n, r) and y_dec (n,), all of the field's dtype, next to
+the index tuple S. KeyStack.pair hands out row t of each stacked array.
+
 A ciphertext is its length-n row, and a block of them a (T, n) array.
 Pointwise operations on rows are the homomorphic ones. The sum c ^ d of
 two valid encryptions is again a valid encryption. The product
@@ -61,8 +65,6 @@ from .field import (
     random_nonzero,
 )
 from .linalg import (
-    Matrix,
-    Vector,
     dot_arrays,
     matmul_arrays,
     rank_batch,
@@ -127,11 +129,12 @@ def params_from_alpha(n: int, alpha: float) -> Params:
 
 
 class SecretKey:
-    """S, the point list a, the trapdoored matrix M, and the decryption vector."""
+    """S, the points a (n,), the trapdoored M (n, r), the decryption vector y_dec (n,)."""
 
     __slots__ = ("S", "a", "M", "y_dec", "params")
 
-    def __init__(self, S: tuple[int, ...], a: Vector, M: Matrix, y_dec: Vector, params: Params):
+    def __init__(self, S: tuple[int, ...], a: np.ndarray, M: np.ndarray, y_dec: np.ndarray,
+                 params: Params):
         self.S = S
         self.a = a
         self.M = M
@@ -144,9 +147,11 @@ class SecretKey:
 
 
 class PublicKey:
+    """P = MR, an (n, r) array of the field's dtype."""
+
     __slots__ = ("P", "params")
 
-    def __init__(self, P: Matrix, params: Params):
+    def __init__(self, P: np.ndarray, params: Params):
         self.P = P
         self.params = params
 
@@ -204,10 +209,9 @@ class KeyStack:
         self.y = y
 
     def pair(self, t: int) -> tuple[PublicKey, SecretKey]:
-        p, spec = self.params, self.params.field
-        sk = SecretKey(tuple(self.S[t].tolist()), Vector(spec, self.a[t]),
-                       Matrix(spec, self.M[t]), Vector(spec, self.y[t]), p)
-        return PublicKey(Matrix(spec, self.P[t]), p), sk
+        p = self.params
+        sk = SecretKey(tuple(self.S[t].tolist()), self.a[t], self.M[t], self.y[t], p)
+        return PublicKey(self.P[t], p), sk
 
 
 def key_stack(p: Params, draws) -> KeyStack:
@@ -284,7 +288,7 @@ def encrypt_batch(
     """(T, n) ciphertext block for a (T,) message block; one fresh x, e per row."""
     p = pk.params
     ms = np.asarray(ms, dtype=p.field.dtype)
-    return encrypt_arrays(p.field, pk.P.data, ms, *draw_encryption(p, rng, ms.shape[0], eta))
+    return encrypt_arrays(p.field, pk.P, ms, *draw_encryption(p, rng, ms.shape[0], eta))
 
 
 def decrypt(sk: SecretKey, c: np.ndarray) -> FieldElement:
@@ -294,7 +298,7 @@ def decrypt(sk: SecretKey, c: np.ndarray) -> FieldElement:
 
 def decrypt_batch(sk: SecretKey, C: np.ndarray) -> np.ndarray:
     spec = sk.params.field
-    return dot_arrays(spec, sk.y_dec.data[None, :], np.asarray(C, dtype=spec.dtype))
+    return dot_arrays(spec, sk.y_dec[None, :], np.asarray(C, dtype=spec.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +331,7 @@ def enc_membership_arrays(
 def enc_membership_batch(sk: SecretKey, ms: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Row t is True iff C[t] is a noiseless-on-S encryption of ms[t]."""
     S = np.asarray(sk.S)[None]
-    return enc_membership_arrays(sk.params, sk.M.data[None], S, np.asarray(ms)[None],
+    return enc_membership_arrays(sk.params, sk.M[None], S, np.asarray(ms)[None],
                                  np.asarray(C)[None])[0]
 
 

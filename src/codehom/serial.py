@@ -29,7 +29,6 @@ from .errors import DataFormatError, ParameterError, UsageError
 from .booster import BoostAux, ExpanderGraph, leaf_row_depth, second_singular_value
 from .field import FieldSpec
 from .hom import HomKeys, KCiphertext, check_key_shape
-from .linalg import Matrix, Vector
 from .scheme import Params, PublicKey, SecretKey
 
 FORMAT = "codehom/v1"
@@ -135,7 +134,7 @@ def encode_public_key(pk: PublicKey) -> dict:
         "format": FORMAT,
         "kind": "pk",
         "params": encode_params(pk.params),
-        "P": pk.P.data.copy(),
+        "P": pk.P.copy(),
     }
 
 
@@ -145,7 +144,7 @@ def decode_public_key(doc) -> PublicKey:
     P = _field_array(p.field, _get(doc, "P"), "P", 2)
     if P.shape != (p.n, p.r):
         raise DataFormatError(f"P must be {p.n}x{p.r}, got {P.shape[0]}x{P.shape[1]}")
-    return PublicKey(Matrix(p.field, P), p)
+    return PublicKey(P, p)
 
 
 def encode_secret_key(sk: SecretKey) -> dict:
@@ -154,9 +153,9 @@ def encode_secret_key(sk: SecretKey) -> dict:
         "kind": "sk",
         "params": encode_params(sk.params),
         "S": list(sk.S),
-        "a": sk.a.data.copy(),
-        "M": sk.M.data.copy(),
-        "y": sk.y_dec.data.copy(),
+        "a": sk.a.copy(),
+        "M": sk.M.copy(),
+        "y": sk.y_dec.copy(),
     }
 
 
@@ -173,7 +172,7 @@ def decode_secret_key(doc) -> SecretKey:
     y = _field_array(p.field, _get(doc, "y"), "y", 1)
     if a.shape != (p.n,) or y.shape != (p.n,) or M.shape != (p.n, p.r):
         raise DataFormatError("secret key arrays do not match the declared parameters")
-    return SecretKey(tuple(S), Vector(p.field, a), Matrix(p.field, M), Vector(p.field, y), p)
+    return SecretKey(tuple(S), a, M, y, p)
 
 
 def encode_ciphertext(spec: FieldSpec, c: np.ndarray) -> dict:

@@ -122,8 +122,8 @@ def _raw_residuals(sk):
     # leading block is the live part), r linear rows, one affine row.
     spec = sk.params.field
     S = np.asarray(sk.S)
-    y = sk.y_dec.data[S]
-    Ms = sk.M.data[S]
+    y = sk.y_dec[S]
+    Ms = sk.M[S]
     lin = np.bitwise_xor.reduce(mul_arrays(spec, y[:, None], Ms), axis=0)
     outer = mul_arrays(spec, Ms[:, :, None], Ms[:, None, :])
     ten = np.bitwise_xor.reduce(mul_arrays(spec, y[:, None, None], outer), axis=0)
@@ -155,7 +155,7 @@ def _constructed_members(pk, sk, ms, rng):
     # trapdoor set, zero on it.
     p = pk.params
     X = random_elements(p.field, rng, (len(ms), p.r))
-    C = dot_arrays(p.field, pk.P.data, X[:, None, :])
+    C = dot_arrays(p.field, pk.P, X[:, None, :])
     C ^= np.asarray(ms, dtype=p.field.dtype)[:, None]
     E = noise_array(p, rng, (len(ms), p.n), eta=0.3)
     E[:, np.asarray(sk.S)] = 0
@@ -190,7 +190,7 @@ def _dec_members(sk, ms, rng):
     p = sk.params
     spec = p.field
     C = random_elements(spec, rng, (len(ms), p.n))
-    y = sk.y_dec.data
+    y = sk.y_dec
     j0 = int(np.flatnonzero(y)[0])
     cur = decrypt_batch(sk, C)
     fix = mul_arrays(spec, cur ^ ms, inv_arrays(spec, y[j0 : j0 + 1]))

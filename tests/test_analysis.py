@@ -139,7 +139,7 @@ def test_rank_matches_literal_key_construction():
         pk, sk = keygen(P24, g)
         outside = np.setdiff1d(np.arange(P24.n), np.asarray(sk.S))
         pick = list(sk.S[:s_overlap]) + list(g.choice(outside, size=t - s_overlap, replace=False))
-        hits += int(rank_batch(GF256, pk.P.data[pick][None])[0] == t)
+        hits += int(rank_batch(GF256, pk.P[pick][None])[0] == t)
     literal = hits / trials
     fast = rank_experiment(P24, t, s_overlap, 4000, rng(22)).estimate
     gap = 4 * np.sqrt(literal * (1 - literal) / trials + fast * (1 - fast) / 4000)
@@ -219,6 +219,12 @@ def test_error_budget_negative_control_fails():
     assert not rows[0].passed
     assert rows[0].measured > rows[0].bound + rows[0].tolerance
     assert rows[0].parameters["eta_scale"] == 2.0
+
+
+def test_error_budget_rejects_unknown_rows():
+    # a misspelled row would otherwise run that row's default trial count
+    with pytest.raises(UsageError, match=r"\['encfial'\].*'encfail'"):
+        error_budget(rng(9), trials={"encfial": 5, "boost": 1})
 
 
 # ---------------------------------------------------------------------------

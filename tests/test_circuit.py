@@ -4,10 +4,13 @@ The boolean oracle below evaluates with Python ints and bit operators,
 nothing shared with the field-based evaluator.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codehom import circuit
 from codehom.circuit import (
     MULT_KINDS,
     Circuit,
@@ -356,6 +359,31 @@ def test_verify_trials_zero_runs_boolean_part():
     rng = np.random.default_rng(12)
     c = build_apxmaj(8, rng)
     assert verify_apxmaj(c, 8, 0, rng)
+
+
+def test_verify_apxmaj_walks_in_bounded_blocks(monkeypatch):
+    # m = 16 with 5,000 trials gathers 4,096 leaves x 5,000 patterns, 20 MB
+    # at once; walked in blocks the whole check stays well below that
+    good = build_apxmaj(16, np.random.default_rng(14))
+    tracemalloc.start()
+    try:
+        assert verify_apxmaj(good, 16, 5000, np.random.default_rng(15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    # half the leaves read input 0; the verdict and the rng state after it
+    # match one walk over every pattern, and a walk in 7-pattern blocks
+    bad = good.copy()
+    bad[: len(bad) // 2] = 0
+    default = circuit.APXMAJ_BLOCK
+    for leaves, want in ((good, True), (bad, False)):
+        got = []
+        for block in (default, 1 << 62, 7 * len(leaves)):
+            monkeypatch.setattr(circuit, "APXMAJ_BLOCK", block)
+            rng = np.random.default_rng(16)
+            got.append((verify_apxmaj(leaves, 16, 300, rng), int(rng.integers(1 << 62))))
+        assert got[0][0] is want and got[1:] == got[:1] * 2
 
 
 def test_gtree_circuit_matches_walk_gtree():

@@ -70,7 +70,7 @@ def test_aux_shapes_and_views(link_pair):
     pk, sk, pk2, sk2, Z = link_pair
     assert Z.shape == (20, 28)
     # target noise rate is zero, so each z_i decrypts to y_i exactly
-    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec.data)
+    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec)
     assert aux_is_good(Z, sk, sk2)
 
 
@@ -139,7 +139,7 @@ def test_good_aux_rate():
     _, sk = keygen(p_src, rng)
     pk2, sk2 = keygen(p_tgt, rng)
     trials = 400
-    ms = np.tile(sk.y_dec.data, trials)
+    ms = np.tile(sk.y_dec, trials)
     C = encrypt_batch(pk2, ms, rng)
     good = enc_membership_batch(sk2, ms, C).reshape(trials, 16).all(axis=1)
     bound = 1 - p_tgt.eta * p_tgt.s * 16
@@ -175,7 +175,7 @@ def test_chain_keygen_deterministic():
     b = chain_keygen(24, 0.0, 2, np.random.default_rng(9), base=BASE24)
     for (pka, ska), (pkb, skb) in zip(a.levels, b.levels):
         assert ska.S == skb.S
-        assert np.array_equal(pka.P.data, pkb.P.data)
+        assert np.array_equal(pka.P, pkb.P)
     for xa, xb in zip(a.links, b.links):
         assert np.array_equal(xa, xb)
 
@@ -426,7 +426,7 @@ def test_preserving_structure(preserving_flat):
 def test_preserving_is_good(preserving_flat):
     # noiseless generation: every z_i is a target encryption of y_i
     sk, pk2, sk2, Z = preserving_flat
-    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec.data)
+    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec)
     assert aux_is_good(Z, sk, sk2)
     rng = np.random.default_rng(20)
     C = random_elements(GF16, rng, (100, 16))
@@ -454,7 +454,7 @@ def test_preserving_alpha_family():
     # internal levels 9 -> 16 -> 32 (test_preserving_sizes) on GF(256): the
     # links between them would raise on a field mismatch
     Z = aux_gen_preserving(sk, pk2, 9, 0.25, 2, rng, bit_eta=0.0, aux_eta=0.0)
-    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec.data)
+    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec)
     assert aux_is_good(Z, sk, sk2)
 
 
@@ -489,7 +489,7 @@ def test_preserving_bit_noise_budget():
         Z = aux_gen_preserving(sk, pk2, 16, 0.0, 2, rng, bit_eta=eta0 / BASE16.s)
         vals = decrypt_batch(sk2, Z)
         assert enc_membership_batch(sk2, vals, Z).all()
-        wrong += int(np.sum(vals != sk.y_dec.data))
+        wrong += int(np.sum(vals != sk.y_dec))
         total += 16
     bound = GF16.k * 6 * eta0 * eta0
     sigma = np.sqrt(bound * (1 - bound) / total)

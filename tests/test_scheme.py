@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from codehom.errors import ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_distinct, random_elements
 from codehom.linalg import (
-    Matrix,
     dot_arrays,
     rank_batch,
     solve_canonical_array,
@@ -53,8 +52,8 @@ def raw_constraint_residuals(sk):
     """Substitution into the uncollapsed system: r^2 tensor equations,
     r linear equations, one affine equation. Returns max residual."""
     spec = sk.params.field
-    y = sk.y_dec.data
-    M = sk.M.data
+    y = sk.y_dec
+    M = sk.M
     n, r = M.shape
     tensor_acc = np.zeros(r * r, dtype=spec.dtype)
     lin_acc = np.zeros(r, dtype=spec.dtype)
@@ -126,9 +125,9 @@ def test_params_from_alpha_rejects_bad_alpha():
 
 def test_keygen_matrix_shape():
     pk, sk = make_keys(1)
-    M = sk.M.data
+    M = sk.M
     s3 = P_SMALL.s // 3
-    a = sk.a.data
+    a = sk.a
     assert len(set(a.tolist())) == P_SMALL.n
     for i in range(P_SMALL.n):
         expect = a[i]
@@ -144,7 +143,7 @@ def test_keygen_matrix_shape():
 
 def test_keygen_rank_preserved():
     pk, sk = make_keys(2)
-    assert rank_batch(F16, pk.P.data[None])[0] == rank_batch(F16, sk.M.data[None])[0]
+    assert rank_batch(F16, pk.P[None])[0] == rank_batch(F16, sk.M[None])[0]
 
 
 def test_y_dec_satisfies_raw_system():
@@ -200,7 +199,7 @@ def test_closed_form_y_is_the_canonical_solution_wide_fields(k, s, zero_at, seed
 
 def test_y_dec_support():
     _, sk = make_keys(3)
-    y = sk.y_dec.data
+    y = sk.y_dec
     support = set(np.nonzero(y)[0].tolist())
     assert support <= set(sk.S)
 
@@ -208,9 +207,9 @@ def test_y_dec_support():
 def test_keygen_deterministic():
     pk1, sk1 = make_keys(7)
     pk2, sk2 = make_keys(7)
-    assert pk1.P == pk2.P
+    assert np.array_equal(pk1.P, pk2.P)
     assert sk1.S == sk2.S
-    assert sk1.y_dec == sk2.y_dec
+    assert np.array_equal(sk1.y_dec, sk2.y_dec)
 
 
 # --- noise ---------------------------------------------------------------------
@@ -251,8 +250,8 @@ def test_encrypt_batch_is_px_plus_m():
     ms = np.array([0x1234, 0, 7], dtype=F16.dtype)
     C = encrypt_batch(pk, ms, np.random.default_rng(10), eta=0.0)
     X = random_elements(F16, np.random.default_rng(10), (3, P_SMALL.r))
-    assert np.array_equal(C, dot_arrays(F16, pk.P.data, X[:, None, :]) ^ ms[:, None])
-    zero_pk = PublicKey(Matrix(F16, np.zeros_like(pk.P.data)), P_SMALL)
+    assert np.array_equal(C, dot_arrays(F16, pk.P, X[:, None, :]) ^ ms[:, None])
+    zero_pk = PublicKey(np.zeros_like(pk.P), P_SMALL)
     C = encrypt_batch(zero_pk, ms, np.random.default_rng(10), eta=0.0)
     assert C.tolist() == [[int(m)] * P_SMALL.n for m in ms]
 

@@ -13,7 +13,7 @@ from codehom.cli import main
 from codehom.errors import DataFormatError, UsageError
 from codehom.field import FieldElement, FieldSpec
 from codehom.hom import BoostConfig, hdec, hom_encrypt, hom_eval, hom_keygen
-from codehom.scheme import Params, decrypt, encrypt, keygen
+from codehom.scheme import Params, decrypt, draw_key, encrypt, key_stack, keygen
 
 GF16 = FieldSpec(4)
 P16 = Params(n=16, r=6, s=3, field=GF16, eta=0.0)
@@ -39,7 +39,7 @@ def test_public_key_round_trip(keypair, tmp_path):
     serial.save_public_key(pk, tmp_path / "pk.json")
     back = serial.load_public_key(tmp_path / "pk.json")
     assert back.params == pk.params
-    assert np.array_equal(back.P.data, pk.P.data)
+    assert np.array_equal(back.P, pk.P)
 
 
 def test_secret_key_round_trip(keypair, tmp_path):
@@ -47,9 +47,27 @@ def test_secret_key_round_trip(keypair, tmp_path):
     serial.save_secret_key(sk, tmp_path / "sk.json")
     back = serial.load_secret_key(tmp_path / "sk.json")
     assert back.S == sk.S
-    assert np.array_equal(back.a.data, sk.a.data)
-    assert np.array_equal(back.M.data, sk.M.data)
-    assert np.array_equal(back.y_dec.data, sk.y_dec.data)
+    assert np.array_equal(back.a, sk.a)
+    assert np.array_equal(back.M, sk.M)
+    assert np.array_equal(back.y_dec, sk.y_dec)
+
+
+def test_keys_are_bare_field_arrays(tmp_path):
+    # every way to get a key hands out plain arrays of the field's dtype
+    p = Params(n=20, r=9, s=6, field=FieldSpec(8), eta=0.0)
+    stack = key_stack(p, [draw_key(p, rng(t)) for t in range(2)])
+    pk, sk = keygen(p, rng(7))
+    serial.save_public_key(pk, tmp_path / "pk.json")
+    serial.save_secret_key(sk, tmp_path / "sk.json")
+    pairs = [(pk, sk), stack.pair(1),
+             (serial.load_public_key(tmp_path / "pk.json"),
+              serial.load_secret_key(tmp_path / "sk.json"))]
+    want = {"P": (20, 9), "a": (20,), "M": (20, 9), "y_dec": (20,)}
+    for pk_t, sk_t in pairs:
+        got = {"P": pk_t.P, "a": sk_t.a, "M": sk_t.M, "y_dec": sk_t.y_dec}
+        for name, arr in got.items():
+            assert type(arr) is np.ndarray, name
+            assert arr.dtype == p.field.dtype and arr.shape == want[name], name
 
 
 def test_ciphertext_round_trip_decrypts(keypair, tmp_path):
@@ -180,7 +198,7 @@ def test_encoded_documents_own_their_arrays(keypair, hom_keys):
     pk, sk = keypair
     aux = hom_keys.boosts[0]
     kc = hom_encrypt(hom_keys, 1, rng(3))
-    held = [pk.P.data, sk.a.data, sk.M.data, sk.y_dec.data,
+    held = [pk.P, sk.a, sk.M, sk.y_dec,
             aux.graph.adjacency, aux.assignment, *aux.links, kc.P]
     before = [a.copy() for a in held]
     docs = [serial.encode_public_key(pk), serial.encode_secret_key(sk),
@@ -355,13 +373,13 @@ def test_key_directory_must_match_meta(hom_keys, tmp_path):
 def test_gf64_keys_load_and_reject_junk(tmp_path):
     # half of all GF(2^64) elements reach 2^63, past int64
     pk, sk = keygen(Params(n=16, r=6, s=3, field=FieldSpec(64), eta=0.0), rng(12))
-    assert int(pk.P.data.max()) >= 2**63
+    assert int(pk.P.max()) >= 2**63
     serial.save_public_key(pk, tmp_path / "pk.json")
     serial.save_secret_key(sk, tmp_path / "sk.json")
-    assert np.array_equal(serial.load_public_key(tmp_path / "pk.json").P.data, pk.P.data)
+    assert np.array_equal(serial.load_public_key(tmp_path / "pk.json").P, pk.P)
     back = serial.load_secret_key(tmp_path / "sk.json")
     for a, b in ((back.a, sk.a), (back.M, sk.M), (back.y_dec, sk.y_dec)):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
     # as lists: an array entry would cast the junk or refuse it on assignment
     good = serial.encode_public_key(pk)["P"].tolist()
     for junk in (1.5, "x", True, -1, 2**64):

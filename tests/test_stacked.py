@@ -96,8 +96,8 @@ def test_stacked_keys_equal_sequential_reference_keys(shape, T, seed):
     # keygen is the one-key case: the next key drawn either way agrees too
     pk, sk = keygen(p, rng)
     S, a, M, P, y = ref_keygen(p, replay)
-    assert (list(sk.S), sk.a.data.tolist(), sk.M.data.tolist(), pk.P.data.tolist(),
-            sk.y_dec.data.tolist()) == (S, a, M, P, y)
+    assert (list(sk.S), sk.a.tolist(), sk.M.tolist(), pk.P.tolist(),
+            sk.y_dec.tolist()) == (S, a, M, P, y)
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,8 +135,10 @@ def test_chain_batch_equals_sequential_chains(T, alpha, seed):
         levels = [keygen(p, replay) for p in params]
         links = [aux_gen_basic(levels[i][1], levels[i + 1][0], replay) for i in range(2)]
         for (pk, sk), (pk_want, sk_want) in zip(got.levels, levels):
-            assert pk.P == pk_want.P and sk.M == sk_want.M and sk.S == sk_want.S
-            assert sk.a == sk_want.a and sk.y_dec == sk_want.y_dec
+            assert sk.S == sk_want.S
+            for got_a, want_a in ((pk.P, pk_want.P), (sk.M, sk_want.M), (sk.a, sk_want.a),
+                                  (sk.y_dec, sk_want.y_dec)):
+                assert np.array_equal(got_a, want_a)
         for Z, want in zip(got.links, links):
             assert np.array_equal(Z, want)
     assert rng.bit_generator.state == replay.bit_generator.state
