@@ -13,7 +13,7 @@ from .errors import (
     ParameterError,
     UsageError,
 )
-from .field import FieldElement, FieldSpec, fe_decompose, fe_inv, fe_pow, fe_recompose
+from .field import FieldElement, FieldSpec
 
 __all__ = [
     "BoundFailure",
@@ -24,8 +24,4 @@ __all__ = [
     "FieldSpec",
     "ParameterError",
     "UsageError",
-    "fe_decompose",
-    "fe_inv",
-    "fe_pow",
-    "fe_recompose",
 ]

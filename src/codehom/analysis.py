@@ -34,17 +34,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .booster import boost_arrays, boost_aux_gen, build_expander
-from .circuit import build_apxmaj, build_corr
+from .booster import boost_arrays
+from .circuit import build_corr
 from .field import FieldSpec, random_distinct_batch, random_elements
-from .hom import enc_k_threshold
+from .hom import BoostConfig, KCiphertext, enc_k_contains, hom_encrypt, hom_keygen
 from .linalg import rank_batch, vandermonde_array
 from .reencrypt import chain_eval_arrays, chain_keygen, chain_keygen_batch
 from .scheme import (
     Params,
     decrypt_batch,
     enc_membership_arrays,
-    enc_membership_batch,
     encrypt_batch,
     keygen,
     noise_array,
@@ -303,19 +302,15 @@ def _boost_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     t0 = time.perf_counter()
     p = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.0)
     k, bad = 32, 2
-    graph = build_expander(k, 16, 0.6, rng)
-    leaves = build_apxmaj(16, rng, verify_trials=60, spec=p.field)
-    pk0, sk0 = keygen(p, rng)
-    pk1, sk1 = keygen(p, rng)
-    aux = boost_aux_gen(sk0, pk1, graph, leaves, rng, mid_n=4)
+    cfg = BoostConfig(b=16, lambda_target=0.6, mid_n=4, verify_trials=60)
+    hk = hom_keygen(p, k, 1, rng, cfg=cfg)
     failures = 0
     for _ in range(trials):
         m = int(rng.integers(2))
-        C = encrypt_batch(pk0, np.full(k, m), rng)
+        C = hom_encrypt(hk, m, rng).P
         C[rng.choice(k, size=bad, replace=False)] = random_elements(p.field, rng, (bad, p.n))
-        out = boost_arrays(aux, C)
-        good = int(enc_membership_batch(sk1, np.full(k, m), out).sum())
-        failures += good < enc_k_threshold(k)
+        out = KCiphertext(p.field, boost_arrays(hk.boosts[0], C))
+        failures += not enc_k_contains(hk.sk_top, m, out)
     return _budget_row(
         "boost contract at k/16 corruption", 0.0, trials, failures, t0,
         {"n": p.n, "k": k, "b": 16, "corrupted": bad},

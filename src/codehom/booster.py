@@ -114,19 +114,6 @@ def build_expander(k: int, b: int, lambda_target: float, rng: np.random.Generato
     )
 
 
-def bad_neighbor_counts(graph: ExpanderGraph, bad_mask: np.ndarray) -> np.ndarray:
-    """Per output, how many of its b neighbors the mask marks bad."""
-    bad_mask = np.asarray(bad_mask)
-    if bad_mask.shape[-1] != graph.k:
-        raise UsageError(f"mask covers {bad_mask.shape[-1]} inputs, graph has {graph.k}")
-    return bad_mask[..., graph.adjacency].sum(axis=-1)
-
-
-def heavy_output_bound(graph: ExpanderGraph) -> float:
-    """Mixing-lemma cap on outputs with >= b/8 bad neighbors: 16 lambda^2 k."""
-    return 16.0 * graph.lambda_measured**2 * graph.k
-
-
 class BoostAux:
     """Per-output majority chains, flattened for stacked evaluation.
 

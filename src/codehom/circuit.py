@@ -16,15 +16,13 @@ the field-element reference the array paths are checked against.
 compile_schedule is the only code that decides levels. layerize writes
 its schedule back out as a netlist, with a dummy gate (an AND with the
 constant one) wherever a wire crosses a level no gate of its own
-consumed: the schedule's netlist view, as gtree_circuit is the leaf
-row's.
+consumed: the schedule's netlist view.
 
 CORR_d is the full G-tree self-corrector; APXMAJ is the randomly wired
 approximate majority, built by sample-and-verify since the existence
 argument it comes from is probabilistic. A G-tree is given by its leaf
 row alone: leaf i reads input leaves[i], and walk_gtree pairs the leaves
-as build_corr wires them. build_apxmaj returns that row; gtree_circuit
-writes it out as a netlist for the reference evaluators.
+as build_corr wires them. build_apxmaj returns that row.
 """
 
 from __future__ import annotations
@@ -380,16 +378,6 @@ def walk_gtree(spec: FieldSpec, V: np.ndarray, cross) -> np.ndarray:
         V ^= one
         V = cross(level, V)
     return V[0]
-
-
-def gtree_circuit(m: int, leaves: np.ndarray) -> Circuit:
-    """The netlist of the G-tree over inputs x0..x{m-1} whose leaf i reads leaves[i]."""
-    tree = build_corr(len(leaves).bit_length() - 1)
-    remap = {name: f"x{int(j)}" for name, j in zip(tree.inputs, leaves)}
-    gates = [
-        Gate(g.id, g.kind, tuple(remap.get(a, a) for a in g.args)) for g in tree.gates
-    ]
-    return Circuit([f"x{i}" for i in range(m)], gates, tree.outputs)
 
 
 def _agreement_patterns(m: int, flips: int):

@@ -11,10 +11,10 @@ read-only, by every spec of that degree. Zero gets the sentinel log
 2(q-1) and exp ends in a zero tail, so any product with a zero factor
 indexes that tail: a * b is exp[log[a] + log[b]] with no zero masks. For
 k <= 8 a q x q product table (256 B at k = 4, 64 KB at k = 8) makes a
-product one gather instead: prod[(a << k) | b]. mul_arrays adds a second
-case, for column-times-row products such as the steps of matmul_arrays:
-a table of every multiple of each row, gathered a whole row at a time;
-for k <= 8 it is sliced from the product table. Above k = 16
+product one gather instead: prod[(a << k) | b]. For k <= 8 mul_arrays
+adds a second case, for column-times-row products such as the steps of
+matmul_arrays: a table of every multiple of each row, sliced from the
+product table and gathered a whole row at a time. Above k = 16
 multiplication is a shift-and-reduce bit loop.
 """
 
@@ -46,10 +46,10 @@ _PRODUCT_LIMIT = 8  # largest k that gets a q x q product table
 # (rows, 1, n); best of 7, numpy 2.4 on a 2-core Xeon host), the row path
 # against the element-wise product: k = 4, 0.97x at rows 4, n 16 (1K
 # outputs) and 1.7-2.3x at 8K-64K outputs; k = 8, 3.5-5.9x (rows 4 or 32,
-# n 16 or 128); k = 16, whose table is built through log/exp, 1.0-1.06x.
-# An encryption step at paper-dryrun, (256, 1) x (1, 32) at k = 8, ran
-# 2.9x as fast. No shape measured at or below the cut-off ran slower by
-# more than the 3% at the smallest one.
+# n 16 or 128). An encryption step at paper-dryrun, (256, 1) x (1, 32) at
+# k = 8, ran 2.9x as fast. No shape measured at or below the cut-off ran
+# slower by more than the 3% at the smallest one. At k = 16 a table built
+# through log/exp ran 1.0-1.06x, so GF(2^16) keeps the element-wise product.
 
 # Whole-row redraws random_distinct_batch makes before it draws the rows
 # that still collide with random_distinct. A row that is injective with
@@ -190,9 +190,6 @@ class FieldElement:
             _scalar_mul(self.value, other.value, self.spec.k, self.spec.modulus),
         )
 
-    def __pow__(self, e: int) -> "FieldElement":
-        return fe_pow(self, e)
-
     def __bool__(self):
         return self.value != 0
 
@@ -208,48 +205,6 @@ def _check_same(a: FieldElement, b: FieldElement):
         raise UsageError("operands come from different fields")
 
 
-def fe_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
-    if a.value == 0:
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    spec = a.spec
-    if spec._log is not None:
-        return FieldElement(spec, int(spec._exp[(spec.q - 1) - int(spec._log[a.value])]))
-    return fe_pow(a, spec.q - 2)
-
-
-def fe_pow(a: FieldElement, e: int) -> FieldElement:
-    """a^e by square-and-multiply; 0^0 is defined as 1."""
-    if e < 0:
-        raise UsageError("negative exponent; invert explicitly instead")
-    spec = a.spec
-    result, base = 1, a.value
-    while e:
-        if e & 1:
-            result = _scalar_mul(result, base, spec.k, spec.modulus)
-        base = _scalar_mul(base, base, spec.k, spec.modulus)
-        e >>= 1
-    return FieldElement(spec, result)
-
-
-def fe_decompose(a: FieldElement) -> list[int]:
-    """Bits (y_0, ..., y_(k-1)) with a = sum gamma^j y_j, least significant first."""
-    return [(a.value >> j) & 1 for j in range(a.spec.k)]
-
-
-def fe_recompose(spec: FieldSpec, bits) -> FieldElement:
-    """Inverse of fe_decompose; requires exactly k bits."""
-    bits = list(bits)
-    if len(bits) != spec.k:
-        raise UsageError(f"expected {spec.k} bits, got {len(bits)}")
-    value = 0
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise UsageError(f"bit {j} is {b!r}, expected 0 or 1")
-        value |= b << j
-    return FieldElement(spec, value)
-
-
 # ---------------------------------------------------------------------------
 # Array kernels. All take/return numpy arrays of the spec's dtype and
 # broadcast like the underlying numpy ops.
@@ -258,49 +213,44 @@ def fe_recompose(spec: FieldSpec, bits) -> FieldElement:
 def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
     """Elementwise product over GF(2^k); a and b broadcast like numpy.
 
-    a and b hold canonical elements (values below q). For k <= 16 one of
+    a and b hold canonical elements (values below q). For k <= 8 one of
     two cases runs:
 
-    - element-wise: for k <= 8 one gather from the product table at
-      (a << k) | b, formed in uint16 (about 5 ns per element at k = 8,
-      against 11-13 ns for log/exp); for k = 16 exp[log[a] + log[b]];
+    - element-wise: one gather from the product table at (a << k) | b,
+      formed in uint16 (about 5 ns per element at k = 8, against 11-13
+      ns for log/exp);
     - column x row: one operand's last axis is 1 and the other's (the
       row operand) is not, as in the steps A[..., :, t, None] *
       B[..., t, None, :] of matmul_arrays. Every multiple of each row is
-      tabled once, and the output is gathered a whole row at a time
-      (0.16-0.3 ns per element in a desk boost). Taken whenever the
-      table has no more elements than the output; for k <= 8 the table
-      is rows of the product table, 2-5x faster to build than through
-      log/exp.
+      sliced from the product table once, and the output is gathered a
+      whole row at a time (0.16-0.3 ns per element in a desk boost).
+      Taken whenever the table has no more elements than the output.
 
-    Above k = 16 the product is _mul_bitloop's shift-and-reduce. The
-    result never shares memory with the tables or the inputs.
+    For k = 16 the product is exp[log[a] + log[b]], element-wise; above
+    k = 16 it is _mul_bitloop's shift-and-reduce. The result never
+    shares memory with the tables or the inputs.
     """
     a = np.asarray(a, dtype=spec.dtype)
     b = np.asarray(b, dtype=spec.dtype)
     if spec._log is None:
         return _mul_bitloop(spec, a, b)
+    # asarray: with two 0-d operands a gather gives a numpy scalar.
+    if spec._prod is None:
+        return np.asarray(spec._exp[spec._log[a] + spec._log[b]])
     if a.ndim and b.ndim and (a.shape[-1] == 1) != (b.shape[-1] == 1):
         col, row = (a, b) if a.shape[-1] == 1 else (b, a)
         rows = math.prod(row.shape[:-1])
         table, out = rows * spec.q * row.shape[-1], np.broadcast(a, b).size
         if table <= out:
             return _mul_rows(spec, col, row, rows)
-    # asarray: with two 0-d operands the gather gives a numpy scalar.
-    if spec._prod is not None:
-        return np.asarray(spec._prod[np.left_shift(a, spec.k, dtype=np.uint16) | b])
-    return np.asarray(spec._exp[spec._log[a] + spec._log[b]])
+    return np.asarray(spec._prod[np.left_shift(a, spec.k, dtype=np.uint16) | b])
 
 
 def _mul_rows(spec: FieldSpec, col: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
     # Row r's multiple by v sits at table[r*q + v]; col[..., 0] picks v.
     q, n = spec.q, row.shape[-1]
     flat = row.reshape(rows, n)
-    if spec._prod is not None:
-        table = spec._prod.reshape(q, q)[flat].transpose(0, 2, 1).reshape(rows * q, n)
-    else:
-        log = spec._log
-        table = spec._exp[log[:, None] + log[flat[:, None, :]]].reshape(rows * q, n)
+    table = spec._prod.reshape(q, q)[flat].transpose(0, 2, 1).reshape(rows * q, n)
     row_base = np.arange(0, rows * q, q, dtype=np.intp).reshape(row.shape[:-1])
     return np.take(table, row_base + col[..., 0], axis=0)
 

@@ -62,8 +62,8 @@ class KCiphertext:
 
     def __init__(self, spec: FieldSpec, P):
         P = np.asarray(P, dtype=spec.dtype)
-        if P.ndim != 2:
-            raise UsageError(f"part block must be 2-D, got shape {P.shape}")
+        if P.ndim != 2 or not len(P):
+            raise UsageError(f"part block must be 2-D with at least one part, got shape {P.shape}")
         self.spec = spec
         self.P = P
 
@@ -204,10 +204,11 @@ def _plurality(sk: SecretKey, kc: KCiphertext) -> FieldElement:
     spec = sk.params.field
     if kc.spec != spec or kc.n != sk.params.n:
         raise UsageError("replicated ciphertext does not match this key")
-    vals = decrypt_batch(sk, kc.P)
-    counts = np.bincount(vals, minlength=spec.q)
-    # argmax takes the first maximum: ties break toward the smallest value
-    return FieldElement(spec, int(np.argmax(counts)))
+    # unique sorts the values it counts (a count per value of the field
+    # would be 2^k long) and argmax takes the first maximum: ties break
+    # toward the smallest value
+    values, counts = np.unique(decrypt_batch(sk, kc.P), return_counts=True)
+    return FieldElement(spec, int(values[np.argmax(counts)]))
 
 
 def hom_decrypt(hk: HomKeys, kc: KCiphertext) -> FieldElement:

@@ -169,14 +169,6 @@ def vandermonde_array(spec: FieldSpec, points: np.ndarray, width: int) -> np.nda
     return out
 
 
-def tensor_row_array(spec: FieldSpec, v: np.ndarray) -> np.ndarray:
-    """Entry (j,l) of the result is v_j * v_l, row-major; handles batches."""
-    v = np.asarray(v, dtype=spec.dtype)
-    n = v.shape[-1]
-    out = mul_arrays(spec, v[..., :, None], v[..., None, :])
-    return out.reshape(v.shape[:-1] + (n * n,))
-
-
 def random_unimodular_array(spec: FieldSpec, r: int, rng: np.random.Generator) -> np.ndarray:
     """Random determinant-one matrix: L · U · P.
 

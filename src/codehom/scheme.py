@@ -214,20 +214,27 @@ class KeyStack:
         return PublicKey(self.P[t], p), sk
 
 
-def key_stack(p: Params, draws) -> KeyStack:
-    """keygen's arithmetic for a list of draw_key draws, every key at once.
-
-    Vandermonde rows with the trapdoor rows cut after power s/3, P = MR
-    with R = L · U · P, and the closed-form decryption vector.
+def trapdoor_arrays(p: Params, S: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M (T, n, r) and y_dec (T, n) of the keys with index sets S (T, s)
+    and distinct points a (T, n): Vandermonde rows with the trapdoor rows
+    cut after power s/3, and the closed-form decryption vector.
     """
     spec = p.field
-    S, a, lower, upper, perm = stack_tuples(draws)
     keys = np.arange(len(S))[:, None]
     M = vandermonde_array(spec, a, p.r)
     M[keys, S, p.s // 3 :] = 0
-    P = matmul_arrays(spec, M, unimodular_from_draws(spec, lower, upper, perm))
     y = np.zeros(a.shape, dtype=spec.dtype)
     y[keys, S] = _decryption_support_vector(spec, a[keys, S], p.s)
+    return M, y
+
+
+def key_stack(p: Params, draws) -> KeyStack:
+    """keygen's arithmetic for a list of draw_key draws, every key at once:
+    trapdoor_arrays, then P = MR with R = L · U · P.
+    """
+    S, a, lower, upper, perm = stack_tuples(draws)
+    M, y = trapdoor_arrays(p, S, a)
+    P = matmul_arrays(p.field, M, unimodular_from_draws(p.field, lower, upper, perm))
     return KeyStack(p, S, a, M, P, y)
 
 

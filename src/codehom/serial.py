@@ -13,9 +13,12 @@ under a meta file naming the shape.
 
 Loaders validate types, structure and value ranges and raise
 DataFormatError; a file that parses as JSON but violates a constructor
-invariant counts as malformed data too. A boost file holds the majority
-tree as its leaf row alone; files that also carry the tree's netlist
-under "circuit" still load, and that field is ignored.
+invariant counts as malformed data too. A secret key's M and y must be
+the ones its S and distinct points a define; a key that broke that
+rule would decrypt to wrong plaintexts without a word. A boost file
+holds the majority tree as its leaf row alone; files that also carry
+the tree's netlist under "circuit" still load, and that field is
+ignored.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import DataFormatError, ParameterError, UsageError
 from .booster import BoostAux, ExpanderGraph, leaf_row_depth, second_singular_value
 from .field import FieldSpec
 from .hom import HomKeys, KCiphertext, check_key_shape
-from .scheme import Params, PublicKey, SecretKey
+from .scheme import Params, PublicKey, SecretKey, trapdoor_arrays
 
 FORMAT = "codehom/v1"
 
@@ -172,6 +175,12 @@ def decode_secret_key(doc) -> SecretKey:
     y = _field_array(p.field, _get(doc, "y"), "y", 1)
     if a.shape != (p.n,) or y.shape != (p.n,) or M.shape != (p.n, p.r):
         raise DataFormatError("secret key arrays do not match the declared parameters")
+    # Distinct points first: a repeated one would divide by zero in y's closed form.
+    if np.unique(a).size != p.n:
+        raise DataFormatError("the points a must be distinct")
+    M_want, y_want = trapdoor_arrays(p, np.array([S]), a[None])
+    if not np.array_equal(M, M_want[0]) or not np.array_equal(y, y_want[0]):
+        raise DataFormatError("M and y do not match the trapdoor that S and a define")
     return SecretKey(tuple(S), a, M, y, p)
 
 

@@ -21,6 +21,17 @@ def ref_mul(a: int, b: int, modulus: int) -> int:
     return prod
 
 
+def ref_pow(a: int, e: int, modulus: int) -> int:
+    """a^e by square-and-multiply on ref_mul; 0^0 is 1."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = ref_mul(acc, a, modulus)
+        a = ref_mul(a, a, modulus)
+        e >>= 1
+    return acc
+
+
 def ref_det(M: list[list[int]], modulus: int) -> int:
     # Cofactor expansion along the first row; characteristic 2 kills signs.
     n = len(M)

@@ -29,17 +29,8 @@ import time
 import numpy as np
 
 from codehom.analysis import Z95, rank_experiment, wilson_interval
-from codehom.booster import (
-    bad_neighbor_counts,
-    boost_aux_gen,
-    boost_arrays,
-    build_expander,
-    heavy_output_bound,
-    second_singular_value,
-)
-from codehom.circuit import (
-    build_apxmaj, build_corr, compile_schedule, eval_plain, eval_plain_array, gtree_circuit,
-)
+from codehom.booster import boost_aux_gen, boost_arrays, build_expander, second_singular_value
+from codehom.circuit import build_apxmaj, build_corr, compile_schedule, eval_plain, eval_plain_array
 from codehom.field import FieldElement, FieldSpec, inv_arrays, mul_arrays, random_elements
 from codehom.hom import BoostConfig, enc_k_threshold, hdec, hom_encrypt, hom_eval, hom_keygen
 from codehom.linalg import dot_arrays, matmul_arrays
@@ -57,6 +48,7 @@ from codehom.scheme import (
 )
 
 from circuit_gen import random_two_layer_circuit
+from oracles import bad_neighbor_counts, gtree_circuit, heavy_output_bound
 
 GF4 = FieldSpec(4)
 GF8 = FieldSpec(8)

@@ -21,7 +21,6 @@ from codehom.circuit import (
     eval_plain,
     eval_plain_array,
     format_netlist,
-    gtree_circuit,
     layerize,
     parse_netlist,
     verify_apxmaj,
@@ -31,6 +30,7 @@ from codehom.errors import DataFormatError, ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_elements
 
 from circuit_gen import random_circuit
+from oracles import gtree_circuit
 
 F16 = FieldSpec(4)
 

@@ -118,6 +118,32 @@ def test_secret_key_with_bad_S_is_data_error(base_key, tmp_path, capsys):
     assert run(capsys, "decrypt", "--sk", sk, "--ct", ct)[:2] == (0, "1a\n")
 
 
+def test_tampered_secret_key_is_data_error(base_key, tmp_path, capsys):
+    # decrypt reads y alone: a y that is nonzero off S decrypts to a wrong
+    # plaintext, and a bad M or a repeated point goes unseen, unless the
+    # loader checks M and y against the trapdoor that S and a define
+    ct = tmp_path / "ct.json"
+    assert run(capsys, "encrypt", "--pk", f"{base_key}.pk.json", "--m", "5a",
+               "--out", ct, "--seed", "3")[0] == 0
+    with open(f"{base_key}.sk.json") as f:
+        good = json.load(f)
+    off = min(set(range(len(good["a"]))) - set(good["S"]))
+    y, a, M = good["y"][:], good["a"][:], [row[:] for row in good["M"]]
+    y[off] = 1
+    a[0] = a[1]
+    M[0][0] ^= 1
+    sk = tmp_path / "sk.json"
+    for name, doc, why in (("y", {**good, "y": y}, "trapdoor"),
+                           ("a", {**good, "a": a}, "distinct"),
+                           ("M", {**good, "M": M}, "trapdoor")):
+        sk.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "decrypt", "--sk", sk, "--ct", ct)
+        assert code == 3, name
+        assert why in err, name
+    sk.write_text(json.dumps(good))
+    assert run(capsys, "decrypt", "--sk", sk, "--ct", ct)[:2] == (0, "5a\n")
+
+
 def test_missing_file_is_data_error(base_key, tmp_path, capsys):
     code, _, err = run(capsys, "decrypt", "--sk", f"{base_key}.sk.json",
                        "--ct", tmp_path / "absent.json")

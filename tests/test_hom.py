@@ -90,6 +90,8 @@ def test_kciphertext_validation():
         KCiphertext(GF16, np.zeros(16, dtype=np.uint8))
     with pytest.raises(UsageError):
         KCiphertext(GF16, np.zeros((2, 8, 16), dtype=np.uint8))
+    with pytest.raises(UsageError, match="at least one part"):
+        KCiphertext(GF16, np.zeros((0, 16), dtype=np.uint8))  # no parts to vote over
 
 
 def test_threshold_values():
@@ -184,6 +186,23 @@ def test_plurality_tie_breaks_to_smallest(mini):
     rows = np.array([2, 2, 2, 1, 1, 1, 0, 0], dtype=np.uint8)
     kc = KCiphertext(GF16, np.repeat(rows[:, None], 16, axis=1))
     assert hom_decrypt(mini, kc).value == 1
+
+
+@pytest.mark.parametrize("k", [32, 64])
+def test_plurality_in_wide_fields(k):
+    # Messages at or above 2^(k-1): a vote that counts every field value
+    # would need 2^k counters.
+    spec = FieldSpec(k)
+    p = Params(n=16, r=6, s=3, field=spec, eta=0.0)
+    rng = np.random.default_rng(30 + k)
+    hk = HomKeys(p, 32, [keygen(p, rng)], [])
+    m, other = (1 << (k - 1)) + 5, (1 << k) - 1
+    kc = hom_encrypt(hk, m, rng)
+    kc.P[:15] = hom_encrypt(hk, other, rng).P[:15]
+    assert hom_decrypt(hk, kc).value == m
+    assert hdec(hk, kc).value == m
+    kc.P[15] = kc.P[0]  # 16 parts each way: the smaller value wins
+    assert hom_decrypt(hk, kc).value == m
 
 
 def test_plurality_part_permutation_invariant(mini):

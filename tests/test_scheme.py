@@ -17,7 +17,6 @@ from codehom.linalg import (
     dot_arrays,
     rank_batch,
     solve_canonical_array,
-    tensor_row_array,
 )
 from codehom.scheme import (
     Params,
@@ -38,6 +37,7 @@ from codehom.scheme import (
 )
 
 from gf_refs import ref_powers
+from oracles import tensor_row_array
 
 F16 = FieldSpec(16)
 

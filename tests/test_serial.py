@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from codehom import serial
-from codehom.circuit import format_netlist, gtree_circuit, parse_netlist
+from codehom.circuit import format_netlist, parse_netlist
 from codehom.cli import main
 from codehom.errors import DataFormatError, UsageError
 from codehom.field import FieldElement, FieldSpec
 from codehom.hom import BoostConfig, hdec, hom_encrypt, hom_eval, hom_keygen
 from codehom.scheme import Params, decrypt, draw_key, encrypt, key_stack, keygen
+
+from oracles import gtree_circuit
 
 GF16 = FieldSpec(4)
 P16 = Params(n=16, r=6, s=3, field=GF16, eta=0.0)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from codehom.booster import boost_aux_gen, build_expander
 from codehom.circuit import build_apxmaj
-from codehom.field import FieldSpec, fe_inv, FieldElement, random_distinct, random_elements
+from codehom.field import FieldSpec, random_distinct, random_elements
 from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_keygen, chain_keygen_batch
 from codehom.scheme import (
     Params,
@@ -30,7 +30,7 @@ from codehom.scheme import (
     stack_tuples,
 )
 
-from gf_refs import ref_matmul, ref_mul, ref_powers
+from gf_refs import ref_matmul, ref_mul, ref_pow, ref_powers
 
 
 def ref_keygen(p: Params, rng: np.random.Generator):
@@ -62,7 +62,7 @@ def ref_keygen(p: Params, rng: np.random.Generator):
             if j != i:
                 num = ref_mul(num, xj, mod)
                 den = ref_mul(den, xi ^ xj, mod)
-        y[S[i]] = ref_mul(num, fe_inv(FieldElement(spec, den)).value, mod)
+        y[S[i]] = ref_mul(num, ref_pow(den, spec.q - 2, mod), mod)  # den^-1: Fermat
     return S, a, M, P, y
 
 
