@@ -15,7 +15,8 @@ That is the draw-then-compute convention of scheme.py, sound because no
 draw depends on a computed value; the rows count exactly the failures a
 trial-by-trial loop counts, and a fixed block keeps their memory flat in
 the trial count. Every experiment refuses more than MAX_TRIALS trials
-before it allocates anything.
+before it allocates anything, and the rank and noise experiments refuse
+arrays of more than EXPERIMENT_ENTRY_CAP entries.
 
 The rank experiment realizes only the t selected key rows: the sampled
 evaluation points of a key restricted to T are distributed exactly like
@@ -42,6 +43,7 @@ from .linalg import rank_batch, vandermonde_array
 from .reencrypt import chain_eval_arrays, chain_keygen, chain_keygen_batch
 from .scheme import (
     Params,
+    check_entries,
     decrypt_batch,
     enc_membership_arrays,
     encrypt_batch,
@@ -55,6 +57,11 @@ Z95 = 1.959963984540054
 # experiments and the budget's encfail and corr rows hold all their
 # trials in one array, tens to a few hundred bytes per trial.
 MAX_TRIALS = 1_000_000
+
+# Most entries the rank experiment's (trials, t, r) rows and the noise
+# experiment's (trials, r) windows may hold; MAX_TRIALS trials at the
+# CLI's default t = r = 9 hold 81,000,000.
+EXPERIMENT_ENTRY_CAP = 1 << 27
 
 # Trials the budget's reenc and chain rows compute per stacked block.
 TRIAL_BLOCK = 512
@@ -157,6 +164,8 @@ def rank_experiment(
             f"infeasible overlap: {t - s_overlap} untrapped rows requested, "
             f"only {p.n - p.s} exist"
         )
+    check_entries("the rank experiment's trials x t x r rows", (trials, t, p.r),
+                  EXPERIMENT_ENTRY_CAP)
     t0 = time.perf_counter()
     spec = p.field
     pts = random_distinct_batch(spec, rng, trials, t)
@@ -187,6 +196,7 @@ def randomness_recovery_experiment(
     the encryption randomness; only that window of the noise is drawn,
     coordinates being independent. Expected rate (1-eta)^r.
     """
+    check_entries("the noise experiment's trials x r windows", (trials, p.r), EXPERIMENT_ENTRY_CAP)
     t0 = time.perf_counter()
     E = noise_array(p, rng, (trials, p.r))
     successes = int((E == 0).all(axis=1).sum())

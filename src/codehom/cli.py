@@ -298,8 +298,18 @@ def _cmd_selftest(args) -> None:
 # Parser.
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, the only seeds numpy's SeedSequence takes."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _add_seed(sp) -> None:
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=_seed, default=None,
                     help="64-bit master seed; omitted means fresh entropy")
 
 

@@ -23,11 +23,6 @@ outputs cross link j. D layers therefore want D+1 links. One fewer is
 accepted: the last layer then stays unreencrypted ("bare"), which still
 decrypts correctly at level L but no longer lands in the encryption
 space. Leftover links drain the outputs upward to the top level.
-
-The length-preserving construction rebuilds each z_i from encrypted key
-BITS: every bit is encrypted 2^d times, pushed through the CORR_d
-self-corrector homomorphically, and the corrected bit encryptions are
-recombined with powers of the field generator.
 """
 
 from __future__ import annotations
@@ -37,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UsageError
-from .circuit import Circuit, build_corr, compile_schedule, run_schedule
+from .circuit import Circuit, compile_schedule, run_schedule
 from .circuit import _mul_any, _xor_any  # noqa: F401  perfbench traces them at this path
-from .field import FieldSpec, mul_arrays
+from .field import FieldSpec
 from .linalg import matmul_arrays
 from .scheme import (
     KeyStack,
@@ -52,7 +47,6 @@ from .scheme import (
     encrypt_arrays,
     encrypt_batch,
     key_stack,
-    keygen,
     params_from_alpha,
     stack_tuples,
 )
@@ -93,16 +87,11 @@ class ChainKeys:
         return len(self.links)
 
 
-def aux_gen_basic(
-    sk: SecretKey, pk_next: PublicKey, rng: np.random.Generator, eta: float | None = None
-) -> np.ndarray:
-    """The link from sk's level to pk_next's: row i encrypts y_i under pk_next.
-
-    eta overrides the target noise rate; 0 makes the link good surely.
-    """
+def aux_gen_basic(sk: SecretKey, pk_next: PublicKey, rng: np.random.Generator) -> np.ndarray:
+    """The link from sk's level to pk_next's: row i encrypts y_i under pk_next."""
     if sk.params.field != pk_next.params.field:
         raise UsageError("source and target keys must share one field")
-    return encrypt_batch(pk_next, sk.y_dec, rng, eta=eta)
+    return encrypt_batch(pk_next, sk.y_dec, rng)
 
 
 def aux_is_good(Z: np.ndarray, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
@@ -156,7 +145,6 @@ def chain_keygen_batch(
     rng: np.random.Generator,
     trials: int,
     base: Params | None = None,
-    aux_eta: float | None = None,
 ) -> ChainStack:
     """trials fresh chains, each as chain_keygen would draw it, in turn.
 
@@ -175,7 +163,7 @@ def chain_keygen_batch(
     keys, links = [], []
     for _ in range(trials):
         keys.append([draw_key(p, rng) for p in params])
-        links.append([draw_encryption(q, rng, p.n, aux_eta) for p, q in zip(params, params[1:])])
+        links.append([draw_encryption(q, rng, p.n) for p, q in zip(params, params[1:])])
     levels = tuple(key_stack(p, level) for p, level in zip(params, zip(*keys)))
     return ChainStack(levels, tuple(
         encrypt_arrays(field, tgt.P, src.y, *stack_tuples(draws))
@@ -189,11 +177,10 @@ def chain_keygen(
     d: int,
     rng: np.random.Generator,
     base: Params | None = None,
-    aux_eta: float | None = None,
 ) -> ChainKeys:
     """Fresh keys at geometrically growing lengths, linked by basic aux:
     chain_keygen_batch's one-chain case."""
-    return chain_keygen_batch(n0, alpha, d, rng, 1, base, aux_eta).chain(0)
+    return chain_keygen_batch(n0, alpha, d, rng, 1, base).chain(0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,75 +218,3 @@ def chain_eval_arrays(
 
     top_shape = X.shape[1:-1] + (level_params[-1].n,)
     return run_schedule(spec, s, X, cross, lambda v: np.full(top_shape, v, dtype=spec.dtype))
-
-
-# ---------------------------------------------------------------------------
-# Length-preserving aux generation.
-# ---------------------------------------------------------------------------
-
-
-def preserving_sizes(n: int, alpha: float, d: int) -> list[int]:
-    """Internal level lengths, derived from the top: size_i = n^((1+a)^(i-d))."""
-    sizes = [round(n ** ((1 + alpha) ** (i - d))) for i in range(d + 1)]
-    if sizes[-1] != n:
-        raise ParameterError("top-level rounding failed to reproduce n")
-    return sizes
-
-
-def aux_gen_preserving(
-    sk: SecretKey,
-    pk_next: PublicKey,
-    n0: int,
-    alpha: float,
-    d: int,
-    rng: np.random.Generator,
-    bit_eta: float | None = None,
-    aux_eta: float | None = None,
-) -> np.ndarray:
-    """Rebuild each z_i from its bits through CORR_d, keeping length n.
-
-    The internal chain runs levels 0..d at geometrically growing lengths
-    ending at n, then one more level holding the caller's target key, so
-    the corrected bit encryptions exit as genuine target encryptions.
-    Only the target PUBLIC key is needed for that last link. Returns the
-    (n, n) link array, like aux_gen_basic.
-
-    bit_eta inflates (or silences) the noise of the 2^d bit encryptions;
-    aux_eta does the same for every chain link.
-    """
-    p_src = sk.params
-    p_tgt = pk_next.params
-    if p_src.field != p_tgt.field:
-        raise UsageError("source and target keys must share one field")
-    if p_src.n != p_tgt.n:
-        raise UsageError("length-preserving aux needs equal source and target lengths")
-    if d < 2 or d % 2:
-        raise ParameterError(f"corrector depth must be even and >= 2, got {d}")
-    n = p_src.n
-    spec = p_src.field
-    sizes = preserving_sizes(n, alpha, d)
-    if sizes[0] != n0:
-        raise ParameterError(
-            f"level-0 length {sizes[0]} derived from the top disagrees with n0={n0}"
-        )
-    base = None if alpha > 0 else p_src
-    pks, sks = zip(*(keygen(_level_params(n_i, alpha, base, spec), rng) for n_i in sizes))
-    pks += (pk_next,)
-    links = [aux_gen_basic(sks[i], pks[i + 1], rng, eta=aux_eta) for i in range(d + 1)]
-
-    k = spec.k
-    bits = (sk.y_dec[:, None].astype(np.int64) >> np.arange(k)[None, :]) & 1
-    copies = 1 << d
-    ms = np.repeat(bits.reshape(-1), copies).astype(spec.dtype)  # (n*k*copies,)
-    C = encrypt_batch(pks[0], ms, rng, eta=bit_eta)
-    X = C.reshape(n * k, copies, sizes[0]).transpose(1, 0, 2)  # (copies, n*k, n0)
-    params = [pk.params for pk in pks]
-    zij = chain_eval_arrays(params, links, build_corr(d), X)[0]  # (n*k, n)
-    zij = zij.reshape(n, k, n)
-    # gamma^j, j = 0..k-1
-    gpow = np.empty(k, dtype=spec.dtype)
-    gpow[0] = 1
-    g = np.full(1, spec.gamma.value, dtype=spec.dtype)
-    for j in range(1, k):
-        gpow[j] = mul_arrays(spec, gpow[j - 1 : j], g)[0]
-    return np.bitwise_xor.reduce(mul_arrays(spec, zij, gpow[None, :, None]), axis=1)

@@ -49,6 +49,7 @@ m*1, with zero randomness and zero noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,22 @@ def _decryption_support_vector(spec: FieldSpec, a_S: np.ndarray, s: int) -> np.n
     return y
 
 
+# Most entries a key's n x r matrices or its r x r mixing factor may hold.
+# draw_key, which every keygen path calls, refuses a larger key before it
+# draws anything. The largest key run today, paper-dryrun's n = 256,
+# r = 215, has 55,040; at the cap one GF(2^64) array is 128 MiB.
+KEY_ENTRY_CAP = 1 << 24
+
+
+def check_entries(what: str, shape: tuple[int, ...], cap: int) -> None:
+    """ParameterError, naming the shape and the cap, if an array of shape
+    would hold more than cap entries."""
+    entries = math.prod(shape)
+    if entries > cap:
+        dims = " x ".join(f"{d:,}" for d in shape)
+        raise ParameterError(f"{what}, {dims} = {entries:,} entries, is over the cap of {cap:,}")
+
+
 def stack_tuples(items) -> tuple[np.ndarray, ...]:
     """Stack equal-shaped tuples of arrays, such as draws, field by field."""
     return tuple(np.array(field) for field in zip(*items))
@@ -187,6 +204,8 @@ def stack_tuples(items) -> tuple[np.ndarray, ...]:
 
 def draw_key(p: Params, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Every random value of one key, in keygen's order: S, the points, R's draws."""
+    check_entries("the key's n x r matrix", (p.n, p.r), KEY_ENTRY_CAP)
+    check_entries("the key's r x r mixing factor", (p.r, p.r), KEY_ENTRY_CAP)
     S = np.sort(rng.choice(p.n, size=p.s, replace=False))
     a = random_distinct(p.field, rng, p.n)
     return (S, a) + unimodular_draws(p.field, p.r, rng)

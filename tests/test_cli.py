@@ -378,6 +378,48 @@ def test_analyze_budget_at_the_cap_is_accepted(capsys, monkeypatch):
     assert run(capsys, "analyze", "budget", "--scale", "250.001", "--seed", "1")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["keygen", "--n", "16", "--r", "6", "--s", "3", "--k", "4", "--seed", "-3"],
+    ["hom-keygen", "--seed", "-1"],
+    ["analyze", "rank", "--trials", "3", "--seed", "-1"],
+    ["selftest", "--seed", "-2"],
+], ids=["keygen", "hom-keygen", "analyze-rank", "selftest"])
+def test_negative_seed_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # argparse refuses it, so nothing runs and nothing is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "argument --seed: expected a non-negative integer" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Every request here is 1 TiB or more, so it fails at once where it is not
+# refused, without using memory.
+@pytest.mark.parametrize("argv,shape", [
+    (["keygen", "--n", "40", "--r", "2000000", "--s", "3", "--k", "32"],
+     "n x r matrix, 40 x 2,000,000"),
+    (["keygen", "--n", "16", "--r", "1000000", "--s", "3", "--k", "32"],
+     "r x r mixing factor, 1,000,000 x 1,000,000"),
+    (["hom-keygen", "--n", "40", "--r", "2000000", "--s", "3", "--field-k", "32"],
+     "n x r matrix, 40 x 2,000,000"),
+    (["analyze", "rank", "--n", "40", "--r", "2000000000", "--s", "3", "--k", "32",
+      "--t", "37", "--trials", "1000"],
+     "trials x t x r rows, 1,000 x 37 x 2,000,000,000"),
+    (["analyze", "noise", "--n", "60000", "--r", "60000000", "--s", "3", "--k", "16",
+      "--trials", "1000000"],
+     "trials x r windows, 1,000,000 x 60,000,000"),
+], ids=["keygen-n-r", "keygen-r-r", "hom-keygen", "analyze-rank", "analyze-noise"])
+def test_oversized_shapes_exit_2(argv, shape, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert shape in err and "over the cap" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class RecordingPool:
     """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
 

@@ -23,12 +23,10 @@ from codehom.linalg import matmul_arrays
 from codehom.reencrypt import (
     ChainKeys,
     aux_gen_basic,
-    aux_gen_preserving,
     aux_is_good,
     chain_eval_arrays,
     chain_keygen,
     chain_sizes,
-    preserving_sizes,
 )
 from codehom.scheme import (
     Params,
@@ -327,7 +325,7 @@ def test_chain_raw_circuit_matches_layerized():
     # noisy links make any moved or missing reencryption show in the bytes
     rng = np.random.default_rng(19)
     noisy = Params(n=16, r=6, s=3, field=GF16, eta=0.05)
-    chain = chain_keygen(16, 0.0, 4, rng, base=noisy, aux_eta=0.05)
+    chain = chain_keygen(16, 0.0, 4, rng, base=noisy)
     params, links = chain.level_params, chain.links
     compared = {False: 0, True: 0}
     for _ in range(80):
@@ -401,97 +399,3 @@ def test_corr2_block_failure_bound():
     seen = decrypt_batch(sk0, C).reshape(T, 4).T
     mirror = eval_plain_array(GF16, build_corr(2), seen)[0]
     assert np.array_equal(got, mirror)
-
-
-def test_preserving_sizes():
-    assert preserving_sizes(32, 0.25, 2) == [9, 16, 32]
-    assert preserving_sizes(16, 0.0, 2) == [16, 16, 16]
-
-
-@pytest.fixture(scope="module")
-def preserving_flat():
-    rng = np.random.default_rng(19)
-    pk, sk = keygen(BASE16, rng)
-    pk2, sk2 = keygen(BASE16, rng)
-    Z = aux_gen_preserving(sk, pk2, 16, 0.0, 2, rng)
-    return sk, pk2, sk2, Z
-
-
-def test_preserving_structure(preserving_flat):
-    sk, pk2, sk2, Z = preserving_flat
-    assert Z.shape == (16, 16)
-    assert Z.dtype == GF16.dtype
-
-
-def test_preserving_is_good(preserving_flat):
-    # noiseless generation: every z_i is a target encryption of y_i
-    sk, pk2, sk2, Z = preserving_flat
-    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec)
-    assert aux_is_good(Z, sk, sk2)
-    rng = np.random.default_rng(20)
-    C = random_elements(GF16, rng, (100, 16))
-    vals = decrypt_batch(sk, C)
-    out = matmul_arrays(GF16, C, Z)
-    assert enc_membership_batch(sk2, vals, out).all()
-
-
-def test_preserving_deterministic():
-    rng = np.random.default_rng(21)
-    pk, sk = keygen(BASE16, rng)
-    pk2, sk2 = keygen(BASE16, rng)
-    a = aux_gen_preserving(sk, pk2, 16, 0.0, 2, np.random.default_rng(3))
-    b = aux_gen_preserving(sk, pk2, 16, 0.0, 2, np.random.default_rng(3))
-    assert np.array_equal(a, b)
-
-
-def test_preserving_alpha_family():
-    rng = np.random.default_rng(22)
-    p32 = Params(n=32, r=12, s=3, field=GF256, eta=0.0)
-    pk, sk = keygen(p32, rng)
-    pk2, sk2 = keygen(p32, rng)
-    # derived internal levels carry their own eta; silence it here so
-    # goodness is certain rather than merely likely
-    # internal levels 9 -> 16 -> 32 (test_preserving_sizes) on GF(256): the
-    # links between them would raise on a field mismatch
-    Z = aux_gen_preserving(sk, pk2, 9, 0.25, 2, rng, bit_eta=0.0, aux_eta=0.0)
-    assert np.array_equal(decrypt_batch(sk2, Z), sk.y_dec)
-    assert aux_is_good(Z, sk, sk2)
-
-
-def test_preserving_validation():
-    rng = np.random.default_rng(23)
-    pk, sk = keygen(BASE16, rng)
-    pk2, sk2 = keygen(BASE16, rng)
-    with pytest.raises(ParameterError, match="even"):
-        aux_gen_preserving(sk, pk2, 16, 0.0, 3, rng)
-    with pytest.raises(ParameterError, match="n0"):
-        aux_gen_preserving(sk, pk2, 10, 0.0, 2, rng)
-    pk12, _ = keygen(Params(n=12, r=6, s=3, field=GF16, eta=0.0), rng)
-    with pytest.raises(UsageError, match="equal source and target"):
-        aux_gen_preserving(sk, pk12, 16, 0.0, 2, rng)
-    pk_other, _ = keygen(Params(n=16, r=6, s=3, field=GF256, eta=0.0), rng)
-    with pytest.raises(UsageError, match="field"):
-        aux_gen_preserving(sk, pk_other, 16, 0.0, 2, rng)
-
-
-def test_preserving_bit_noise_budget():
-    # inflated bit noise: a z_i value goes wrong only when one of its k
-    # bits does, each bounded by the CORR_2 block rate; membership in
-    # the target space survives either way because the chain is exact
-    rng = np.random.default_rng(24)
-    pk, sk = keygen(BASE16, rng)
-    pk2, sk2 = keygen(BASE16, rng)
-    eta0 = 0.1
-    trials = 30
-    wrong = 0
-    total = 0
-    for _ in range(trials):
-        Z = aux_gen_preserving(sk, pk2, 16, 0.0, 2, rng, bit_eta=eta0 / BASE16.s)
-        vals = decrypt_batch(sk2, Z)
-        assert enc_membership_batch(sk2, vals, Z).all()
-        wrong += int(np.sum(vals != sk.y_dec))
-        total += 16
-    bound = GF16.k * 6 * eta0 * eta0
-    sigma = np.sqrt(bound * (1 - bound) / total)
-    assert wrong / total <= bound + 3 * sigma
-    assert wrong > 0  # at this inflation failures must actually occur
