@@ -58,7 +58,7 @@ print(f"reencrypted product: decrypts to {decrypt(sk2, back).value},",
 
 # The same mechanism, chained, drives error correction: CORR_2 takes four
 # copies of a bit, one possibly ruined, and returns the bit.
-keys = chain_keygen(16, 0.0, 2, rng, base=p)
+keys = chain_keygen(p, 2, rng)
 bit = 1
 copies = encrypt_batch(keys.levels[0][0], np.full(4, bit, dtype=GF16.dtype), rng)
 copies[2] ^= 9  # ruin the third copy arbitrarily

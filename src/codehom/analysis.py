@@ -113,7 +113,8 @@ class ExperimentReport:
             raise UsageError("interval must contain the point estimate")
 
 
-def _report(name: str, parameters: dict, trials: int, successes: int, t0: float) -> ExperimentReport:
+def _report(name: str, parameters: dict, trials: int, successes: int,
+            seconds: float) -> ExperimentReport:
     return ExperimentReport(
         name=name,
         parameters=parameters,
@@ -121,7 +122,7 @@ def _report(name: str, parameters: dict, trials: int, successes: int, t0: float)
         successes=successes,
         estimate=successes / trials if trials else 0.0,
         interval=wilson_interval(successes, trials),
-        seconds=time.perf_counter() - t0,
+        seconds=seconds,
     )
 
 
@@ -129,17 +130,8 @@ def merge_reports(a: ExperimentReport, b: ExperimentReport) -> ExperimentReport:
     """Combine two trial batches of the same experiment."""
     if a.name != b.name or a.parameters != b.parameters:
         raise UsageError("only batches of the same experiment merge")
-    trials = a.trials + b.trials
-    successes = a.successes + b.successes
-    return ExperimentReport(
-        name=a.name,
-        parameters=a.parameters,
-        trials=trials,
-        successes=successes,
-        estimate=successes / trials if trials else 0.0,
-        interval=wilson_interval(successes, trials),
-        seconds=a.seconds + b.seconds,
-    )
+    return _report(a.name, a.parameters, a.trials + b.trials, a.successes + b.successes,
+                   a.seconds + b.seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +169,8 @@ def rank_experiment(
         "n": p.n, "r": p.r, "s": p.s, "k": spec.k, "q": spec.q,
         "t": t, "s_overlap": s_overlap,
     }
-    return _report("rank of selected key rows", parameters, trials, successes, t0)
+    return _report("rank of selected key rows", parameters, trials, successes,
+                   time.perf_counter() - t0)
 
 
 def rank_deficiency_constant(report: ExperimentReport) -> float:
@@ -201,7 +194,8 @@ def randomness_recovery_experiment(
     E = noise_array(p, rng, (trials, p.r))
     successes = int((E == 0).all(axis=1).sum())
     parameters = {"n": p.n, "r": p.r, "eta": p.eta, "expected": (1 - p.eta) ** p.r}
-    return _report("noiseless randomness-recovery window", parameters, trials, successes, t0)
+    return _report("noiseless randomness-recovery window", parameters, trials, successes,
+                   time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +250,7 @@ def _link_failures(base: Params, d: int, trials: int, rng: np.random.Generator) 
     that fails its membership audit; TRIAL_BLOCK chains at a time."""
     failures = 0
     for T in _blocks(trials):
-        chains = chain_keygen_batch(base.n, 0.0, d, rng, T, base=base)
+        chains = chain_keygen_batch(base, d, rng, T)
         good = np.ones(T, dtype=bool)
         for src, tgt, Z in zip(chains.levels, chains.levels[1:], chains.links):
             good &= enc_membership_arrays(base, tgt.M, tgt.S, src.y, Z).all(axis=1)
@@ -282,7 +276,7 @@ def _corr_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     t0 = time.perf_counter()
     eta0 = 0.1
     base = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.0)
-    keys = chain_keygen(16, 0.0, 2, rng, base=base)
+    keys = chain_keygen(base, 2, rng)
     ms = rng.integers(2, size=trials, dtype=np.uint8)
     C = encrypt_batch(keys.levels[0][0], np.repeat(ms, 4), rng, eta=eta0 / base.s)
     X = C.reshape(trials, 4, 16).transpose(1, 0, 2)

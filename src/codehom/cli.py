@@ -82,7 +82,7 @@ def _load_circuit(path):
 
 
 def _split_trials(trials: int, jobs: int) -> list[int]:
-    jobs = max(1, min(jobs, trials))
+    jobs = min(jobs, trials)  # both are >= 1: argparse and check_trials see to it
     base, rem = divmod(trials, jobs)
     return [base + (i < rem) for i in range(jobs)]
 
@@ -298,14 +298,20 @@ def _cmd_selftest(args) -> None:
 # Parser.
 
 
-def _seed(text: str) -> int:
-    """A non-negative integer, the only seeds numpy's SeedSequence takes."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= low, refused naming what it expected."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_seed = _int_at_least(0, "a non-negative integer")  # SeedSequence refuses negatives
+_jobs = _int_at_least(1, "an integer >= 1")
 
 
 def _add_seed(sp) -> None:
@@ -315,7 +321,7 @@ def _add_seed(sp) -> None:
 
 def _add_report_flags(sp) -> None:
     sp.add_argument("--trials", type=int, default=2000, help="Monte Carlo trial count")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_jobs, default=1,
                     help="worker threads; trials are chunked per job with split seeds")
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     _add_seed(sp)
@@ -431,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_analyze_budget)
 
     sp = sub.add_parser("selftest", help="desk-scale functional checks; exit 4 on any failure")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads for the experiments")
+    sp.add_argument("--jobs", type=_jobs, default=1, help="worker threads for the experiments")
     _add_seed(sp)
     sp.set_defaults(func=_cmd_selftest)
 

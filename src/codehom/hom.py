@@ -39,6 +39,7 @@ from .field import FieldElement, FieldSpec
 from .scheme import (
     Params,
     SecretKey,
+    check_entries,
     dec_membership_batch,
     decrypt_batch,
     enc_membership_batch,
@@ -146,13 +147,21 @@ class HomKeys:
         return f"HomKeys(n={self.params.n}, k={self.k}, d={self.depth})"
 
 
+# Most entries of a key set's d x k x k shape: each of the d boosts
+# builds k majority chains, wired by an expander whose k x k draw comes
+# first. Desk is 2 x 32 x 32; the largest shape tests build is 3 x 64 x 64.
+KEY_SET_CAP = 1 << 20
+
+
 def check_key_shape(k: int, d: int) -> None:
-    """ParameterError unless k parts and depth d are a shape hom_keygen builds."""
+    """ParameterError unless k parts and depth d are a shape hom_keygen
+    builds: k >= 32, d >= 1 and d * k * k within KEY_SET_CAP."""
     if k < 32:
         raise ParameterError(f"part count k={k} is below 32; the 15/16 and 31/32 "
                              "thresholds need that much granularity")
     if d < 1:
         raise ParameterError(f"depth must be >= 1, got {d}")
+    check_entries("the key set's boosts x parts x parts", (d, k, k), KEY_SET_CAP)
 
 
 def hom_keygen(

@@ -10,11 +10,13 @@ in Enc'(<y,c>) for arbitrary c, so a link repairs proto-homomorphic
 damage exactly.
 
 A chain is its key pairs and links (ChainKeys). chain_eval_arrays takes
-it as keys.level_params and keys.links, the two fields a BoostAux has.
-chain_keygen_batch draws T chains in order, one after the other, and
-then computes each level's keys and links for all T at once (the
-draw-then-compute convention of scheme.py); chain_keygen is its T = 1
-case.
+it as keys.level_params and keys.links, the two fields a BoostAux has,
+so level lengths may differ from link to link, as in a boost. The chains
+chain_keygen builds are flat: every level is a fresh key at one base
+Params. chain_keygen_batch draws T chains in order, one after the
+other, and then computes each level's keys and links for all T at once
+(the draw-then-compute convention of scheme.py); chain_keygen is its
+T = 1 case.
 
 chain evaluation convention: circuit.Schedule's, link l being the
 crossing after level l of a chain spanning levels 0..L. Link 0
@@ -34,7 +36,6 @@ import numpy as np
 from .errors import ParameterError, UsageError
 from .circuit import Circuit, compile_schedule, run_schedule
 from .circuit import _mul_any, _xor_any  # noqa: F401  perfbench traces them at this path
-from .field import FieldSpec
 from .linalg import matmul_arrays
 from .scheme import (
     KeyStack,
@@ -47,11 +48,8 @@ from .scheme import (
     encrypt_arrays,
     encrypt_batch,
     key_stack,
-    params_from_alpha,
     stack_tuples,
 )
-
-SIZE_CAP = 1 << 22  # largest level length chain generation will attempt
 
 
 @dataclass(frozen=True)
@@ -69,11 +67,8 @@ class ChainKeys:
         if len(self.levels) != len(self.links) + 1:
             raise ParameterError("a chain needs exactly one more level than links")
         params = self.level_params
-        for i, p in enumerate(params):
-            if p.field != params[0].field:
-                raise ParameterError("chain levels must share one field")
-            if i and p.n < params[i - 1].n:
-                raise ParameterError("chain level sizes must be nondecreasing")
+        if any(p.field != params[0].field for p in params):
+            raise ParameterError("chain levels must share one field")
         for i, Z in enumerate(self.links):
             if Z.shape != (params[i].n, params[i + 1].n):
                 raise ParameterError(f"link {i} does not match its level sizes")
@@ -104,31 +99,10 @@ def aux_is_good(Z: np.ndarray, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def chain_sizes(n0: int, alpha: float, d: int) -> list[int]:
-    """Level lengths n0^((1+alpha)^i), i = 0..d, rounded."""
-    if d < 1:
-        raise ParameterError(f"chain depth must be >= 1, got {d}")
-    if alpha < 0:
-        raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    sizes = [round(n0 ** ((1 + alpha) ** i)) for i in range(d + 1)]
-    if sizes[-1] > SIZE_CAP:
-        raise ParameterError(f"top level length {sizes[-1]} exceeds cap {SIZE_CAP}")
-    return sizes
-
-
-def _level_params(n_i: int, alpha: float, base: Params | None, field: FieldSpec | None) -> Params:
-    if base is not None:
-        return Params(n=n_i, r=base.r, s=base.s, field=base.field, eta=base.eta, alpha=alpha or None)
-    p = params_from_alpha(n_i, alpha)
-    if field is not None and p.field != field:
-        p = Params(n=p.n, r=p.r, s=p.s, field=field, eta=p.eta, alpha=alpha)
-    return p
-
-
 @dataclass(frozen=True)
 class ChainStack:
     """T chains of one shape: levels[i] holds every chain's level-i keys,
-    links[i] is the (T, n_i, n_{i+1}) stack of their level-i links."""
+    links[i] is the (T, n, n) stack of their level-i links."""
 
     levels: tuple[KeyStack, ...]
     links: tuple[np.ndarray, ...]
@@ -138,49 +112,29 @@ class ChainStack:
                          tuple(Z[t] for Z in self.links))
 
 
-def chain_keygen_batch(
-    n0: int,
-    alpha: float,
-    d: int,
-    rng: np.random.Generator,
-    trials: int,
-    base: Params | None = None,
-) -> ChainStack:
-    """trials fresh chains, each as chain_keygen would draw it, in turn.
+def chain_keygen_batch(base: Params, d: int, rng: np.random.Generator, trials: int) -> ChainStack:
+    """trials fresh chains of d links, each as chain_keygen would draw it, in turn.
 
-    With alpha > 0 and no base, each level gets the alpha-family
-    parameters at its own length (sharing the largest level's field).
-    A flat chain (alpha = 0) has no parameter family to draw from, so it
-    requires an explicit base whose r, s, eta every level inherits.
-    Each chain draws its d + 1 keys, then its d links; the arithmetic
-    then runs once per level over all chains.
+    Each chain draws its d + 1 keys at base, then its d links; the
+    arithmetic then runs once per level over all chains.
     """
-    sizes = chain_sizes(n0, alpha, d)
-    if base is None and alpha == 0:
-        raise ParameterError("a flat chain (alpha = 0) needs explicit base parameters")
-    field = base.field if base is not None else _level_params(sizes[-1], alpha, None, None).field
-    params = [_level_params(n_i, alpha, base, field) for n_i in sizes]
+    if d < 1:
+        raise ParameterError(f"chain depth must be >= 1, got {d}")
     keys, links = [], []
     for _ in range(trials):
-        keys.append([draw_key(p, rng) for p in params])
-        links.append([draw_encryption(q, rng, p.n) for p, q in zip(params, params[1:])])
-    levels = tuple(key_stack(p, level) for p, level in zip(params, zip(*keys)))
+        keys.append([draw_key(base, rng) for _ in range(d + 1)])
+        links.append([draw_encryption(base, rng, base.n) for _ in range(d)])
+    levels = tuple(key_stack(base, level) for level in zip(*keys))
     return ChainStack(levels, tuple(
-        encrypt_arrays(field, tgt.P, src.y, *stack_tuples(draws))
+        encrypt_arrays(base.field, tgt.P, src.y, *stack_tuples(draws))
         for src, tgt, draws in zip(levels, levels[1:], zip(*links))
     ))
 
 
-def chain_keygen(
-    n0: int,
-    alpha: float,
-    d: int,
-    rng: np.random.Generator,
-    base: Params | None = None,
-) -> ChainKeys:
-    """Fresh keys at geometrically growing lengths, linked by basic aux:
-    chain_keygen_batch's one-chain case."""
-    return chain_keygen_batch(n0, alpha, d, rng, 1, base).chain(0)
+def chain_keygen(base: Params, d: int, rng: np.random.Generator) -> ChainKeys:
+    """d + 1 fresh keys at base, linked by basic aux: chain_keygen_batch's
+    one-chain case."""
+    return chain_keygen_batch(base, d, rng, 1).chain(0)
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ def test_c06_correction_tree():
 
     rng = np.random.default_rng(106)
     base = Params(16, 6, 3, GF4, 0.0)
-    keys = chain_keygen(16, 0.0, 2, rng, base=base)
+    keys = chain_keygen(base, 2, rng)
     trials = 100_000
     eta0 = 0.05
     ms = rng.integers(0, 2, trials).astype(GF4.dtype)

@@ -7,6 +7,7 @@ import pytest
 
 import codehom.analysis
 import codehom.cli
+import codehom.hom
 from codehom.analysis import MAX_TRIALS
 from codehom.cli import main
 
@@ -418,6 +419,40 @@ def test_oversized_shapes_exit_2(argv, shape, tmp_path, capsys, monkeypatch):
     assert out == ""
     assert shape in err and "over the cap" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,shape", [
+    (["--k", "1000000000"], "2 x 1,000,000,000 x 1,000,000,000"),
+    (["--b", "100000", "--k", "100000"], "2 x 100,000 x 100,000"),
+    (["--n", "16", "--r", "6", "--s", "3", "--field-k", "4", "--d", "1000000"],
+     "1,000,000 x 32 x 32"),
+], ids=["k", "b-k", "d"])
+def test_hom_keygen_oversized_key_set_exits_2(argv, shape, tmp_path, capsys, monkeypatch):
+    # Refused before the expander draw, the first draw hom_keygen makes.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("hom_keygen drew its expander")
+    monkeypatch.setattr(codehom.hom, "build_expander", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "hom-keygen", *argv, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert f"boosts x parts x parts, {shape}" in err and "over the cap" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "rank", "--trials", "3", "--jobs", "-5"],
+    ["analyze", "rank", "--trials", "3", "--jobs", "0"],
+    ["analyze", "noise", "--trials", "3", "--jobs", "0"],
+    ["selftest", "--jobs", "0"],
+], ids=["analyze-rank-negative", "analyze-rank", "analyze-noise", "selftest"])
+def test_jobs_below_1_is_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert "argument --jobs: expected an integer >= 1" in err
+    assert "Traceback" not in err
 
 
 class RecordingPool:

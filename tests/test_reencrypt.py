@@ -18,7 +18,7 @@ from codehom.circuit import (
     parse_netlist,
 )
 from codehom.errors import ParameterError, UsageError
-from codehom.field import FieldElement, FieldSpec, random_elements
+from codehom.field import FieldElement, FieldSpec, mul_arrays, random_elements
 from codehom.linalg import matmul_arrays
 from codehom.reencrypt import (
     ChainKeys,
@@ -26,7 +26,6 @@ from codehom.reencrypt import (
     aux_is_good,
     chain_eval_arrays,
     chain_keygen,
-    chain_sizes,
 )
 from codehom.scheme import (
     Params,
@@ -50,7 +49,7 @@ BASE16 = Params(n=16, r=6, s=3, field=GF16, eta=0.0)
 def flat3():
     # noiseless flat chain, 3 links over 4 equal levels
     rng = np.random.default_rng(7)
-    return chain_keygen(24, 0.0, 3, rng, base=BASE24)
+    return chain_keygen(BASE24, 3, rng)
 
 
 @pytest.fixture(scope="module")
@@ -146,16 +145,6 @@ def test_good_aux_rate():
     assert good.mean() < 1.0  # the noise does bite at this rate
 
 
-def test_chain_sizes_frozen():
-    assert chain_sizes(256, 0.25, 1) == [256, 1024]
-    assert chain_sizes(256, 0.25, 2) == [256, 1024, 5793]
-    assert chain_sizes(24, 0.0, 3) == [24, 24, 24, 24]
-    with pytest.raises(ParameterError, match="cap"):
-        chain_sizes(256, 0.25, 5)
-    with pytest.raises(ParameterError, match="depth"):
-        chain_sizes(256, 0.25, 0)
-
-
 def test_flat_chain_structure(flat3):
     assert flat3.depth == 3
     assert len(flat3.levels) == 4
@@ -169,8 +158,8 @@ def test_flat_chain_structure(flat3):
 
 
 def test_chain_keygen_deterministic():
-    a = chain_keygen(24, 0.0, 2, np.random.default_rng(9), base=BASE24)
-    b = chain_keygen(24, 0.0, 2, np.random.default_rng(9), base=BASE24)
+    a = chain_keygen(BASE24, 2, np.random.default_rng(9))
+    b = chain_keygen(BASE24, 2, np.random.default_rng(9))
     for (pka, ska), (pkb, skb) in zip(a.levels, b.levels):
         assert ska.S == skb.S
         assert np.array_equal(pka.P, pkb.P)
@@ -178,35 +167,29 @@ def test_chain_keygen_deterministic():
         assert np.array_equal(xa, xb)
 
 
-def test_chain_keygen_alpha_family():
-    chain = chain_keygen(16, 0.25, 1, np.random.default_rng(10))
-    p0, p1 = chain.level_params
-    assert (p0.n, p1.n) == (16, 32)
-    # both levels share the field the top level needs
-    assert p0.field.k == 8 and p1.field.k == 8
-    assert (p0.r, p1.r) == (15, 29)
-    assert p0.s == p1.s == 3
-    assert p0.eta == pytest.approx(16 ** -0.9375)
-
-
-def test_flat_chain_needs_base():
-    with pytest.raises(ParameterError, match="base"):
-        chain_keygen(24, 0.0, 2, np.random.default_rng(0))
-
-
 def test_chain_keys_invariants():
     rng = np.random.default_rng(12)
     p16 = Params(n=16, r=6, s=3, field=GF256, eta=0.0)
     pk16, sk16 = keygen(p16, rng)
     pk24, sk24 = keygen(BASE24, rng)
-    up = aux_gen_basic(sk16, pk24, rng)
-    with pytest.raises(ParameterError, match="nondecreasing"):
-        ChainKeys(((pk24, sk24), (pk16, sk16)), (up,))
     with pytest.raises(ParameterError, match="one more level"):
         ChainKeys(((pk16, sk16), (pk24, sk24)), ())
+    with pytest.raises(ParameterError, match="depth"):
+        chain_keygen(BASE24, 0, rng)
     bad_link = np.zeros((16, 16), dtype=GF256.dtype)
     with pytest.raises(ParameterError, match="link 0"):
         ChainKeys(((pk16, sk16), (pk24, sk24)), (bad_link,))
+    with pytest.raises(ParameterError, match="one field"):
+        ChainKeys(((pk16, sk16), keygen(BASE16, rng)), (bad_link,))
+    # a link may shrink, as a boost's entry link does: an AND through a
+    # 24 -> 16 chain decrypts to the product under the 16-key
+    down = ChainKeys(((pk24, sk24), (pk16, sk16)), (aux_gen_basic(sk24, pk16, rng),))
+    a, b = random_elements(GF256, rng, 32), random_elements(GF256, rng, 32)
+    X = np.stack([encrypt_batch(pk24, a, rng), encrypt_batch(pk24, b, rng)])
+    circ = parse_netlist("inputs x y\nz = AND x y\noutputs z\n")
+    (out,) = chain_eval_arrays(down.level_params, down.links, circ, X)
+    assert out.shape == (32, 16)
+    assert np.array_equal(decrypt_batch(sk16, out), mul_arrays(GF256, a, b))
 
 
 def _chain_eval(chain, c, X):
@@ -325,7 +308,7 @@ def test_chain_raw_circuit_matches_layerized():
     # noisy links make any moved or missing reencryption show in the bytes
     rng = np.random.default_rng(19)
     noisy = Params(n=16, r=6, s=3, field=GF16, eta=0.05)
-    chain = chain_keygen(16, 0.0, 4, rng, base=noisy)
+    chain = chain_keygen(noisy, 4, rng)
     params, links = chain.level_params, chain.links
     compared = {False: 0, True: 0}
     for _ in range(80):
@@ -364,7 +347,7 @@ def test_chain_raw_circuit_folds_constant_layers():
         outputs o
         """
     )
-    chain = chain_keygen(16, 0.0, 2, np.random.default_rng(20), base=BASE16)
+    chain = chain_keygen(BASE16, 2, np.random.default_rng(20))
     params, links = chain.level_params, chain.links
     X = encrypt_batch(chain.levels[0][0], np.arange(16), np.random.default_rng(21))[None]
     (layered,) = chain_eval_arrays(params, links, layerize(circ), X)
@@ -379,7 +362,7 @@ def test_corr2_block_failure_bound():
     # and the chain output equals plain CORR_2 on the decrypted inputs
     # bit for bit since the chain itself is noiseless
     rng = np.random.default_rng(18)
-    chain = chain_keygen(16, 0.0, 3, rng, base=BASE16)
+    chain = chain_keygen(BASE16, 3, rng)
     pk0, sk0 = chain.levels[0]
     sk_top = chain.levels[-1][1]
     eta0 = 0.1

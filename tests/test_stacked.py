@@ -121,17 +121,16 @@ def test_stacked_links_equal_aux_gen_basic_link_by_link(k, T, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(T=st.integers(1, 4), alpha=st.sampled_from([0.0, 0.25]),
-       seed=st.integers(0, 2**32 - 1))
-def test_chain_batch_equals_sequential_chains(T, alpha, seed):
-    base = Params(n=16, r=6, s=3, field=FieldSpec(8), eta=0.05) if alpha == 0 else None
+@given(T=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_chain_batch_equals_sequential_chains(T, seed):
+    base = Params(n=16, r=6, s=3, field=FieldSpec(8), eta=0.05)
     rng = np.random.default_rng(seed)
-    chains = chain_keygen_batch(16, alpha, 2, rng, T, base=base)
+    chains = chain_keygen_batch(base, 2, rng, T)
     replay = np.random.default_rng(seed)
     for t in range(T):
         got = chains.chain(t)
-        params = got.level_params
-        levels = [keygen(p, replay) for p in params]
+        assert got.level_params == [base] * 3
+        levels = [keygen(base, replay) for _ in range(3)]
         links = [aux_gen_basic(levels[i][1], levels[i + 1][0], replay) for i in range(2)]
         for (pk, sk), (pk_want, sk_want) in zip(got.levels, levels):
             assert sk.S == sk_want.S
@@ -141,7 +140,7 @@ def test_chain_batch_equals_sequential_chains(T, alpha, seed):
         for Z, want in zip(got.links, links):
             assert np.array_equal(Z, want)
     assert rng.bit_generator.state == replay.bit_generator.state
-    again = chain_keygen(16, alpha, 2, np.random.default_rng(seed), base=base)
+    again = chain_keygen(base, 2, np.random.default_rng(seed))
     assert all(np.array_equal(a, b) for a, b in zip(again.links, chains.chain(0).links))
 
 
