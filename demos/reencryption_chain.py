@@ -8,8 +8,13 @@ import numpy as np
 
 from codehom.circuit import build_corr
 from codehom.field import FieldElement, FieldSpec, mul_arrays
-from codehom.linalg import matmul_arrays
-from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen
+from codehom.reencrypt import (
+    aux_gen_basic,
+    aux_is_good,
+    chain_eval_arrays,
+    chain_keygen,
+    reencrypt_rows,
+)
 from codehom.scheme import (
     Params,
     decrypt,
@@ -52,7 +57,7 @@ print(f"over {pairs} random products: decryptable {in_dec}/{pairs},",
 pk2, sk2 = keygen(p, rng)
 link = aux_gen_basic(sk, pk2, rng)
 print(f"\naux generated under a fresh key; good: {aux_is_good(link, sk, sk2)}")
-back = matmul_arrays(GF16, prod[None], link)[0]
+back = reencrypt_rows(GF16, link, prod)
 print(f"reencrypted product: decrypts to {decrypt(sk2, back).value},",
       f"valid encryption again: {enc_space_contains(sk2, a * b, back)}")
 

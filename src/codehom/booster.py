@@ -4,9 +4,10 @@ A replicated ciphertext is k parts that mostly decrypt to the same bit.
 Each boosted output part recomputes that bit as the approximate majority
 of b input parts, the b chosen by one side of a random bipartite graph.
 The majority circuit runs homomorphically through its own reencryption
-chain, one independent chain per output, so a surviving minority of bad
-parts cannot spread: outputs seeing at most b/8 bad neighbors come out
-as valid fresh encryptions of the right bit.
+chain (reencrypt_rows through each link), one independent chain per
+output, so a surviving minority of bad parts cannot spread: outputs
+seeing at most b/8 bad neighbors come out as valid fresh encryptions of
+the right bit.
 
 Two quantitative handles, both checked empirically elsewhere:
 - random left-regular graphs concentrate their second singular value
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConstructionError, ParameterError, UsageError
 from .circuit import walk_gtree
-from .linalg import matmul_arrays
+from .reencrypt import reencrypt_rows
 from .scheme import (
     Params,
     PublicKey,
@@ -221,8 +222,8 @@ def boost_arrays(aux: BoostAux, C: np.ndarray) -> np.ndarray:
     """Boost raw part blocks: C is (..., k, n_src), result (..., k, n_tgt).
 
     The G-tree is walked by walk_gtree with all outputs (and any batch)
-    folded into one array; each tree level ends with its stacked
-    reencryption.
+    folded into one array; each tree level ends with reencrypt_rows
+    through that level's stacked links.
     """
     spec = aux.source_params.field
     k = aux.graph.k
@@ -231,11 +232,7 @@ def boost_arrays(aux: BoostAux, C: np.ndarray) -> np.ndarray:
         raise UsageError(
             f"expected part block (..., {k}, {aux.source_params.n}), got {C.shape}"
         )
-
-    def reenc(Z, v):
-        return matmul_arrays(spec, v[..., None, :], Z)[..., 0, :]
-
     X = np.moveaxis(C[..., aux.graph.adjacency, :], -2, 0)  # (b, ..., k, n_src)
-    V = reenc(aux.links[0], X)[aux.assignment]
-    return walk_gtree(spec, V, lambda level, V: reenc(aux.links[level], V))
+    V = reencrypt_rows(spec, aux.links[0], X)[aux.assignment]
+    return walk_gtree(spec, V, lambda level, V: reencrypt_rows(spec, aux.links[level], V))
 

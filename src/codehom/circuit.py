@@ -6,12 +6,13 @@ are the boolean gates and G is NAND.
 
 One schedule and one interpreter serve hom_eval, chain evaluation and
 batched plain evaluation: compile_schedule places each gate on a level
-(see Schedule), and run_schedule takes the level-crossing step as a
-parameter. Which gates consume a level depends on the evaluator: a plain
-chain reencrypts only after multiplicative gates, the replicated scheme
-boosts after additions too, hence count_xor. A circuit's depth under
-either rule is compile_schedule(c, count_xor, 1).depth. eval_plain is
-the field-element reference the array paths are checked against.
+(see Schedule); run_schedule checks the input count, fills constant
+outputs and takes the level-crossing step as a parameter. Which gates
+consume a level depends on the evaluator: a plain chain reencrypts
+only after multiplicative gates, the replicated scheme boosts after
+additions too, hence count_xor. A circuit's depth under either rule is
+compile_schedule(c, count_xor, 1).depth. eval_plain is the
+field-element reference the array paths are checked against.
 
 compile_schedule is the only code that decides levels. layerize writes
 its schedule back out as a netlist, with a dummy gate (an AND with the
@@ -181,15 +182,9 @@ def eval_plain(c: Circuit, inputs, spec: FieldSpec | None = None) -> list[FieldE
 def eval_plain_array(spec: FieldSpec, c: Circuit, X: np.ndarray) -> np.ndarray:
     """Batched evaluation: X is (inputs, *batch), result (outputs, *batch)."""
     X = np.asarray(X, dtype=spec.dtype)
-    if X.shape[0] != len(c.inputs):
-        raise UsageError(f"circuit takes {len(c.inputs)} inputs, got {X.shape[0]}")
     # one level: with the identity as crossing, placement cannot matter
     s = compile_schedule(c, False, 1)
-    outs = run_schedule(
-        spec, s, X, lambda level, W: W,
-        lambda v: np.full(X.shape[1:], v, dtype=spec.dtype),
-    )
-    return np.stack(outs)
+    return np.stack(run_schedule(spec, s, X, lambda level, W: W, X.shape[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +202,14 @@ def _output_cone(c: Circuit) -> set[str]:
 
 
 def _xor_any(a, b):
-    # operands are arrays or the constant bits 0 and 1 as Python ints
-    if isinstance(a, int):
-        a, b = b, a
-    if isinstance(a, int) or not isinstance(b, int):
-        return a ^ b
-    return a if b == 0 else a ^ a.dtype.type(b)
+    # arrays or the constant bits 0 and 1 as Python ints, which keep an array's dtype
+    return a ^ b
 
 
 def _mul_any(spec, a, b):
-    if isinstance(a, int):
-        a, b = b, a
-    if not isinstance(b, int):
-        return mul_arrays(spec, a, b)
-    if isinstance(a, int):
-        return a & b
-    return a if b == 1 else np.zeros_like(a)
+    if isinstance(a, int) and isinstance(b, int):
+        return a & b  # compile_schedule folding two constants
+    return mul_arrays(spec, a, b)
 
 
 def _gate(spec, kind: str, a, b):
@@ -295,13 +282,16 @@ def compile_schedule(c: Circuit, count_xor: bool, levels: int) -> Schedule:
                     tuple(map(tuple, carries)), depth, levels)
 
 
-def run_schedule(spec: FieldSpec, s: Schedule, X, cross, const_block) -> list:
+def run_schedule(spec: FieldSpec, s: Schedule, X: np.ndarray, cross, top_shape) -> list:
     """Interpret a schedule on arrays; one array per output.
 
-    X stacks the inputs on axis 0. cross(l, W) moves stacked wires from
-    level l to l+1: a boost, a reencryption link, or the identity.
-    const_block(bit) builds the array of an output folded to a constant.
+    X stacks one array per schedule input on axis 0, else UsageError.
+    cross(l, W) moves stacked wires from level l to l+1: a boost,
+    reencrypt_rows through a link, or the identity. An output folded to
+    a constant bit is np.full(top_shape, bit), every output's top shape.
     """
+    if len(X) != len(s.inputs):
+        raise UsageError(f"circuit takes {len(s.inputs)} inputs, got {len(X)}")
     vals: dict[str, np.ndarray] = {}
     if s.inputs:
         vals.update(zip(s.inputs, cross(0, X)))
@@ -312,7 +302,8 @@ def run_schedule(spec: FieldSpec, s: Schedule, X, cross, const_block) -> list:
         if level < s.levels and s.carries[level]:
             W = cross(level, np.stack([vals[w] for w in s.carries[level]]))
             vals.update(zip(s.carries[level], W))
-    return [const_block(s.consts[o]) if o in s.consts else vals[o] for o in s.outputs]
+    return [vals[o] if o in vals else np.full(top_shape, s.consts[o], spec.dtype)
+            for o in s.outputs]
 
 
 def layerize(c: Circuit, count_xor: bool = False) -> Circuit:
@@ -463,6 +454,12 @@ def verify_apxmaj(
     return True
 
 
+# Most inputs build_apxmaj takes. Verification walks a tree of 16 m^2
+# leaves over up to _EXHAUSTIVE_CAP patterns: about 10 s at m = 32 and
+# 40 s at m = 64 on a 2-core Xeon, and m = 512 did not finish in 20 s.
+APXMAJ_MAX_INPUTS = 64
+
+
 def build_apxmaj(
     m: int,
     rng: np.random.Generator,
@@ -475,8 +472,9 @@ def build_apxmaj(
     probability but not certainty, so each sample is verified and
     resampled on failure, up to 64 times.
     """
-    if m < 8 or m & (m - 1) != 0:
-        raise ParameterError(f"input count must be a power of two >= 8, got {m}")
+    if m < 8 or m & (m - 1) != 0 or m > APXMAJ_MAX_INPUTS:
+        raise ParameterError(
+            f"input count must be a power of two in [8, {APXMAJ_MAX_INPUTS}], got {m}")
     for _ in range(64):
         leaves = rng.integers(m, size=16 * m * m)
         if verify_apxmaj(leaves, m, verify_trials, rng, spec=spec):

@@ -28,13 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import (
-    BoundFailure,
-    ConstructionError,
-    DataFormatError,
-    ParameterError,
-    UsageError,
-)
+from .errors import BoundFailure, CodehomError, DataFormatError, UsageError
 from .analysis import (
     BUDGET_TRIALS,
     budget_text,
@@ -75,9 +69,10 @@ def _parse_hex(text: str) -> int:
 
 
 def _load_circuit(path):
+    text = read_text(path)
     try:
-        return parse_netlist(read_text(path))
-    except UsageError as e:
+        return parse_netlist(text)
+    except DataFormatError as e:
         raise DataFormatError(f"bad netlist {path}: {e}") from None
 
 
@@ -377,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, help="noise rate")
     sp.add_argument("--k", type=int, dest="parts", help="replication factor (parts per ciphertext)")
     sp.add_argument("--d", type=int, dest="depth", help="boosted depth (levels minus one)")
-    sp.add_argument("--b", type=int, help="expander degree / majority fan-in")
+    sp.add_argument("--b", type=int, help="expander degree / majority fan-in: 8, 16, 32 or 64")
     sp.add_argument("--mid-n", type=int, dest="mid_n", help="ciphertext length inside boosts")
     sp.add_argument("--lambda-target", type=float, dest="lambda_target",
                     help="expansion requirement for the part-mixing graph")
@@ -454,18 +449,9 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except UsageError as e:
+    except CodehomError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ParameterError, ConstructionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DataFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except BoundFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return e.exit_code
 
 
 if __name__ == "__main__":

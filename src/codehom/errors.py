@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 1, ParameterError and
-ConstructionError -> 2, DataFormatError -> 3, BoundFailure -> 4.
+Each class carries the exit code the CLI returns for it: UsageError 1
+(the base class's), ParameterError and ConstructionError 2,
+DataFormatError 3, BoundFailure 4.
 """
 
 
 class CodehomError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class UsageError(CodehomError):
@@ -16,14 +19,22 @@ class UsageError(CodehomError):
 class ParameterError(CodehomError):
     """Invalid or inconsistent parameter combination."""
 
+    exit_code = 2
+
 
 class DataFormatError(CodehomError):
     """Malformed or mismatched serialized data."""
+
+    exit_code = 3
 
 
 class ConstructionError(CodehomError):
     """A randomized construction exhausted its retry budget."""
 
+    exit_code = 2
+
 
 class BoundFailure(CodehomError):
     """An empirical error bound was violated (selftest outcome)."""
+
+    exit_code = 4

@@ -264,8 +264,6 @@ def hom_eval(
     p = hk.params
     spec = p.field
     d = hk.depth
-    if len(inputs) != len(c.inputs):
-        raise UsageError(f"circuit takes {len(c.inputs)} inputs, got {len(inputs)}")
     for i, kc in enumerate(inputs):
         if kc.spec != spec or kc.k != hk.k or kc.n != p.n:
             raise UsageError(f"input {i} does not match the keys: {kc!r}")
@@ -273,9 +271,7 @@ def hom_eval(
     if s.depth > d:
         raise UsageError(f"circuit needs {s.depth} boosted layers, keys provide {d}")
 
-    X = np.stack([kc.P for kc in inputs]) if inputs else None
-    blocks = run_schedule(
-        spec, s, X, lambda level, W: boost_arrays(hk.boosts[level], W),
-        lambda v: np.full((hk.k, p.n), v, dtype=spec.dtype),
-    )
+    X = np.stack([kc.P for kc in inputs]) if inputs else np.empty((0, hk.k, p.n), spec.dtype)
+    blocks = run_schedule(spec, s, X, lambda level, W: boost_arrays(hk.boosts[level], W),
+                          (hk.k, p.n))
     return [KCiphertext(spec, block) for block in blocks]

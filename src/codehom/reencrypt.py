@@ -3,11 +3,11 @@
 A link from one key to the next is a bare (n_src, n_tgt) array Z whose
 row i encrypts y_i, entry i of the source decryption vector, under the
 target key; BoostAux.links stacks such arrays, one per part. Reencryption
-is the linear map ReEnc(c) = cZ = sum_i c_i z_i, which for one row c
-is matmul_arrays(spec, c[None], Z)[0]. When every row z_i is a
-valid target encryption of y_i (a "good" link), linearity gives ReEnc(c)
-in Enc'(<y,c>) for arbitrary c, so a link repairs proto-homomorphic
-damage exactly.
+is the linear map ReEnc(c) = cZ = sum_i c_i z_i; reencrypt_rows, the one
+link step of chains and boosts alike, applies it to every row of a
+stack. When every row z_i is a valid target encryption of y_i (a "good"
+link), linearity gives ReEnc(c) in Enc'(<y,c>) for arbitrary c, so a
+link repairs proto-homomorphic damage exactly.
 
 A chain is its key pairs and links (ChainKeys). chain_eval_arrays takes
 it as keys.level_params and keys.links, the two fields a BoostAux has,
@@ -19,12 +19,13 @@ other, and then computes each level's keys and links for all T at once
 T = 1 case.
 
 chain evaluation convention: circuit.Schedule's, link l being the
-crossing after level l of a chain spanning levels 0..L. Link 0
-reencrypts the raw inputs; the gates of layer j run at level j and their
-outputs cross link j. D layers therefore want D+1 links. One fewer is
-accepted: the last layer then stays unreencrypted ("bare"), which still
-decrypts correctly at level L but no longer lands in the encryption
-space. Leftover links drain the outputs upward to the top level.
+crossing after level l of a chain spanning levels 0..L, run_schedule's
+crossing being reencrypt_rows. Link 0 reencrypts the raw inputs; the
+gates of layer j run at level j and their outputs cross link j. D
+layers therefore want D+1 links. One fewer is accepted: the last layer
+then stays unreencrypted ("bare"), which still decrypts correctly at
+level L but no longer lands in the encryption space. Leftover links
+drain the outputs upward to the top level.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 from .errors import ParameterError, UsageError
 from .circuit import Circuit, compile_schedule, run_schedule
 from .circuit import _mul_any, _xor_any  # noqa: F401  perfbench traces them at this path
+from .field import FieldSpec
 from .linalg import matmul_arrays
 from .scheme import (
     KeyStack,
@@ -92,6 +94,11 @@ def aux_gen_basic(sk: SecretKey, pk_next: PublicKey, rng: np.random.Generator) -
 def aux_is_good(Z: np.ndarray, sk_src: SecretKey, sk_tgt: SecretKey) -> bool:
     """Membership audit with both secret keys: every row z_i in Enc'(y_i)."""
     return bool(enc_membership_batch(sk_tgt, sk_src.y_dec, Z).all())
+
+
+def reencrypt_rows(spec: FieldSpec, Z: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """ReEnc(c) = cZ for each row c of C; a stack of links Z broadcasts against C's batch."""
+    return matmul_arrays(spec, C[..., None, :], Z)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +167,7 @@ def chain_eval_arrays(
     if s.depth > len(links):
         raise UsageError(f"circuit needs {s.depth} layers but the chain has only {len(links)} links")
     X = np.asarray(X, dtype=spec.dtype)
-    if X.shape[0] != len(c.inputs):
-        raise UsageError(f"circuit takes {len(c.inputs)} inputs, got {X.shape[0]}")
     if X.shape[-1] != level_params[0].n:
         raise UsageError(f"inputs have length {X.shape[-1]}, level 0 expects {level_params[0].n}")
-
-    def cross(level, W):
-        # wires as matrix rows, so link batch axes broadcast against *batch
-        rows = matmul_arrays(spec, np.moveaxis(W, 0, -2), links[level])
-        return np.moveaxis(rows, -2, 0)
-
-    top_shape = X.shape[1:-1] + (level_params[-1].n,)
-    return run_schedule(spec, s, X, cross, lambda v: np.full(top_shape, v, dtype=spec.dtype))
+    return run_schedule(spec, s, X, lambda level, W: reencrypt_rows(spec, links[level], W),
+                        X.shape[1:-1] + (level_params[-1].n,))

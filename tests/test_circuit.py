@@ -318,6 +318,15 @@ def test_apxmaj_validation():
         build_apxmaj(4, rng)
 
 
+def test_apxmaj_input_cap(monkeypatch):
+    # Refused before any verification: 128 inputs verify over 262,144 leaves.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("build_apxmaj verified a wiring")
+    monkeypatch.setattr(circuit, "verify_apxmaj", must_not_run)
+    with pytest.raises(ParameterError, match=r"\[8, 64\], got 128"):
+        build_apxmaj(128, np.random.default_rng(7))
+
+
 def test_apxmaj_size_and_unanimity():
     rng = np.random.default_rng(8)
     c = gtree_circuit(8, build_apxmaj(8, rng))

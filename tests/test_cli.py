@@ -7,6 +7,7 @@ import pytest
 
 import codehom.analysis
 import codehom.cli
+import codehom.errors
 import codehom.hom
 from codehom.analysis import MAX_TRIALS
 from codehom.cli import main
@@ -272,6 +273,30 @@ def test_bad_netlist_is_data_error(mini_keys, tmp_path, capsys):
     code, _, _ = run(capsys, "hom-eval", "--keys", mini_keys, "--circuit", net,
                      "--inputs", ct, "--out", tmp_path / "r")
     assert code == 3
+
+
+def test_bad_netlist_error_names_the_file(mini_keys, tmp_path, capsys):
+    net = tmp_path / "nor.net"
+    net.write_text("inputs x0 x1\nt = NOR x0 x1\noutputs t\n")
+    code, out, err = run(capsys, "hom-eval", "--keys", mini_keys, "--circuit", net,
+                         "--inputs", tmp_path / "absent.json", "--out", tmp_path / "r")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: bad netlist {net}: line 2: unknown gate kind 'NOR'\n"
+
+
+@pytest.mark.parametrize("cls, want", [
+    (codehom.errors.UsageError, 1),
+    (codehom.errors.ParameterError, 2),
+    (codehom.errors.ConstructionError, 2),
+    (codehom.errors.DataFormatError, 3),
+    (codehom.errors.BoundFailure, 4),
+])
+def test_error_class_sets_the_exit_code(cls, want, capsys, monkeypatch):
+    def fail(args):
+        raise cls("stop")
+    monkeypatch.setattr(codehom.cli, "_cmd_selftest", fail)
+    assert run(capsys, "selftest") == (want, "", "error: stop\n")
 
 
 def test_tampered_boost_file_is_data_error(mini_keys, tmp_path, capsys):

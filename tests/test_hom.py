@@ -17,6 +17,7 @@ from codehom.circuit import (
     build_apxmaj,
     compile_schedule,
     eval_plain,
+    eval_plain_array,
     layerize,
     parse_netlist,
 )
@@ -36,6 +37,7 @@ from codehom.hom import (
     hom_eval,
     hom_keygen,
 )
+from codehom.reencrypt import chain_eval_arrays, chain_keygen
 from codehom.scheme import Params, decrypt_batch, encrypt_batch, keygen
 
 GF16 = FieldSpec(4)
@@ -446,6 +448,20 @@ def test_eval_input_validation(mini):
         hom_eval(mini, c, [ok, KCiphertext(GF16, np.zeros((8, 12), dtype=np.uint8))])
     with pytest.raises(UsageError, match="match"):
         hom_eval(mini, c, [ok, KCiphertext(GF256, np.zeros((8, 16), dtype=np.uint8))])
+
+
+@pytest.mark.parametrize("front_end", ["hom_eval", "chain_eval_arrays", "eval_plain_array"])
+def test_every_front_end_checks_the_input_count(front_end, mini):
+    c = parse_netlist("inputs x0 x1\nt = AND x0 x1\noutputs t\n")
+    keys = chain_keygen(P16, 1, np.random.default_rng(3))
+    call = {
+        "hom_eval": lambda: hom_eval(mini, c, [_enc(mini, 1, 150)]),
+        "chain_eval_arrays": lambda: chain_eval_arrays(
+            keys.level_params, keys.links, c, np.zeros((1, 5, P16.n), dtype=np.uint8)),
+        "eval_plain_array": lambda: eval_plain_array(GF16, c, np.zeros((1, 5), dtype=np.uint8)),
+    }[front_end]
+    with pytest.raises(UsageError, match="circuit takes 2 inputs, got 1"):
+        call()
 
 
 def test_dead_gates_do_not_count(mini):
