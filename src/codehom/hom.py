@@ -40,6 +40,7 @@ from .scheme import (
     Params,
     SecretKey,
     check_entries,
+    check_key_entries,
     dec_membership_batch,
     decrypt_batch,
     enc_membership_batch,
@@ -164,6 +165,26 @@ def check_key_shape(k: int, d: int) -> None:
     check_entries("the key set's boosts x parts x parts", (d, k, k), KEY_SET_CAP)
 
 
+# Most public field elements a key set may hold. Desk holds 460,800; at
+# desk, --mid-n 64 makes 3.9 million of them in about 2 s, and --mid-n 128
+# 13.6 million in about 8 s and 126 MB of v1 files.
+KEY_FIELDS_CAP = 1 << 23
+
+
+def key_set_fields(p: Params, k: int, d: int, cfg: BoostConfig) -> int:
+    """The public field elements hom_keygen(p, k, d, cfg=cfg) builds, known
+    before any draw: what key_size_fields() counts on the result.
+
+    d + 1 level keys of n x r, and per boost k chains of tree depth
+    2 log2(b) + 4 (a leaf row of 16 b^2): an n x mid_n entry link, a
+    mid_n x mid_n link for each tree level after the first, and a
+    mid_n x n exit link.
+    """
+    tree_depth = 2 * (cfg.b.bit_length() - 1) + 4
+    chain = 2 * p.n * cfg.mid_n + (tree_depth - 1) * cfg.mid_n ** 2
+    return (d + 1) * p.n * p.r + d * k * chain
+
+
 def hom_keygen(
     p: Params,
     k: int,
@@ -177,7 +198,12 @@ def hom_keygen(
     sampled once and shared: they carry no key material, only wiring.
     """
     check_key_shape(k, d)
+    check_key_entries(p)
     cfg = cfg or BoostConfig()
+    size = key_set_fields(p, k, d, cfg)
+    if size > KEY_FIELDS_CAP:
+        raise ParameterError(f"the key set would hold {size:,} public field elements, "
+                             f"over the cap of {KEY_FIELDS_CAP:,}")
     graph = build_expander(k, cfg.b, cfg.lambda_target, rng)
     leaves = build_apxmaj(cfg.b, rng, verify_trials=cfg.verify_trials, spec=p.field)
     levels = [keygen(p, rng) for _ in range(d + 1)]

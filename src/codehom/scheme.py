@@ -197,6 +197,12 @@ def check_entries(what: str, shape: tuple[int, ...], cap: int) -> None:
         raise ParameterError(f"{what}, {dims} = {entries:,} entries, is over the cap of {cap:,}")
 
 
+def check_key_entries(p: Params) -> None:
+    """ParameterError if one key of p holds an array over KEY_ENTRY_CAP entries."""
+    check_entries("the key's n x r matrix", (p.n, p.r), KEY_ENTRY_CAP)
+    check_entries("the key's r x r mixing factor", (p.r, p.r), KEY_ENTRY_CAP)
+
+
 def stack_tuples(items) -> tuple[np.ndarray, ...]:
     """Stack equal-shaped tuples of arrays, such as draws, field by field."""
     return tuple(np.array(field) for field in zip(*items))
@@ -204,8 +210,7 @@ def stack_tuples(items) -> tuple[np.ndarray, ...]:
 
 def draw_key(p: Params, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Every random value of one key, in keygen's order: S, the points, R's draws."""
-    check_entries("the key's n x r matrix", (p.n, p.r), KEY_ENTRY_CAP)
-    check_entries("the key's r x r mixing factor", (p.r, p.r), KEY_ENTRY_CAP)
+    check_key_entries(p)
     S = np.sort(rng.choice(p.n, size=p.s, replace=False))
     a = random_distinct(p.field, rng, p.n)
     return (S, a) + unimodular_draws(p.field, p.r, rng)

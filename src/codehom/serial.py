@@ -1,29 +1,35 @@
 """JSON envelopes for keys, ciphertexts, and boost material.
 
-Every file is one object tagged {"format": "codehom/v1", "kind": ...};
-field elements are plain integers so a desk-scale file stays greppable
-and diffable. The bytes written are json.dumps(doc, indent=1) plus a
-newline, streamed out a piece at a time rather than built whole. The
-encoders put copies of the key and ciphertext arrays in their documents,
-and the writer turns an integer array into that same text a row and a
-2-D slab at a time; the decoders accept arrays as well as lists. A
+Every file is one object tagged with a format and a kind. Key files
+(pk, sk, boost-aux and the hom-keys meta) are written as
+{"format": "codehom/v2", "kind": ...}: each integer array is an object
+{"shape": [...], "rows": [...]}, one hex string per innermost row, each
+entry big-endian in a fixed number of digits: twice the byte width of
+the field's dtype for field elements, 8 for the index arrays adjacency
+and assignment. So a row still diffs as one line, and a desk key
+directory is about a quarter of its decimal size. Ciphertext envelopes
+(ct, kct) are still written as "codehom/v1", whose arrays are nested
+lists of plain integers. The loaders read both formats, array by array.
+The bytes written are json.dumps(doc, indent=1) plus a newline. A
 replicated ciphertext nests one complete ciphertext envelope per part.
 A full key set is a directory, one file per level key and per boost,
 under a meta file naming the shape.
 
 Loaders validate types, structure and value ranges and raise
 DataFormatError; a file that parses as JSON but violates a constructor
-invariant counts as malformed data too. A secret key's M and y must be
-the ones its S and distinct points a define; a key that broke that
-rule would decrypt to wrong plaintexts without a word. A boost file
-holds the majority tree as its leaf row alone; files that also carry
-the tree's netlist under "circuit" still load, and that field is
-ignored.
+invariant counts as malformed data too. A secret key's M and y are
+computed from its S and distinct points a: a v2 file holds S and a
+only, and a v1 file's M and y must be the ones they define, since a key
+that broke that rule would decrypt to wrong plaintexts without a word.
+A boost file holds the majority tree as its leaf row alone; files that
+also carry the tree's netlist under "circuit" still load, and that
+field is ignored.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +40,22 @@ from .field import FieldSpec
 from .hom import HomKeys, KCiphertext, check_key_shape
 from .scheme import Params, PublicKey, SecretKey, trapdoor_arrays
 
-FORMAT = "codehom/v1"
+V1 = "codehom/v1"
+V2 = "codehom/v2"
+
+# Bytes per entry of the v2 index arrays (adjacency, assignment).
+INDEX_BYTES = 4
 
 
-def _expect(doc, kind: str) -> None:
+def _expect(doc, kind: str) -> str:
+    """The envelope's format, once doc is an envelope of this kind in a known format."""
     if not isinstance(doc, dict):
         raise DataFormatError(f"envelope must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != FORMAT:
-        raise DataFormatError(f"unknown format {doc.get('format')!r}, expected {FORMAT!r}")
+    if doc.get("format") not in (V1, V2):
+        raise DataFormatError(f"unknown format {doc.get('format')!r}, expected {V2!r} or {V1!r}")
     if doc.get("kind") != kind:
         raise DataFormatError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
+    return doc["format"]
 
 
 def _get(doc: dict, key: str):
@@ -74,6 +86,43 @@ def _list(doc: dict, key: str) -> list:
     return v
 
 
+def _hex_rows(a: np.ndarray, itemsize: int) -> dict:
+    """A v2 array: a's shape, and each innermost row as big-endian hex,
+    2 * itemsize digits an entry."""
+    text = a.astype(f">u{itemsize}").tobytes().hex()
+    width = 2 * itemsize * a.shape[-1]
+    n_rows = math.prod(a.shape[:-1])
+    return {"shape": list(a.shape),
+            "rows": [text[i * width:(i + 1) * width] for i in range(n_rows)]}
+
+
+def _hex_array(data: dict, what: str, ndim: int, itemsize: int) -> np.ndarray:
+    # Read-only, big-endian; every caller converts it to its own dtype.
+    shape, rows = _get(data, "shape"), _get(data, "rows")
+    if (not isinstance(shape, list) or len(shape) != ndim
+            or any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in shape)):
+        raise DataFormatError(f"{what} shape must list {ndim} non-negative integers")
+    if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
+        raise DataFormatError(f"{what} rows must be a list of hex strings")
+    n_rows = math.prod(shape[:-1])
+    if len(rows) != n_rows:
+        raise DataFormatError(f"{what} has {len(rows)} rows, its shape {shape} needs {n_rows}")
+    width = 2 * itemsize * shape[-1]
+    if any(len(row) != width for row in rows):
+        raise DataFormatError(f"{what} rows must each be {width} hex digits")
+    try:
+        buf = bytes.fromhex("".join(rows))
+    except ValueError:
+        raise DataFormatError(f"{what} rows hold a character that is not a hex digit") from None
+    # fromhex skips whitespace, so a row with a space in it decodes short
+    if 2 * len(buf) != width * len(rows):
+        raise DataFormatError(f"{what} rows hold a character that is not a hex digit")
+    try:
+        return np.frombuffer(buf, dtype=f">u{itemsize}").reshape(shape)
+    except ValueError:
+        raise DataFormatError(f"{what} shape {shape} is too large") from None
+
+
 def _is_int_nest(data) -> bool:
     if isinstance(data, list):
         return all(_is_int_nest(x) for x in data)
@@ -81,9 +130,11 @@ def _is_int_nest(data) -> bool:
 
 
 def _int_array(data, what: str, ndim: int) -> np.ndarray:
-    # int64, or uint64 for integers reaching 2^63 (GF(2^64) keys), which
-    # numpy reads as float next to small ones; so later bounds checks see
-    # every value unwrapped
+    # A v2 index array, or v1 nested lists: int64, or uint64 for integers
+    # reaching 2^63 (GF(2^64) keys), which numpy reads as float next to
+    # small ones; so later bounds checks see every value unwrapped
+    if isinstance(data, dict):
+        return _hex_array(data, what, ndim, INDEX_BYTES).astype(np.int64)
     try:
         A = np.asarray(data)
         if A.dtype.kind in "fO" and _is_int_nest(data):
@@ -98,10 +149,17 @@ def _int_array(data, what: str, ndim: int) -> np.ndarray:
 
 
 def _field_array(spec: FieldSpec, data, what: str, ndim: int) -> np.ndarray:
-    A = _int_array(data, what, ndim)
+    if isinstance(data, dict):
+        A = _hex_array(data, what, ndim, np.dtype(spec.dtype).itemsize)
+    else:
+        A = _int_array(data, what, ndim)
     if A.size and (A.min() < 0 or A.max() >= spec.q):
         raise DataFormatError(f"{what} holds values outside [0, {spec.q})")
     return A.astype(spec.dtype)
+
+
+def _field_rows(spec: FieldSpec, a: np.ndarray) -> dict:
+    return _hex_rows(a, np.dtype(spec.dtype).itemsize)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +192,10 @@ def decode_params(doc) -> Params:
 
 def encode_public_key(pk: PublicKey) -> dict:
     return {
-        "format": FORMAT,
+        "format": V2,
         "kind": "pk",
         "params": encode_params(pk.params),
-        "P": pk.P.copy(),
+        "P": _field_rows(pk.params.field, pk.P),
     }
 
 
@@ -152,18 +210,16 @@ def decode_public_key(doc) -> PublicKey:
 
 def encode_secret_key(sk: SecretKey) -> dict:
     return {
-        "format": FORMAT,
+        "format": V2,
         "kind": "sk",
         "params": encode_params(sk.params),
         "S": list(sk.S),
-        "a": sk.a.copy(),
-        "M": sk.M.copy(),
-        "y": sk.y_dec.copy(),
+        "a": _field_rows(sk.params.field, sk.a),
     }
 
 
 def decode_secret_key(doc) -> SecretKey:
-    _expect(doc, "sk")
+    fmt = _expect(doc, "sk")
     p = decode_params(_get(doc, "params"))
     S = _get(doc, "S")
     if (not isinstance(S, list) or len(S) != p.s
@@ -171,21 +227,23 @@ def decode_secret_key(doc) -> SecretKey:
             or any(i >= j for i, j in zip(S, S[1:]))):
         raise DataFormatError(f"S must list {p.s} increasing row indices below {p.n}")
     a = _field_array(p.field, _get(doc, "a"), "a", 1)
-    M = _field_array(p.field, _get(doc, "M"), "M", 2)
-    y = _field_array(p.field, _get(doc, "y"), "y", 1)
-    if a.shape != (p.n,) or y.shape != (p.n,) or M.shape != (p.n, p.r):
-        raise DataFormatError("secret key arrays do not match the declared parameters")
+    if a.shape != (p.n,):
+        raise DataFormatError(f"a must hold {p.n} points, got shape {a.shape}")
     # Distinct points first: a repeated one would divide by zero in y's closed form.
     if np.unique(a).size != p.n:
         raise DataFormatError("the points a must be distinct")
-    M_want, y_want = trapdoor_arrays(p, np.array([S]), a[None])
-    if not np.array_equal(M, M_want[0]) or not np.array_equal(y, y_want[0]):
-        raise DataFormatError("M and y do not match the trapdoor that S and a define")
+    M, y = trapdoor_arrays(p, np.array([S]), a[None])
+    M, y = M[0], y[0]
+    if fmt == V1:
+        M_file = _field_array(p.field, _get(doc, "M"), "M", 2)
+        y_file = _field_array(p.field, _get(doc, "y"), "y", 1)
+        if not np.array_equal(M_file, M) or not np.array_equal(y_file, y):
+            raise DataFormatError("M and y do not match the trapdoor that S and a define")
     return SecretKey(tuple(S), a, M, y, p)
 
 
 def encode_ciphertext(spec: FieldSpec, c: np.ndarray) -> dict:
-    return {"format": FORMAT, "kind": "ct", "field_k": spec.k, "c": c.copy()}
+    return {"format": V1, "kind": "ct", "field_k": spec.k, "c": c.tolist()}
 
 
 def decode_ciphertext(doc) -> tuple[FieldSpec, np.ndarray]:
@@ -202,7 +260,7 @@ def decode_ciphertext(doc) -> tuple[FieldSpec, np.ndarray]:
 
 def encode_kciphertext(kc: KCiphertext) -> dict:
     return {
-        "format": FORMAT,
+        "format": V1,
         "kind": "kct",
         "parts": [encode_ciphertext(kc.spec, row) for row in kc.P],
     }
@@ -226,16 +284,17 @@ def decode_kciphertext(doc) -> KCiphertext:
 
 def encode_boost_aux(aux: BoostAux) -> dict:
     g = aux.graph
+    spec = aux.source_params.field
     return {
-        "format": FORMAT,
+        "format": V2,
         "kind": "boost-aux",
         "k": g.k,
         "b": g.b,
         "lambda_measured": g.lambda_measured,
-        "adjacency": g.adjacency.copy(),
-        "assignment": aux.assignment.copy(),
+        "adjacency": _hex_rows(g.adjacency, INDEX_BYTES),
+        "assignment": _hex_rows(aux.assignment, INDEX_BYTES),
         "level_params": [encode_params(p) for p in aux.level_params],
-        "links": [link.copy() for link in aux.links],
+        "links": [_field_rows(spec, link) for link in aux.links],
     }
 
 
@@ -286,70 +345,12 @@ def _cannot_write(path, e: OSError) -> UsageError:
     return UsageError(f"cannot write {path}: {e}")
 
 
-# Decimal text of every uint8 value, the dtype of desk keys and links;
-# indexing it with an array gives the array's text in one step. Saving a
-# desk key directory took 0.03-0.04 s with it and 0.09-0.12 s with
-# int.__repr__ for every entry (2-core Xeon), about 1.17x desk-keygen
-# ops/s (BENCH_pr14.json, table_vs_single_seed13). Wider dtypes go
-# through int.__repr__ as a ufunc, as fast as a join over tolist().
-_U8_TEXT = np.array([str(v) for v in range(256)], dtype=object)
-_INT_TEXT = np.frompyfunc(int.__repr__, 1, 1)
-
-
-def _write_array(write, a: np.ndarray, level: int) -> None:
-    # json.dumps(a.tolist(), indent=1) at this level for a non-empty integer
-    # array of one or more dimensions: each innermost row is one join, each
-    # 2-D slab one more join over its rows, written as soon as it is built.
-    pad = "\n" + " " * level
-    inner = pad + " "
-    if a.ndim > 2:
-        for i, sub in enumerate(a):
-            write(("[" if i == 0 else ",") + inner)
-            _write_array(write, sub, level + 1)
-        write(pad + "]")
-        return
-    cells = (_U8_TEXT[a] if a.dtype == np.uint8 else _INT_TEXT(a.astype(object))).tolist()
-    if a.ndim == 1:
-        write("[" + inner + ("," + inner).join(cells) + pad + "]")
-        return
-    item = inner + " "
-    rows = [("," + item).join(row) for row in cells]
-    write("[" + inner + "[" + item + (inner + "]," + inner + "[" + item).join(rows)
-          + inner + "]" + pad + "]")
-
-
-def _write_json(write, obj, level: int) -> None:
-    # json.dumps(obj, indent=1) in pieces: a non-empty integer array is
-    # written by _write_array, any other array as its tolist(), and a scalar
-    # is json.dumps's own text for it. Dict keys are str, as in every
-    # envelope.
-    if isinstance(obj, np.ndarray):
-        if obj.size and obj.ndim and obj.dtype.kind in "iu":
-            _write_array(write, obj, level)
-            return
-        obj = obj.tolist()
-    pad = "\n" + " " * level
-    inner = pad + " "
-    if isinstance(obj, (list, tuple)) and obj:
-        for i, item in enumerate(obj):
-            write(("[" if i == 0 else ",") + inner)
-            _write_json(write, item, level + 1)
-        write(pad + "]")
-    elif isinstance(obj, dict) and obj:
-        for i, (key, value) in enumerate(obj.items()):
-            write(("{" if i == 0 else ",") + inner + json.dumps(key) + ": ")
-            _write_json(write, value, level + 1)
-        write(pad + "}")
-    else:
-        write(json.dumps(obj))
-
-
 def save_json(doc: dict, path) -> None:
-    """Write doc to path; the bytes equal json.dumps(doc, indent=1) + "\n"."""
+    """Write json.dumps(doc, indent=1) and a newline to path."""
+    text = json.dumps(doc, indent=1) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as f:
-            _write_json(f.write, doc, 0)
-            f.write("\n")
+            f.write(text)
     except OSError as e:
         raise _cannot_write(path, e) from None
 
@@ -414,7 +415,7 @@ def save_hom_keys(hk: HomKeys, directory) -> None:
     except OSError as e:
         raise _cannot_write(d, e) from None
     meta = {
-        "format": FORMAT,
+        "format": V2,
         "kind": "hom-keys",
         "k": hk.k,
         "depth": hk.depth,

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 
 import pytest
 
@@ -11,6 +12,9 @@ import codehom.errors
 import codehom.hom
 from codehom.analysis import MAX_TRIALS
 from codehom.cli import main
+from codehom.serial import load_secret_key
+
+import v1_writer
 
 
 def run(capsys, *argv):
@@ -121,14 +125,14 @@ def test_secret_key_with_bad_S_is_data_error(base_key, tmp_path, capsys):
 
 
 def test_tampered_secret_key_is_data_error(base_key, tmp_path, capsys):
-    # decrypt reads y alone: a y that is nonzero off S decrypts to a wrong
-    # plaintext, and a bad M or a repeated point goes unseen, unless the
-    # loader checks M and y against the trapdoor that S and a define
+    # decrypt reads y alone: in a v1 file, a y that is nonzero off S
+    # decrypts to a wrong plaintext, and a bad M or a repeated point goes
+    # unseen, unless the loader checks M and y against the trapdoor that S
+    # and a define
     ct = tmp_path / "ct.json"
     assert run(capsys, "encrypt", "--pk", f"{base_key}.pk.json", "--m", "5a",
                "--out", ct, "--seed", "3")[0] == 0
-    with open(f"{base_key}.sk.json") as f:
-        good = json.load(f)
+    good = v1_writer.encode_secret_key(load_secret_key(f"{base_key}.sk.json"))
     off = min(set(range(len(good["a"]))) - set(good["S"]))
     y, a, M = good["y"][:], good["a"][:], [row[:] for row in good["M"]]
     y[off] = 1
@@ -307,7 +311,8 @@ def test_tampered_boost_file_is_data_error(mini_keys, tmp_path, capsys):
     keys = tmp_path / "keys"
     shutil.copytree(mini_keys, keys)
     doc = json.loads((keys / "boost0.json").read_text())
-    doc["assignment"] = doc["assignment"][: len(doc["assignment"]) // 2]
+    m = doc["assignment"]["shape"][0] // 2
+    doc["assignment"] = {"shape": [m], "rows": [doc["assignment"]["rows"][0][: 8 * m]]}
     (keys / "boost0.json").write_text(json.dumps(doc))
     code, _, err = run(capsys, "hom-eval", "--keys", keys, "--circuit", net,
                        "--inputs", ct, ct, "--out", tmp_path / "r")
@@ -462,6 +467,26 @@ def test_hom_keygen_oversized_key_set_exits_2(argv, shape, tmp_path, capsys, mon
     assert code == 2
     assert out == ""
     assert f"boosts x parts x parts, {shape}" in err and "over the cap" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["--mid-n", "200"], "31,455,232"),
+    (["--field-k", "16", "--mid-n", "4096"], "11,878,287,360"),
+], ids=["mid-n", "field-k-mid-n"])
+def test_hom_keygen_oversized_key_material_exits_2(argv, size, tmp_path, capsys, monkeypatch):
+    # The boost links grow as d * k * mid_n^2; refused before the first draw.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("hom_keygen drew its expander")
+    monkeypatch.setattr(codehom.hom, "build_expander", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "hom-keygen", *argv, "--seed", "1", "--out", "keys")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"would hold {size} public field elements" in err and "over the cap" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 

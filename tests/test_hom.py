@@ -36,9 +36,10 @@ from codehom.hom import (
     hom_encrypt,
     hom_eval,
     hom_keygen,
+    key_set_fields,
 )
 from codehom.reencrypt import chain_eval_arrays, chain_keygen
-from codehom.scheme import Params, decrypt_batch, encrypt_batch, keygen
+from codehom.scheme import Params, decrypt_batch, encrypt_batch, keygen, params_from_alpha
 
 GF16 = FieldSpec(4)
 GF256 = FieldSpec(8)
@@ -130,6 +131,24 @@ def test_keygen_validation():
         hom_keygen(P16, 32, 0, rng)
     with pytest.raises(ParameterError):
         hom_keygen(P16, 32, 1, rng, cfg=BoostConfig(b=64))
+
+
+# (Params, k, d, BoostConfig) of every key set shape that the CLI presets,
+# perfbench, the error budget, the demos and the tests build.
+KEY_SET_SHAPES = {
+    "desk": (Params(128, 48, 12, GF256, 0.0), 32, 2, BoostConfig(b=16, mid_n=16)),
+    "paper-dryrun": (params_from_alpha(256, 0.25), 32, 1, BoostConfig(b=16, mid_n=8)),
+    "budget boost row": (P16, 32, 1, BoostConfig(b=16, mid_n=4)),
+    **{f"P16 k={k} d={d} b=8": (P16, k, d, BoostConfig(b=8, lambda_target=0.9, mid_n=8))
+       for k in (32, 64) for d in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("shape", list(KEY_SET_SHAPES))
+def test_key_set_size_is_predicted_before_keygen(shape):
+    p, k, d, cfg = KEY_SET_SHAPES[shape]
+    hk = hom_keygen(p, k, d, np.random.default_rng(4), cfg=cfg)
+    assert key_set_fields(p, k, d, cfg) == hk.key_size_fields()
 
 
 def test_keygen_determinism():

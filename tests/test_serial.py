@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from codehom import serial
 from codehom.circuit import format_netlist, parse_netlist
@@ -15,6 +14,7 @@ from codehom.field import FieldElement, FieldSpec
 from codehom.hom import BoostConfig, hdec, hom_encrypt, hom_eval, hom_keygen
 from codehom.scheme import Params, decrypt, draw_key, encrypt, key_stack, keygen
 
+import v1_writer
 from oracles import gtree_circuit
 
 GF16 = FieldSpec(4)
@@ -141,75 +141,15 @@ def test_writer_bytes_equal_json_dumps(doc, writer_dir):
     assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
 
 
-def test_writer_deep_nesting_and_tuples(tmp_path):
-    doc = {"x": []}
-    for depth in range(150):
-        doc = [doc, depth, (True, None)] if depth % 2 else {"\u00e9\u4e2d": doc, "n": [depth, 2**64 - 1]}
-    serial.save_json(doc, tmp_path / "deep.json")
-    assert (tmp_path / "deep.json").read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
-
-
-# Array leaves of every dtype the writer meets or must pass to tolist():
-# uint64 past 2^63, negative int64, bool and float64 (nan too), 0-3
-# dimensions with zero-length axes, at depth 0-3 among dicts and lists.
-ARRAY_LEAVES = st.sampled_from(
-    [np.uint8, np.uint16, np.uint32, np.uint64, np.int64, np.bool_, np.float64]
-).flatmap(lambda dtype: hnp.arrays(
-    dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)))
-
-
-def _nested(depth):
-    doc = ARRAY_LEAVES
-    for _ in range(depth):
-        item = doc | JSON_SCALARS
-        doc = (st.lists(item, min_size=1, max_size=3)
-               | st.dictionaries(st.text(max_size=3), item, min_size=1, max_size=3))
-    return doc
-
-
-@settings(max_examples=300, deadline=None)
-@given(doc=st.integers(0, 3).flatmap(_nested))
-def test_writer_array_leaves_equal_json_dumps(doc, writer_dir):
-    path = writer_dir / "arrays.json"
-    serial.save_json(doc, path)
-    want = json.dumps(doc, indent=1, default=np.ndarray.tolist) + "\n"
-    assert path.read_bytes() == want.encode()
-
-
-def test_writer_key_file_bytes_equal_json_dumps(hom_keys, tmp_path):
-    pk, sk = hom_keys.levels[0]
-    for name, doc in [("boost", serial.encode_boost_aux(hom_keys.boosts[0])),
-                      ("pk", serial.encode_public_key(pk)),
-                      ("sk", serial.encode_secret_key(sk)),
-                      ("kct", serial.encode_kciphertext(hom_encrypt(hom_keys, 1, rng(3))))]:
-        serial.save_json(doc, tmp_path / name)
-        want = json.dumps(doc, indent=1, default=np.ndarray.tolist) + "\n"
-        assert (tmp_path / name).read_text() == want
-
-
-def _array_leaves(doc):
-    if isinstance(doc, np.ndarray):
-        yield doc
-    elif isinstance(doc, (list, dict)):
-        for item in (doc.values() if isinstance(doc, dict) else doc):
-            yield from _array_leaves(item)
-
-
 def test_encoded_documents_own_their_arrays(keypair, hom_keys):
-    # tests edit encoded documents in place; the shared keys must not see it
+    # tests edit encoded documents in place; the shared keys must not see
+    # it, so a document holds plain JSON values and no view of a key array
     pk, sk = keypair
-    aux = hom_keys.boosts[0]
-    kc = hom_encrypt(hom_keys, 1, rng(3))
-    held = [pk.P, sk.a, sk.M, sk.y_dec,
-            aux.graph.adjacency, aux.assignment, *aux.links, kc.P]
-    before = [a.copy() for a in held]
     docs = [serial.encode_public_key(pk), serial.encode_secret_key(sk),
-            serial.encode_boost_aux(aux), serial.encode_kciphertext(kc)]
-    leaves = list(_array_leaves(docs))
-    assert len(leaves) == 4 + 2 + len(aux.links) + kc.k
-    for a in leaves:
-        np.bitwise_not(a, out=a)
-    assert all(np.array_equal(a, b) for a, b in zip(held, before))
+            serial.encode_boost_aux(hom_keys.boosts[0]),
+            serial.encode_kciphertext(hom_encrypt(hom_keys, 1, rng(3)))]
+    for doc in docs:
+        assert json.loads(json.dumps(doc)) == doc
 
 
 def test_writer_unwritable_path_is_usage_error(tmp_path):
@@ -236,25 +176,37 @@ def test_rejects_wrong_kind(keypair):
 
 def test_rejects_out_of_range_entries(keypair):
     pk, _ = keypair
-    doc = serial.encode_public_key(pk)
+    doc = v1_writer.encode_public_key(pk)
     doc["P"][0][0] = 16
+    with pytest.raises(DataFormatError, match="outside"):
+        serial.decode_public_key(doc)
+    doc = serial.encode_public_key(pk)
+    doc["P"]["rows"][0] = "10" + doc["P"]["rows"][0][2:]
     with pytest.raises(DataFormatError, match="outside"):
         serial.decode_public_key(doc)
 
 
 def test_rejects_shape_mismatch(keypair):
     pk, _ = keypair
-    doc = serial.encode_public_key(pk)
+    doc = v1_writer.encode_public_key(pk)
     doc["P"] = doc["P"][:-1]
+    with pytest.raises(DataFormatError, match="16x6"):
+        serial.decode_public_key(doc)
+    doc = serial.encode_public_key(pk)
+    doc["P"] = {"shape": [15, 6], "rows": doc["P"]["rows"][:-1]}
     with pytest.raises(DataFormatError, match="16x6"):
         serial.decode_public_key(doc)
 
 
 def test_rejects_missing_field(keypair):
     _, sk = keypair
-    doc = serial.encode_secret_key(sk)
+    doc = v1_writer.encode_secret_key(sk)
     del doc["y"]
     with pytest.raises(DataFormatError, match="missing field 'y'"):
+        serial.decode_secret_key(doc)
+    doc = serial.encode_secret_key(sk)
+    del doc["a"]
+    with pytest.raises(DataFormatError, match="missing field 'a'"):
         serial.decode_secret_key(doc)
 
 
@@ -288,16 +240,30 @@ def test_rejects_missing_file(tmp_path):
         serial.load_json(tmp_path / "absent.json")
 
 
+def _head(row_doc: dict, m: int) -> dict:
+    """The first m entries of a 1-D v2 index array."""
+    return {"shape": [m], "rows": [row_doc["rows"][0][: 2 * serial.INDEX_BYTES * m]]}
+
+
 def test_rejects_bad_link_shape(hom_keys):
-    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    doc = v1_writer.encode_boost_aux(hom_keys.boosts[0])
     doc["links"][0] = doc["links"][0][:-1]
     with pytest.raises(DataFormatError, match=r"links\[0\]"):
+        serial.decode_boost_aux(doc)
+    # a well-formed (32, 8, 8) array where the (32, 16, 8) entry link belongs
+    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    doc["links"][0] = doc["links"][1]
+    with pytest.raises(DataFormatError, match=r"links\[0\] must have shape"):
         serial.decode_boost_aux(doc)
 
 
 def test_rejects_truncated_assignment(hom_keys):
-    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    doc = v1_writer.encode_boost_aux(hom_keys.boosts[0])
     doc["assignment"] = doc["assignment"][: len(doc["assignment"]) // 2]
+    with pytest.raises(DataFormatError, match="assignment"):
+        serial.decode_boost_aux(doc)
+    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    doc["assignment"] = _head(doc["assignment"], doc["assignment"]["shape"][0] // 2)
     with pytest.raises(DataFormatError, match="assignment"):
         serial.decode_boost_aux(doc)
 
@@ -307,7 +273,7 @@ def test_rejects_odd_depth_tree(hom_keys):
     doc = serial.encode_boost_aux(hom_keys.boosts[0])
     doc["links"] = doc["links"][1:]
     doc["level_params"] = doc["level_params"][1:]
-    doc["assignment"] = doc["assignment"][: 1 << 9]
+    doc["assignment"] = _head(doc["assignment"], 1 << 9)
     with pytest.raises(DataFormatError, match="even"):
         serial.decode_boost_aux(doc)
 
@@ -331,9 +297,14 @@ def test_rejects_wrong_lambda(hom_keys):
 
 
 def test_rejects_repeated_adjacency_entries(hom_keys):
-    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    doc = v1_writer.encode_boost_aux(hom_keys.boosts[0])
     row = doc["adjacency"][3]
     row[1] = row[0]
+    with pytest.raises(DataFormatError, match="distinct"):
+        serial.decode_boost_aux(doc)
+    doc = serial.encode_boost_aux(hom_keys.boosts[0])
+    rows, w = doc["adjacency"]["rows"], 2 * serial.INDEX_BYTES
+    rows[3] = rows[3][:w] + rows[3][:w] + rows[3][2 * w:]
     with pytest.raises(DataFormatError, match="distinct"):
         serial.decode_boost_aux(doc)
 
@@ -376,20 +347,20 @@ def test_gf64_keys_load_and_reject_junk(tmp_path):
     # half of all GF(2^64) elements reach 2^63, past int64
     pk, sk = keygen(Params(n=16, r=6, s=3, field=FieldSpec(64), eta=0.0), rng(12))
     assert int(pk.P.max()) >= 2**63
-    serial.save_public_key(pk, tmp_path / "pk.json")
-    serial.save_secret_key(sk, tmp_path / "sk.json")
-    assert np.array_equal(serial.load_public_key(tmp_path / "pk.json").P, pk.P)
-    back = serial.load_secret_key(tmp_path / "sk.json")
-    for a, b in ((back.a, sk.a), (back.M, sk.M), (back.y_dec, sk.y_dec)):
-        assert np.array_equal(a, b)
-    # as lists: an array entry would cast the junk or refuse it on assignment
-    good = serial.encode_public_key(pk)["P"].tolist()
+    for writer in (serial, v1_writer):
+        writer.save_public_key(pk, tmp_path / "pk.json")
+        writer.save_secret_key(sk, tmp_path / "sk.json")
+        back_pk = serial.load_public_key(tmp_path / "pk.json")
+        back = serial.load_secret_key(tmp_path / "sk.json")
+        for a, b in ((back_pk.P, pk.P), (back.a, sk.a), (back.M, sk.M), (back.y_dec, sk.y_dec)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    good = v1_writer.encode_public_key(pk)["P"]
     for junk in (1.5, "x", True, -1, 2**64):
-        doc = {**serial.encode_public_key(pk), "P": [row[:] for row in good]}
+        doc = {**v1_writer.encode_public_key(pk), "P": [row[:] for row in good]}
         doc["P"][0][0] = junk
         with pytest.raises(DataFormatError, match="P"):
             serial.decode_public_key(doc)
-    doc = serial.encode_public_key(pk)
+    doc = v1_writer.encode_public_key(pk)
     doc["P"] = [good[0][:-1]] + good[1:]
     with pytest.raises(DataFormatError, match="P"):
         serial.decode_public_key(doc)
@@ -401,17 +372,19 @@ JUNK = ("x", 5, [1], None, [[1, 2], [3]])
 
 def test_mutated_key_fields_are_data_errors(hom_keys, tmp_path):
     keys = tmp_path / "keys"
-    serial.save_hom_keys(hom_keys, keys)
     out = str(tmp_path / "m.kct.json")
-    for name in ("meta.json", "level0.pk.json", "level0.sk.json", "boost0.json"):
-        good = serial.load_json(keys / name)
-        for field in good:
-            for junk in JUNK:
-                serial.save_json({**good, field: junk}, keys / name)
-                with pytest.raises(DataFormatError):
-                    serial.load_hom_keys(keys)
-                assert main(["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]) == 3
-        serial.save_json(good, keys / name)
+    for writer in (v1_writer, serial):
+        writer.save_hom_keys(hom_keys, keys)
+        for name in ("meta.json", "level0.pk.json", "level0.sk.json", "boost0.json"):
+            good = serial.load_json(keys / name)
+            for field in good:
+                for junk in JUNK:
+                    serial.save_json({**good, field: junk}, keys / name)
+                    with pytest.raises(DataFormatError):
+                        serial.load_hom_keys(keys)
+                    assert main(["hom-encrypt", "--keys", str(keys), "--m", "1",
+                                 "--out", out]) == 3
+            serial.save_json(good, keys / name)
     # well-typed but out of range: a shape hom_keygen would refuse to build
     good = serial.load_json(keys / "meta.json")
     for bad in ({"k": 0, "depth": 0}, {"k": 31}, {"depth": 0}):
@@ -440,3 +413,39 @@ def test_mutated_ciphertext_fields_are_data_errors(hom_keys, tmp_path):
         with pytest.raises(DataFormatError):
             serial.load_kciphertext(ct)
         assert main(["hom-decrypt", "--keys", str(keys), "--ct", str(ct)]) == 3
+
+
+# Mutations of one v2 array, {"shape": [...], "rows": [...]}, in a GF(16)
+# key: one hex digit per nibble, two per entry.
+HEX_MUTATIONS = {
+    "odd hex length": lambda a: {**a, "rows": [a["rows"][0][:-1]] + a["rows"][1:]},
+    "non-hex digit": lambda a: {**a, "rows": ["g" + a["rows"][0][1:]] + a["rows"][1:]},
+    "space in a row": lambda a: {**a, "rows": [a["rows"][0][:2] + " " + a["rows"][0][3:]]
+                                 + a["rows"][1:]},
+    "wrong row width": lambda a: {**a, "rows": [r + "00" for r in a["rows"]]},
+    "shape disagrees with rows": lambda a: {**a, "shape": [a["shape"][0] + 1] + a["shape"][1:]},
+    "non-list rows": lambda a: {**a, "rows": "".join(a["rows"])},
+    "entry >= q": lambda a: {**a, "rows": ["10" + a["rows"][0][2:]] + a["rows"][1:]},
+}
+
+
+@pytest.mark.parametrize("case", list(HEX_MUTATIONS))
+def test_mutated_hex_rows_are_data_errors(case, keypair, hom_keys, tmp_path, capsys):
+    mutate = HEX_MUTATIONS[case]
+    pk_path = tmp_path / "pk.json"
+    keys = tmp_path / "keys"
+    serial.save_public_key(keypair[0], pk_path)
+    serial.save_hom_keys(hom_keys, keys)
+    doc = serial.load_json(pk_path)
+    serial.save_json({**doc, "P": mutate(doc["P"])}, pk_path)
+    boost = serial.load_json(keys / "boost0.json")
+    boost["links"][1] = mutate(boost["links"][1])
+    serial.save_json(boost, keys / "boost0.json")
+    out = str(tmp_path / "ct.json")
+    capsys.readouterr()
+    for argv in (["encrypt", "--pk", str(pk_path), "--m", "1", "--out", out],
+                 ["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
