@@ -460,6 +460,12 @@ def verify_apxmaj(
 APXMAJ_MAX_INPUTS = 64
 
 
+def apxmaj_depth(m: int) -> int:
+    """Depth 2 log2(m) + 4 of the tree build_apxmaj draws for m inputs,
+    so 16 m^2 leaves; m is a power of two."""
+    return 2 * (m.bit_length() - 1) + 4
+
+
 def build_apxmaj(
     m: int,
     rng: np.random.Generator,
@@ -476,7 +482,7 @@ def build_apxmaj(
         raise ParameterError(
             f"input count must be a power of two in [8, {APXMAJ_MAX_INPUTS}], got {m}")
     for _ in range(64):
-        leaves = rng.integers(m, size=16 * m * m)
+        leaves = rng.integers(m, size=1 << apxmaj_depth(m))
         if verify_apxmaj(leaves, m, verify_trials, rng, spec=spec):
             return leaves
     raise ConstructionError(f"no verified wiring for m={m} after 64 attempts")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, UsageError
 from .booster import boost_arrays, boost_aux_gen, build_expander
-from .circuit import Circuit, build_apxmaj, compile_schedule, run_schedule
+from .circuit import Circuit, apxmaj_depth, build_apxmaj, compile_schedule, run_schedule
 from .field import FieldElement, FieldSpec
 from .scheme import (
     Params,
@@ -112,11 +112,14 @@ class HomKeys:
             raise UsageError(
                 f"{len(levels)} levels need {len(levels) - 1} boosts, got {len(boosts)}"
             )
+        for i, (pk, sk) in enumerate(levels):
+            if pk.params != params or sk.params != params:
+                raise UsageError(f"level {i} keys do not match the key set's parameters")
         for i, aux in enumerate(boosts):
+            if aux.source_params != params or aux.target_params != params:
+                raise UsageError(f"boost {i} does not link level {i} to level {i + 1}")
             if aux.graph.k != k:
                 raise UsageError(f"boost {i} replicates {aux.graph.k} parts, keys say {k}")
-            if aux.source_params.n != params.n or aux.target_params.n != params.n:
-                raise UsageError(f"boost {i} does not preserve the ciphertext length")
         self.params = params
         self.k = k
         self.levels = levels
@@ -175,12 +178,11 @@ def key_set_fields(p: Params, k: int, d: int, cfg: BoostConfig) -> int:
     """The public field elements hom_keygen(p, k, d, cfg=cfg) builds, known
     before any draw: what key_size_fields() counts on the result.
 
-    d + 1 level keys of n x r, and per boost k chains of tree depth
-    2 log2(b) + 4 (a leaf row of 16 b^2): an n x mid_n entry link, a
-    mid_n x mid_n link for each tree level after the first, and a
-    mid_n x n exit link.
+    d + 1 level keys of n x r, and per boost k chains over the majority
+    tree build_apxmaj draws: an n x mid_n entry link, a mid_n x mid_n link
+    for each tree level after the first, and a mid_n x n exit link.
     """
-    tree_depth = 2 * (cfg.b.bit_length() - 1) + 4
+    tree_depth = apxmaj_depth(cfg.b)
     chain = 2 * p.n * cfg.mid_n + (tree_depth - 1) * cfg.mid_n ** 2
     return (d + 1) * p.n * p.r + d * k * chain
 
@@ -235,25 +237,29 @@ def hom_encrypt(hk: HomKeys, m, rng: np.random.Generator) -> KCiphertext:
     return KCiphertext(hk.params.field, C)
 
 
-def _plurality(sk: SecretKey, kc: KCiphertext) -> FieldElement:
-    spec = sk.params.field
-    if kc.spec != spec or kc.n != sk.params.n:
-        raise UsageError("replicated ciphertext does not match this key")
+def _fits(hk: HomKeys, kc: KCiphertext) -> bool:
+    """kc has the keys' field, part count and ciphertext length."""
+    return kc.spec == hk.params.field and kc.k == hk.k and kc.n == hk.params.n
+
+
+def _plurality(hk: HomKeys, sk: SecretKey, kc: KCiphertext) -> FieldElement:
+    if not _fits(hk, kc):
+        raise UsageError(f"replicated ciphertext does not match the keys: {kc!r}")
     # unique sorts the values it counts (a count per value of the field
     # would be 2^k long) and argmax takes the first maximum: ties break
     # toward the smallest value
     values, counts = np.unique(decrypt_batch(sk, kc.P), return_counts=True)
-    return FieldElement(spec, int(values[np.argmax(counts)]))
+    return FieldElement(kc.spec, int(values[np.argmax(counts)]))
 
 
 def hom_decrypt(hk: HomKeys, kc: KCiphertext) -> FieldElement:
     """Plurality vote over per-part decryptions under the level-0 key."""
-    return _plurality(hk.sk0, kc)
+    return _plurality(hk, hk.sk0, kc)
 
 
 def hdec(hk: HomKeys, kc: KCiphertext) -> FieldElement:
     """Plurality vote under the final-level key, for evaluated ciphertexts."""
-    return _plurality(hk.sk_top, kc)
+    return _plurality(hk, hk.sk_top, kc)
 
 
 def enc_k_contains(sk: SecretKey, m, kc: KCiphertext) -> bool:
@@ -291,7 +297,7 @@ def hom_eval(
     spec = p.field
     d = hk.depth
     for i, kc in enumerate(inputs):
-        if kc.spec != spec or kc.k != hk.k or kc.n != p.n:
+        if not _fits(hk, kc):
             raise UsageError(f"input {i} does not match the keys: {kc!r}")
     s = compile_schedule(c, count_xor, d)
     if s.depth > d:

@@ -1,29 +1,24 @@
 """JSON envelopes for keys, ciphertexts, and boost material.
 
-Every file is one object tagged with a format and a kind. Key files
-(pk, sk, boost-aux and the hom-keys meta) are written as
+Every file is one object tagged with a format and a kind, and each kind
+has one format. Key files (pk, sk, boost-aux and the hom-keys meta) are
 {"format": "codehom/v2", "kind": ...}: each integer array is an object
 {"shape": [...], "rows": [...]}, one hex string per innermost row, each
 entry big-endian in a fixed number of digits: twice the byte width of
 the field's dtype for field elements, 8 for the index arrays adjacency
 and assignment. So a row still diffs as one line, and a desk key
 directory is about a quarter of its decimal size. Ciphertext envelopes
-(ct, kct) are still written as "codehom/v1", whose arrays are nested
-lists of plain integers. The loaders read both formats, array by array.
-The bytes written are json.dumps(doc, indent=1) plus a newline. A
-replicated ciphertext nests one complete ciphertext envelope per part.
-A full key set is a directory, one file per level key and per boost,
-under a meta file naming the shape.
+(ct, kct) are "codehom/v1", whose ciphertext is a list of plain
+integers. The bytes written are json.dumps(doc, indent=1) plus a
+newline. A replicated ciphertext nests one complete ciphertext envelope
+per part. A full key set is a directory, one file per level key and per
+boost, under a meta file naming the shape.
 
 Loaders validate types, structure and value ranges and raise
 DataFormatError; a file that parses as JSON but violates a constructor
-invariant counts as malformed data too. A secret key's M and y are
-computed from its S and distinct points a: a v2 file holds S and a
-only, and a v1 file's M and y must be the ones they define, since a key
-that broke that rule would decrypt to wrong plaintexts without a word.
-A boost file holds the majority tree as its leaf row alone; files that
-also carry the tree's netlist under "circuit" still load, and that
-field is ignored.
+invariant counts as malformed data too. A secret key file holds S and
+the distinct points a; its M and y are computed from them. A boost file
+holds the majority tree as its leaf row alone.
 """
 
 from __future__ import annotations
@@ -47,15 +42,14 @@ V2 = "codehom/v2"
 INDEX_BYTES = 4
 
 
-def _expect(doc, kind: str) -> str:
-    """The envelope's format, once doc is an envelope of this kind in a known format."""
+def _expect(doc, kind: str, fmt: str) -> None:
+    """DataFormatError unless doc is an envelope of this kind in its format."""
     if not isinstance(doc, dict):
         raise DataFormatError(f"envelope must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") not in (V1, V2):
-        raise DataFormatError(f"unknown format {doc.get('format')!r}, expected {V2!r} or {V1!r}")
     if doc.get("kind") != kind:
         raise DataFormatError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
-    return doc["format"]
+    if doc.get("format") != fmt:
+        raise DataFormatError(f"{kind} files are in format {fmt!r}, found {doc.get('format')!r}")
 
 
 def _get(doc: dict, key: str):
@@ -96,8 +90,10 @@ def _hex_rows(a: np.ndarray, itemsize: int) -> dict:
             "rows": [text[i * width:(i + 1) * width] for i in range(n_rows)]}
 
 
-def _hex_array(data: dict, what: str, ndim: int, itemsize: int) -> np.ndarray:
+def _hex_array(data, what: str, ndim: int, itemsize: int) -> np.ndarray:
     # Read-only, big-endian; every caller converts it to its own dtype.
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{what} must be an object with a shape and hex rows")
     shape, rows = _get(data, "shape"), _get(data, "rows")
     if (not isinstance(shape, list) or len(shape) != ndim
             or any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in shape)):
@@ -123,39 +119,24 @@ def _hex_array(data: dict, what: str, ndim: int, itemsize: int) -> np.ndarray:
         raise DataFormatError(f"{what} shape {shape} is too large") from None
 
 
-def _is_int_nest(data) -> bool:
-    if isinstance(data, list):
-        return all(_is_int_nest(x) for x in data)
-    return isinstance(data, int) and not isinstance(data, bool)
-
-
-def _int_array(data, what: str, ndim: int) -> np.ndarray:
-    # A v2 index array, or v1 nested lists: int64, or uint64 for integers
-    # reaching 2^63 (GF(2^64) keys), which numpy reads as float next to
-    # small ones; so later bounds checks see every value unwrapped
-    if isinstance(data, dict):
-        return _hex_array(data, what, ndim, INDEX_BYTES).astype(np.int64)
-    try:
-        A = np.asarray(data)
-        if A.dtype.kind in "fO" and _is_int_nest(data):
-            A = np.asarray(data, dtype=np.uint64)
-    except (ValueError, OverflowError):
-        A = None  # ragged nesting, or integers outside uint64
-    if A is None or (A.size and A.dtype.kind not in "iu"):
-        raise DataFormatError(f"{what} must be nested integer lists")
-    if A.ndim != ndim:
-        raise DataFormatError(f"{what} must be {ndim}-dimensional, got shape {A.shape}")
-    return A if A.dtype.kind == "u" else A.astype(np.int64, copy=False)
+def _index_array(data, what: str, ndim: int) -> np.ndarray:
+    return _hex_array(data, what, ndim, INDEX_BYTES).astype(np.int64)
 
 
 def _field_array(spec: FieldSpec, data, what: str, ndim: int) -> np.ndarray:
-    if isinstance(data, dict):
-        A = _hex_array(data, what, ndim, np.dtype(spec.dtype).itemsize)
-    else:
-        A = _int_array(data, what, ndim)
-    if A.size and (A.min() < 0 or A.max() >= spec.q):
+    A = _hex_array(data, what, ndim, np.dtype(spec.dtype).itemsize)
+    if A.size and A.max() >= spec.q:
         raise DataFormatError(f"{what} holds values outside [0, {spec.q})")
     return A.astype(spec.dtype)
+
+
+def _field_list(spec: FieldSpec, data, what: str) -> np.ndarray:
+    """A v1 ciphertext: a list of plain integers, each in the field."""
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
+        raise DataFormatError(f"{what} must be a list of integers")
+    if data and (min(data) < 0 or max(data) >= spec.q):
+        raise DataFormatError(f"{what} holds values outside [0, {spec.q})")
+    return np.array(data, dtype=spec.dtype)
 
 
 def _field_rows(spec: FieldSpec, a: np.ndarray) -> dict:
@@ -200,7 +181,7 @@ def encode_public_key(pk: PublicKey) -> dict:
 
 
 def decode_public_key(doc) -> PublicKey:
-    _expect(doc, "pk")
+    _expect(doc, "pk", V2)
     p = decode_params(_get(doc, "params"))
     P = _field_array(p.field, _get(doc, "P"), "P", 2)
     if P.shape != (p.n, p.r):
@@ -219,7 +200,7 @@ def encode_secret_key(sk: SecretKey) -> dict:
 
 
 def decode_secret_key(doc) -> SecretKey:
-    fmt = _expect(doc, "sk")
+    _expect(doc, "sk", V2)
     p = decode_params(_get(doc, "params"))
     S = _get(doc, "S")
     if (not isinstance(S, list) or len(S) != p.s
@@ -233,13 +214,7 @@ def decode_secret_key(doc) -> SecretKey:
     if np.unique(a).size != p.n:
         raise DataFormatError("the points a must be distinct")
     M, y = trapdoor_arrays(p, np.array([S]), a[None])
-    M, y = M[0], y[0]
-    if fmt == V1:
-        M_file = _field_array(p.field, _get(doc, "M"), "M", 2)
-        y_file = _field_array(p.field, _get(doc, "y"), "y", 1)
-        if not np.array_equal(M_file, M) or not np.array_equal(y_file, y):
-            raise DataFormatError("M and y do not match the trapdoor that S and a define")
-    return SecretKey(tuple(S), a, M, y, p)
+    return SecretKey(tuple(S), a, M[0], y[0], p)
 
 
 def encode_ciphertext(spec: FieldSpec, c: np.ndarray) -> dict:
@@ -247,12 +222,12 @@ def encode_ciphertext(spec: FieldSpec, c: np.ndarray) -> dict:
 
 
 def decode_ciphertext(doc) -> tuple[FieldSpec, np.ndarray]:
-    _expect(doc, "ct")
+    _expect(doc, "ct", V1)
     try:
         spec = FieldSpec(_int(doc, "field_k"))
     except (ParameterError, UsageError) as e:
         raise DataFormatError(f"invalid field: {e}") from None
-    c = _field_array(spec, _get(doc, "c"), "c", 1)
+    c = _field_list(spec, _get(doc, "c"), "c")
     if c.size == 0:
         raise DataFormatError("empty ciphertext")
     return spec, c
@@ -267,7 +242,7 @@ def encode_kciphertext(kc: KCiphertext) -> dict:
 
 
 def decode_kciphertext(doc) -> KCiphertext:
-    _expect(doc, "kct")
+    _expect(doc, "kct", V1)
     parts = _get(doc, "parts")
     if not isinstance(parts, list) or not parts:
         raise DataFormatError("parts must be a non-empty list of ciphertext envelopes")
@@ -299,11 +274,11 @@ def encode_boost_aux(aux: BoostAux) -> dict:
 
 
 def decode_boost_aux(doc) -> BoostAux:
-    _expect(doc, "boost-aux")
+    _expect(doc, "boost-aux", V2)
     k, b = _int(doc, "k"), _int(doc, "b")
     if not 1 <= b <= k:
         raise DataFormatError(f"graph degree b={b} must lie in [1, k={k}]")
-    adjacency = _int_array(_get(doc, "adjacency"), "adjacency", 2)
+    adjacency = _index_array(_get(doc, "adjacency"), "adjacency", 2)
     if adjacency.shape != (k, b) or adjacency.min() < 0 or adjacency.max() >= k:
         raise DataFormatError(f"adjacency must be {k}x{b} with entries below {k}")
     if (np.diff(np.sort(adjacency, axis=1), axis=1) == 0).any():
@@ -319,7 +294,7 @@ def decode_boost_aux(doc) -> BoostAux:
             f"{len(level_params)} levels need {len(level_params) - 1} links, "
             f"got {len(raw_links)}"
         )
-    assignment = _int_array(_get(doc, "assignment"), "assignment", 1)
+    assignment = _index_array(_get(doc, "assignment"), "assignment", 1)
     try:
         d = leaf_row_depth(assignment, b)
     except UsageError as e:
@@ -432,7 +407,7 @@ def save_hom_keys(hk: HomKeys, directory) -> None:
 def load_hom_keys(directory) -> HomKeys:
     d = Path(directory)
     meta = load_json(d / "meta.json")
-    _expect(meta, "hom-keys")
+    _expect(meta, "hom-keys", V2)
     params = decode_params(_get(meta, "params"))
     k, depth = _int(meta, "k"), _int(meta, "depth")
     try:
@@ -444,13 +419,6 @@ def load_hom_keys(directory) -> HomKeys:
         for i in range(depth + 1)
     ]
     boosts = [decode_boost_aux(load_json(d / f"boost{i}.json")) for i in range(depth)]
-    for i, (pk, sk) in enumerate(levels):
-        if pk.params != params or sk.params != params:
-            raise DataFormatError(f"level {i} keys do not match the parameters in meta.json")
-    for i, aux in enumerate(boosts):
-        if (aux.source_params != levels[i][0].params
-                or aux.target_params != levels[i + 1][0].params):
-            raise DataFormatError(f"boost {i} does not link level {i} to level {i + 1}")
     try:
         return HomKeys(params, k, levels, boosts)
     except UsageError as e:

@@ -12,9 +12,6 @@ import codehom.errors
 import codehom.hom
 from codehom.analysis import MAX_TRIALS
 from codehom.cli import main
-from codehom.serial import load_secret_key
-
-import v1_writer
 
 
 def run(capsys, *argv):
@@ -125,27 +122,24 @@ def test_secret_key_with_bad_S_is_data_error(base_key, tmp_path, capsys):
 
 
 def test_tampered_secret_key_is_data_error(base_key, tmp_path, capsys):
-    # decrypt reads y alone: in a v1 file, a y that is nonzero off S
-    # decrypts to a wrong plaintext, and a bad M or a repeated point goes
-    # unseen, unless the loader checks M and y against the trapdoor that S
-    # and a define
+    # the loader computes M and y from S and the points a: a repeated point
+    # would divide by zero in y's closed form. A v1 file, which carried M
+    # and y, is not read.
     ct = tmp_path / "ct.json"
     assert run(capsys, "encrypt", "--pk", f"{base_key}.pk.json", "--m", "5a",
                "--out", ct, "--seed", "3")[0] == 0
-    good = v1_writer.encode_secret_key(load_secret_key(f"{base_key}.sk.json"))
-    off = min(set(range(len(good["a"]))) - set(good["S"]))
-    y, a, M = good["y"][:], good["a"][:], [row[:] for row in good["M"]]
-    y[off] = 1
-    a[0] = a[1]
-    M[0][0] ^= 1
+    with open(f"{base_key}.sk.json") as f:
+        good = json.load(f)
+    row = good["a"]["rows"][0]
+    w = len(row) // good["a"]["shape"][0]
+    a = {**good["a"], "rows": [row[w:2 * w] + row[w:]]}
     sk = tmp_path / "sk.json"
-    for name, doc, why in (("y", {**good, "y": y}, "trapdoor"),
-                           ("a", {**good, "a": a}, "distinct"),
-                           ("M", {**good, "M": M}, "trapdoor")):
+    for name, doc, why in (("a", {**good, "a": a}, "distinct"),
+                           ("format", {**good, "format": "codehom/v1"}, "'codehom/v2'")):
         sk.write_text(json.dumps(doc))
         code, _, err = run(capsys, "decrypt", "--sk", sk, "--ct", ct)
         assert code == 3, name
-        assert why in err, name
+        assert why in err and "Traceback" not in err, name
     sk.write_text(json.dumps(good))
     assert run(capsys, "decrypt", "--sk", sk, "--ct", ct)[:2] == (0, "5a\n")
 
@@ -238,6 +232,23 @@ def test_hom_decrypt_fresh_level(mini_keys, tmp_path, capsys):
                "--out", ct, "--seed", 2)[0] == 0
     code, out, _ = run(capsys, "hom-decrypt", "--keys", mini_keys, "--ct", ct, "--fresh")
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("parts", [1, 96])
+def test_hom_decrypt_wrong_part_count_is_usage_error(parts, mini_keys, tmp_path, capsys):
+    # the keys replicate 32 parts; the vote refuses any other count, as
+    # hom-eval does
+    ct = tmp_path / "m.kct.json"
+    assert run(capsys, "hom-encrypt", "--keys", mini_keys, "--m", "1",
+               "--out", ct, "--seed", 2)[0] == 0
+    doc = json.loads(ct.read_text())
+    doc["parts"] = (doc["parts"] * 3)[:parts]
+    ct.write_text(json.dumps(doc))
+    for fresh in ([], ["--fresh"]):
+        code, out, err = run(capsys, "hom-decrypt", "--keys", mini_keys, "--ct", ct, *fresh)
+        assert (code, out) == (1, "")
+        assert f"does not match the keys: KCiphertext(k={parts}" in err
+        assert "Traceback" not in err
 
 
 def test_hom_eval_arity_mismatch(mini_keys, tmp_path, capsys):

@@ -173,6 +173,9 @@ def test_homkeys_consistency_checks(mini):
         HomKeys(P16, 8, mini.levels, mini.boosts[:1])
     with pytest.raises(UsageError, match="replicates"):
         HomKeys(P16, 9, mini.levels, mini.boosts)
+    other = Params(n=16, r=6, s=3, field=GF16, eta=0.01)
+    with pytest.raises(UsageError, match="level 0 keys do not match"):
+        HomKeys(other, 8, mini.levels, mini.boosts)
 
 
 # ---------------------------------------------------------------------------

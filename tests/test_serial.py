@@ -14,7 +14,6 @@ from codehom.field import FieldElement, FieldSpec
 from codehom.hom import BoostConfig, hdec, hom_encrypt, hom_eval, hom_keygen
 from codehom.scheme import Params, decrypt, draw_key, encrypt, key_stack, keygen
 
-import v1_writer
 from oracles import gtree_circuit
 
 GF16 = FieldSpec(4)
@@ -176,10 +175,6 @@ def test_rejects_wrong_kind(keypair):
 
 def test_rejects_out_of_range_entries(keypair):
     pk, _ = keypair
-    doc = v1_writer.encode_public_key(pk)
-    doc["P"][0][0] = 16
-    with pytest.raises(DataFormatError, match="outside"):
-        serial.decode_public_key(doc)
     doc = serial.encode_public_key(pk)
     doc["P"]["rows"][0] = "10" + doc["P"]["rows"][0][2:]
     with pytest.raises(DataFormatError, match="outside"):
@@ -188,10 +183,6 @@ def test_rejects_out_of_range_entries(keypair):
 
 def test_rejects_shape_mismatch(keypair):
     pk, _ = keypair
-    doc = v1_writer.encode_public_key(pk)
-    doc["P"] = doc["P"][:-1]
-    with pytest.raises(DataFormatError, match="16x6"):
-        serial.decode_public_key(doc)
     doc = serial.encode_public_key(pk)
     doc["P"] = {"shape": [15, 6], "rows": doc["P"]["rows"][:-1]}
     with pytest.raises(DataFormatError, match="16x6"):
@@ -200,10 +191,6 @@ def test_rejects_shape_mismatch(keypair):
 
 def test_rejects_missing_field(keypair):
     _, sk = keypair
-    doc = v1_writer.encode_secret_key(sk)
-    del doc["y"]
-    with pytest.raises(DataFormatError, match="missing field 'y'"):
-        serial.decode_secret_key(doc)
     doc = serial.encode_secret_key(sk)
     del doc["a"]
     with pytest.raises(DataFormatError, match="missing field 'a'"):
@@ -246,10 +233,6 @@ def _head(row_doc: dict, m: int) -> dict:
 
 
 def test_rejects_bad_link_shape(hom_keys):
-    doc = v1_writer.encode_boost_aux(hom_keys.boosts[0])
-    doc["links"][0] = doc["links"][0][:-1]
-    with pytest.raises(DataFormatError, match=r"links\[0\]"):
-        serial.decode_boost_aux(doc)
     # a well-formed (32, 8, 8) array where the (32, 16, 8) entry link belongs
     doc = serial.encode_boost_aux(hom_keys.boosts[0])
     doc["links"][0] = doc["links"][1]
@@ -258,10 +241,6 @@ def test_rejects_bad_link_shape(hom_keys):
 
 
 def test_rejects_truncated_assignment(hom_keys):
-    doc = v1_writer.encode_boost_aux(hom_keys.boosts[0])
-    doc["assignment"] = doc["assignment"][: len(doc["assignment"]) // 2]
-    with pytest.raises(DataFormatError, match="assignment"):
-        serial.decode_boost_aux(doc)
     doc = serial.encode_boost_aux(hom_keys.boosts[0])
     doc["assignment"] = _head(doc["assignment"], doc["assignment"]["shape"][0] // 2)
     with pytest.raises(DataFormatError, match="assignment"):
@@ -297,11 +276,6 @@ def test_rejects_wrong_lambda(hom_keys):
 
 
 def test_rejects_repeated_adjacency_entries(hom_keys):
-    doc = v1_writer.encode_boost_aux(hom_keys.boosts[0])
-    row = doc["adjacency"][3]
-    row[1] = row[0]
-    with pytest.raises(DataFormatError, match="distinct"):
-        serial.decode_boost_aux(doc)
     doc = serial.encode_boost_aux(hom_keys.boosts[0])
     rows, w = doc["adjacency"]["rows"], 2 * serial.INDEX_BYTES
     rows[3] = rows[3][:w] + rows[3][:w] + rows[3][2 * w:]
@@ -343,27 +317,34 @@ def test_key_directory_must_match_meta(hom_keys, tmp_path):
         serial.load_hom_keys(keys)
 
 
-def test_gf64_keys_load_and_reject_junk(tmp_path):
+def test_gf64_keys_load_and_reject_junk(tmp_path, capsys):
     # half of all GF(2^64) elements reach 2^63, past int64
-    pk, sk = keygen(Params(n=16, r=6, s=3, field=FieldSpec(64), eta=0.0), rng(12))
+    gf64 = FieldSpec(64)
+    pk, sk = keygen(Params(n=16, r=6, s=3, field=gf64, eta=0.0), rng(12))
     assert int(pk.P.max()) >= 2**63
-    for writer in (serial, v1_writer):
-        writer.save_public_key(pk, tmp_path / "pk.json")
-        writer.save_secret_key(sk, tmp_path / "sk.json")
-        back_pk = serial.load_public_key(tmp_path / "pk.json")
-        back = serial.load_secret_key(tmp_path / "sk.json")
-        for a, b in ((back_pk.P, pk.P), (back.a, sk.a), (back.M, sk.M), (back.y_dec, sk.y_dec)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    good = v1_writer.encode_public_key(pk)["P"]
-    for junk in (1.5, "x", True, -1, 2**64):
-        doc = {**v1_writer.encode_public_key(pk), "P": [row[:] for row in good]}
-        doc["P"][0][0] = junk
-        with pytest.raises(DataFormatError, match="P"):
-            serial.decode_public_key(doc)
-    doc = v1_writer.encode_public_key(pk)
-    doc["P"] = [good[0][:-1]] + good[1:]
-    with pytest.raises(DataFormatError, match="P"):
-        serial.decode_public_key(doc)
+    serial.save_public_key(pk, tmp_path / "pk.json")
+    serial.save_secret_key(sk, tmp_path / "sk.json")
+    back_pk = serial.load_public_key(tmp_path / "pk.json")
+    back = serial.load_secret_key(tmp_path / "sk.json")
+    for a, b in ((back_pk.P, pk.P), (back.a, sk.a), (back.M, sk.M), (back.y_dec, sk.y_dec)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # a ciphertext is a list of plain integers: a non-integer, an entry
+    # outside the field or a ragged nesting is malformed data
+    good = serial.encode_ciphertext(gf64, encrypt(pk, FieldElement(gf64, 2**64 - 1), rng(13)))
+    assert max(good["c"]) >= 2**63
+    bad = [good["c"][:1] + [junk] + good["c"][2:] for junk in (1.5, "x", True, -1, 2**64)]
+    bad.append([good["c"][:7], good["c"][7:]])
+    ct, sk_path = tmp_path / "ct.json", str(tmp_path / "sk.json")
+    for c in bad:
+        with pytest.raises(DataFormatError, match="^c "):
+            serial.decode_ciphertext({**good, "c": c})
+        serial.save_json({**good, "c": c}, ct)
+        capsys.readouterr()
+        assert main(["decrypt", "--sk", sk_path, "--ct", str(ct)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+    serial.save_json(good, ct)
+    assert main(["decrypt", "--sk", sk_path, "--ct", str(ct)]) == 0
+    assert capsys.readouterr().out == "f" * 16 + "\n"
 
 
 # A junk value of each JSON type, plus a ragged list.
@@ -373,18 +354,17 @@ JUNK = ("x", 5, [1], None, [[1, 2], [3]])
 def test_mutated_key_fields_are_data_errors(hom_keys, tmp_path):
     keys = tmp_path / "keys"
     out = str(tmp_path / "m.kct.json")
-    for writer in (v1_writer, serial):
-        writer.save_hom_keys(hom_keys, keys)
-        for name in ("meta.json", "level0.pk.json", "level0.sk.json", "boost0.json"):
-            good = serial.load_json(keys / name)
-            for field in good:
-                for junk in JUNK:
-                    serial.save_json({**good, field: junk}, keys / name)
-                    with pytest.raises(DataFormatError):
-                        serial.load_hom_keys(keys)
-                    assert main(["hom-encrypt", "--keys", str(keys), "--m", "1",
-                                 "--out", out]) == 3
-            serial.save_json(good, keys / name)
+    serial.save_hom_keys(hom_keys, keys)
+    for name in ("meta.json", "level0.pk.json", "level0.sk.json", "boost0.json"):
+        good = serial.load_json(keys / name)
+        for field in good:
+            for junk in JUNK:
+                serial.save_json({**good, field: junk}, keys / name)
+                with pytest.raises(DataFormatError):
+                    serial.load_hom_keys(keys)
+                assert main(["hom-encrypt", "--keys", str(keys), "--m", "1",
+                             "--out", out]) == 3
+        serial.save_json(good, keys / name)
     # well-typed but out of range: a shape hom_keygen would refuse to build
     good = serial.load_json(keys / "meta.json")
     for bad in ({"k": 0, "depth": 0}, {"k": 31}, {"depth": 0}):
@@ -449,3 +429,19 @@ def test_mutated_hex_rows_are_data_errors(case, keypair, hom_keys, tmp_path, cap
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["meta.json", "level0.pk.json", "level0.sk.json", "boost0.json"])
+def test_key_file_tagged_v1_is_data_error(name, hom_keys, tmp_path, capsys):
+    # key files have one format; v1 is left to ciphertexts
+    keys = tmp_path / "keys"
+    serial.save_hom_keys(hom_keys, keys)
+    doc = serial.load_json(keys / name)
+    serial.save_json({**doc, "format": "codehom/v1"}, keys / name)
+    with pytest.raises(DataFormatError, match="format 'codehom/v2', found 'codehom/v1'"):
+        serial.load_hom_keys(keys)
+    capsys.readouterr()
+    out = str(tmp_path / "m.kct.json")
+    assert main(["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "'codehom/v2'" in err and "Traceback" not in err
