@@ -51,12 +51,13 @@ class ExpanderGraph:
     lambda_measured: float
 
 
-def second_singular_value(adjacency: np.ndarray, k: int, b: int) -> float:
-    """sigma_2 of the degree-normalized biadjacency matrix.
+def second_singular_value(adjacency: np.ndarray) -> float:
+    """sigma_2 of the degree-normalized biadjacency matrix of a (k, b) adjacency.
 
     Power iteration on A A^T finds the top eigenpair, deflating it
     exposes the second; no spectral library involved.
     """
+    k, b = adjacency.shape
     B = np.zeros((k, k))
     np.add.at(B, (np.repeat(np.arange(k), b), adjacency.reshape(-1)), 1.0)
     M = (B @ B.T) / (b * b)
@@ -104,7 +105,7 @@ def build_expander(k: int, b: int, lambda_target: float, rng: np.random.Generato
     best = np.inf
     for _ in range(EXPANDER_DRAWS):
         adjacency = np.argsort(rng.random((k, k)), axis=1)[:, :b]
-        lam = second_singular_value(adjacency, k, b)
+        lam = second_singular_value(adjacency)
         if lam <= lambda_target:
             return ExpanderGraph(k, b, adjacency, lam)
         best = min(best, lam)
@@ -167,6 +168,16 @@ def leaf_row_depth(leaves: np.ndarray, b: int) -> int:
     return d
 
 
+def chain_params(p_src: Params, p_tgt: Params, depth: int, mid_n: int) -> list[Params]:
+    """The level params of one majority chain: the source, depth midway
+    keys of length mid_n (r = max(s, mid_n // 2)), the target."""
+    if mid_n < p_src.s:
+        raise ParameterError(f"midway length {mid_n} is below the trapdoor size {p_src.s}")
+    p_mid = Params(n=mid_n, r=max(p_src.s, mid_n // 2), s=p_src.s, field=p_src.field,
+                   eta=p_src.eta)
+    return [p_src] + [p_mid] * depth + [p_tgt]
+
+
 def boost_aux_gen(
     sk: SecretKey,
     pk_next: PublicKey,
@@ -177,8 +188,8 @@ def boost_aux_gen(
 ) -> BoostAux:
     """One fresh chain per output, threading the majority tree with this leaf row.
 
-    The chain runs source key, tree_depth midway keys of length mid_n,
-    target key; every layer of the G-tree crosses one link. mid_n only
+    The chain's keys are chain_params(source, target, tree depth,
+    mid_n); every layer of the G-tree crosses one link. mid_n only
     has to carry the bit through, so it is small by default. Every draw
     is taken in the order of output, then level: a midway key, then the
     link into it. Each level's links are then encrypted for all outputs
@@ -190,23 +201,14 @@ def boost_aux_gen(
         raise UsageError("source and target keys must share one field")
     assignment = np.asarray(leaves)
     d_tree = leaf_row_depth(assignment, graph.b)
-    if mid_n < p_src.s:
-        raise ParameterError(f"midway length {mid_n} is below the trapdoor size {p_src.s}")
-    p_mid = Params(
-        n=mid_n,
-        r=max(p_src.s, mid_n // 2),
-        s=p_src.s,
-        field=p_src.field,
-        eta=p_src.eta,
-    )
-    level_params = [p_src] + [p_mid] * d_tree + [p_tgt]
+    level_params = chain_params(p_src, p_tgt, d_tree, mid_n)
     mids = [[] for _ in range(d_tree)]          # per level: each output's (P, y)
     draws = [[] for _ in range(d_tree + 1)]     # per link: each output's (X, E)
     for _ in range(graph.k):
         for l in range(d_tree):
-            pk_mid, sk_mid = keygen(p_mid, rng)
+            pk_mid, sk_mid = keygen(level_params[l + 1], rng)
             mids[l].append((pk_mid.P, sk_mid.y_dec))
-            draws[l].append(draw_encryption(p_mid, rng, level_params[l].n))
+            draws[l].append(draw_encryption(level_params[l + 1], rng, level_params[l].n))
         draws[d_tree].append(draw_encryption(p_tgt, rng, mid_n))
     mids = [stack_tuples(level) for level in mids]
     targets = [P for P, _ in mids] + [pk_next.P]

@@ -371,13 +371,6 @@ def walk_gtree(spec: FieldSpec, V: np.ndarray, cross) -> np.ndarray:
     return V[0]
 
 
-def _agreement_patterns(m: int, flips: int):
-    for b in (0, 1):
-        for j in range(flips + 1):
-            for pos in combinations(range(m), j):
-                yield b, pos
-
-
 _EXHAUSTIVE_CAP = 100_000  # most boolean patterns verify_apxmaj enumerates
 
 # Most leaf values verify_apxmaj gathers at once. The tree walks a block
@@ -386,13 +379,20 @@ _EXHAUSTIVE_CAP = 100_000  # most boolean patterns verify_apxmaj enumerates
 APXMAJ_BLOCK = 1 << 22
 
 
-def _gtree_agrees(spec: FieldSpec, leaves: np.ndarray, X: np.ndarray, want: np.ndarray) -> bool:
-    """True iff the G-tree over X[leaves] gives want in every column.
+def _gtree_agrees(spec: FieldSpec, leaves: np.ndarray, m: int, patterns) -> bool:
+    """True iff the G-tree over these m-input patterns gives each one's bit.
 
-    Columns are independent patterns, walked APXMAJ_BLOCK // len(leaves)
-    at a time; the walk draws nothing, so the verdict is the one walk
-    over all of X would give.
+    A pattern (b, pos, values) sets every input to b, then input pos[i]
+    to values[i]. Columns are walked APXMAJ_BLOCK // len(leaves) at a time;
+    the walk draws nothing, so the verdict is the one walk over all
+    patterns would give.
     """
+    X = np.empty((m, len(patterns)), dtype=spec.dtype)
+    want = np.empty(len(patterns), dtype=spec.dtype)
+    for t, (b, pos, values) in enumerate(patterns):
+        X[:, t] = want[t] = b
+        for i, v in zip(pos, values):
+            X[i, t] = v
     width = max(1, APXMAJ_BLOCK // len(leaves))
     for c0 in range(0, X.shape[1], width):
         root = walk_gtree(spec, X[leaves, c0 : c0 + width], lambda l, V: V)
@@ -411,47 +411,31 @@ def verify_apxmaj(
     """Check the 7/8-agreement contract of the G-tree with this leaf row.
 
     The tree runs through walk_gtree, the pairing convention the boost
-    runs. Boolean patterns with at most m/8 disagreements are enumerated
-    exhaustively when there are few enough, sampled otherwise; then
-    `trials` patterns get their disagreeing coordinates replaced by
-    random nonzero field values.
+    runs. A pattern is a bit b, the positions pos of at most m/8
+    disagreeing inputs, and their values. Boolean patterns (values 1 - b)
+    are enumerated exhaustively when there are few enough, sampled
+    otherwise; once they pass, `trials` sampled patterns give their
+    positions random nonzero field values. A sample draws b, then
+    len(pos), then pos, then the values.
     """
     if spec is None:
         spec = FieldSpec(4)
     flips = m // 8
-    n_pat = 2 * sum(comb(m, j) for j in range(flips + 1))
-    if n_pat <= _EXHAUSTIVE_CAP:
-        cases = list(_agreement_patterns(m, flips))
+
+    def sampled(n: int, field: bool):
+        for _ in range(n):
+            b = int(rng.integers(2))
+            j = int(rng.integers(flips + 1))
+            pos = rng.choice(m, size=j, replace=False) if j else ()
+            yield b, pos, random_nonzero(spec, rng, j) if field and j else (1 - b,) * j
+
+    if 2 * sum(comb(m, j) for j in range(flips + 1)) <= _EXHAUSTIVE_CAP:
+        boolean = [(b, pos, (1 - b,) * j) for b in (0, 1)
+                   for j in range(flips + 1) for pos in combinations(range(m), j)]
     else:
-        cases = []
-        for _ in range(_EXHAUSTIVE_CAP):
-            b = int(rng.integers(2))
-            j = int(rng.integers(flips + 1))
-            pos = tuple(rng.choice(m, size=j, replace=False)) if j else ()
-            cases.append((b, pos))
-    X = np.empty((m, len(cases)), dtype=spec.dtype)
-    want = np.empty(len(cases), dtype=spec.dtype)
-    for t, (b, pos) in enumerate(cases):
-        X[:, t] = b
-        for i in pos:
-            X[i, t] = 1 - b
-        want[t] = b
-    if not _gtree_agrees(spec, leaves, X, want):
-        return False
-    if trials > 0:
-        X = np.empty((m, trials), dtype=spec.dtype)
-        want = np.empty(trials, dtype=spec.dtype)
-        for t in range(trials):
-            b = int(rng.integers(2))
-            j = int(rng.integers(flips + 1))
-            X[:, t] = b
-            if j:
-                pos = rng.choice(m, size=j, replace=False)
-                X[pos, t] = random_nonzero(spec, rng, j)
-            want[t] = b
-        if not _gtree_agrees(spec, leaves, X, want):
-            return False
-    return True
+        boolean = list(sampled(_EXHAUSTIVE_CAP, False))
+    return _gtree_agrees(spec, leaves, m, boolean) and (
+        trials <= 0 or _gtree_agrees(spec, leaves, m, list(sampled(trials, True))))
 
 
 # Most inputs build_apxmaj takes. Verification walks a tree of 16 m^2

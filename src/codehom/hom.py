@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UsageError
-from .booster import boost_arrays, boost_aux_gen, build_expander
+from .booster import boost_arrays, boost_aux_gen, build_expander, chain_params
 from .circuit import Circuit, apxmaj_depth, build_apxmaj, compile_schedule, run_schedule
 from .field import FieldElement, FieldSpec
 from .scheme import (
@@ -179,12 +179,11 @@ def key_set_fields(p: Params, k: int, d: int, cfg: BoostConfig) -> int:
     before any draw: what key_size_fields() counts on the result.
 
     d + 1 level keys of n x r, and per boost k chains over the majority
-    tree build_apxmaj draws: an n x mid_n entry link, a mid_n x mid_n link
-    for each tree level after the first, and a mid_n x n exit link.
+    tree build_apxmaj draws, one n_l x n_{l+1} link per pair of adjacent
+    chain_params levels.
     """
-    tree_depth = apxmaj_depth(cfg.b)
-    chain = 2 * p.n * cfg.mid_n + (tree_depth - 1) * cfg.mid_n ** 2
-    return (d + 1) * p.n * p.r + d * k * chain
+    chain = chain_params(p, p, apxmaj_depth(cfg.b), cfg.mid_n)
+    return (d + 1) * p.n * p.r + d * k * sum(a.n * b.n for a, b in zip(chain, chain[1:]))
 
 
 def hom_keygen(

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import DataFormatError, ParameterError, UsageError
 from .booster import BoostAux, ExpanderGraph, leaf_row_depth, second_singular_value
 from .field import FieldSpec
-from .hom import HomKeys, KCiphertext, check_key_shape
-from .scheme import Params, PublicKey, SecretKey, trapdoor_arrays
+from .hom import KEY_SET_CAP, HomKeys, KCiphertext, check_key_shape
+from .scheme import Params, PublicKey, SecretKey, check_key_entries, trapdoor_arrays
 
 V1 = "codehom/v1"
 V2 = "codehom/v2"
@@ -155,7 +155,7 @@ def decode_params(doc) -> Params:
     if not isinstance(doc, dict):
         raise DataFormatError("params must be a JSON object")
     try:
-        return Params(
+        p = Params(
             n=_int(doc, "n"),
             r=_int(doc, "r"),
             s=_int(doc, "s"),
@@ -163,6 +163,8 @@ def decode_params(doc) -> Params:
             eta=_float(doc, "eta"),
             alpha=None if doc.get("alpha") is None else _float(doc, "alpha"),
         )
+        check_key_entries(p)  # a key file's params meet keygen's cap before M is built
+        return p
     except (ParameterError, UsageError) as e:
         raise DataFormatError(f"invalid parameters: {e}") from None
 
@@ -278,13 +280,17 @@ def decode_boost_aux(doc) -> BoostAux:
     k, b = _int(doc, "k"), _int(doc, "b")
     if not 1 <= b <= k:
         raise DataFormatError(f"graph degree b={b} must lie in [1, k={k}]")
+    # the spectral check below builds k x k floats; d * k * k is capped, and d >= 1
+    if k * k > KEY_SET_CAP:
+        raise DataFormatError(f"the boost graph's k x k, {k:,} x {k:,} = {k * k:,} entries, "
+                              f"is over the cap of {KEY_SET_CAP:,}")
     adjacency = _index_array(_get(doc, "adjacency"), "adjacency", 2)
     if adjacency.shape != (k, b) or adjacency.min() < 0 or adjacency.max() >= k:
         raise DataFormatError(f"adjacency must be {k}x{b} with entries below {k}")
     if (np.diff(np.sort(adjacency, axis=1), axis=1) == 0).any():
         raise DataFormatError("every adjacency row must hold distinct entries")
     lam = _float(doc, "lambda_measured")
-    if not abs(lam - second_singular_value(adjacency, k, b)) <= 1e-9:
+    if not abs(lam - second_singular_value(adjacency)) <= 1e-9:
         raise DataFormatError(f"lambda_measured {lam} is not the adjacency's second singular value")
     graph = ExpanderGraph(k, b, adjacency, lam)
     level_params = [decode_params(d) for d in _list(doc, "level_params")]

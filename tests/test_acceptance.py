@@ -338,7 +338,7 @@ def test_c09_expander_suite():
     """Complete bipartite spectrum, random-graph target, and the mixing cap."""
     k = 16
     complete = np.tile(np.arange(k), (k, 1))
-    lam_complete = second_singular_value(complete, k, k)
+    lam_complete = second_singular_value(complete)
 
     rng = np.random.default_rng(109)
     g = build_expander(256, 16, 0.6, rng)

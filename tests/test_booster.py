@@ -56,9 +56,9 @@ def boost_setup(maj8, graph16):
 
 def test_second_singular_hand_cases():
     # two isolated vertices: A = I, both singular values 1
-    assert second_singular_value(np.array([[0], [1]]), 2, 1) == pytest.approx(1.0)
+    assert second_singular_value(np.array([[0], [1]])) == pytest.approx(1.0)
     # both outputs read input 0: A has rank 1
-    assert second_singular_value(np.array([[0], [0]]), 2, 1) == pytest.approx(0.0, abs=1e-9)
+    assert second_singular_value(np.array([[0], [0]])) == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("k,b", [(9, 3), (12, 4), (16, 8)])
@@ -68,7 +68,7 @@ def test_second_singular_matches_svd(k, b):
     B = np.zeros((k, k))
     B[np.repeat(np.arange(k), b), adjacency.reshape(-1)] = 1.0
     sigma = np.linalg.svd(B / b, compute_uv=False)
-    ours = second_singular_value(adjacency, k, b)
+    ours = second_singular_value(adjacency)
     assert ours == pytest.approx(float(sigma[1]), abs=1e-8)
 
 

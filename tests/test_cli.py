@@ -10,6 +10,7 @@ import codehom.analysis
 import codehom.cli
 import codehom.errors
 import codehom.hom
+import codehom.serial
 from codehom.analysis import MAX_TRIALS
 from codehom.cli import main
 
@@ -329,6 +330,56 @@ def test_tampered_boost_file_is_data_error(mini_keys, tmp_path, capsys):
                        "--inputs", ct, ct, "--out", tmp_path / "r")
     assert code == 3
     assert "assignment" in err
+
+
+def _one_clean_error(err: str) -> bool:
+    return err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("r", [2**40, 2**70], ids=["2^40", "2^70"])
+def test_key_file_params_over_the_cap_are_data_errors(r, base_key, mini_keys, tmp_path, capsys):
+    # An sk holds S and the points a; nothing else in it bounds r, and the
+    # loader builds the n x r matrix M. Keygen's cap is checked first.
+    ct = tmp_path / "ct.json"
+    assert run(capsys, "encrypt", "--pk", f"{base_key}.pk.json", "--m", "1",
+               "--out", ct, "--seed", "3")[0] == 0
+    with open(f"{base_key}.sk.json") as f:
+        doc = json.load(f)
+    doc["params"]["r"] = r
+    sk = tmp_path / "sk.json"
+    sk.write_text(json.dumps(doc))
+    keys = tmp_path / "keys"
+    shutil.copytree(mini_keys, keys)
+    doc = json.loads((keys / "level0.sk.json").read_text())
+    doc["params"]["r"] = r
+    (keys / "level0.sk.json").write_text(json.dumps(doc))
+    for argv in (["decrypt", "--sk", sk, "--ct", ct],
+                 ["hom-encrypt", "--keys", keys, "--m", "1", "--out", tmp_path / "m.kct.json"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, ""), argv[0]
+        assert "n x r matrix" in err and "over the cap" in err and _one_clean_error(err)
+
+
+def test_boost_graph_over_the_cap_is_data_error(mini_keys, tmp_path, capsys, monkeypatch):
+    # The spectral check builds a k x k float matrix before k meets meta.json's;
+    # a 60,000-row adjacency would make it 26.8 GiB. The declared k is capped first.
+    def must_not_run(*args):
+        raise AssertionError("the loader measured the graph's spectrum")
+    monkeypatch.setattr(codehom.serial, "second_singular_value", must_not_run)
+    keys = tmp_path / "keys"
+    shutil.copytree(mini_keys, keys)
+    doc = json.loads((keys / "boost0.json").read_text())
+    k = 60_000
+    doc.update(k=k, b=1, adjacency={"shape": [k, 1], "rows": [f"{i:08x}" for i in range(k)]})
+    (keys / "boost0.json").write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "hom-encrypt", "--keys", keys, "--m", "1",
+                         "--out", tmp_path / "m.kct.json")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert "60,000 x 60,000" in err and "over the cap" in err and _one_clean_error(err)
 
 
 def test_analyze_rank_deterministic_branch(capsys):
