@@ -63,11 +63,13 @@ print(f"reencrypted product: decrypts to {decrypt(sk2, back).value},",
 
 # The same mechanism, chained, drives error correction: CORR_2 takes four
 # copies of a bit, one possibly ruined, and returns the bit.
-keys = chain_keygen(p, 2, rng)
+chain = chain_keygen(p, 2, rng)
+pk0, _ = chain.levels[0].pair(0)
+_, sk_top = chain.levels[-1].pair(0)
 bit = 1
-copies = encrypt_batch(keys.levels[0][0], np.full(4, bit, dtype=GF16.dtype), rng)
+copies = encrypt_batch(pk0, np.full(4, bit, dtype=GF16.dtype), rng)
 copies[2] ^= 9  # ruin the third copy arbitrarily
 X = copies[:, None, :]
-out = chain_eval_arrays(keys.level_params, keys.links, build_corr(2), X)[0]
-got = int(decrypt_batch(keys.levels[-1][1], out)[0])
+out = chain_eval_arrays(chain.level_params, chain.links, build_corr(2), X)[0]
+got = int(decrypt_batch(sk_top, out)[0])
 print(f"\nCORR_2 over encryptions of {bit} with one copy ruined -> {got}")

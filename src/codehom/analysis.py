@@ -30,7 +30,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .linalg import rank_batch, vandermonde_array
 from .reencrypt import chain_eval_arrays, chain_keygen, chain_keygen_batch
 from .scheme import (
     Params,
+    PublicKey,
     check_entries,
     decrypt_batch,
     enc_membership_arrays,
@@ -235,9 +236,9 @@ def _encfail_row(trials: int, rng: np.random.Generator, eta_scale: float) -> Bud
     # decryption failure of a fresh encryption <= eta*s, any key, any message
     t0 = time.perf_counter()
     p = Params(n=24, r=9, s=3, field=FieldSpec(8), eta=0.05)
-    pk, sk = keygen(p, rng)
+    pk, sk = keygen(replace(p, eta=p.eta * eta_scale), rng)
     ms = random_elements(p.field, rng, trials)
-    C = encrypt_batch(pk, ms, rng, eta=p.eta * eta_scale)
+    C = encrypt_batch(pk, ms, rng)
     failures = int((decrypt_batch(sk, C) != ms).sum())
     return _budget_row(
         "decryption failure <= eta*s", p.eta * p.s, trials, failures, t0,
@@ -276,12 +277,14 @@ def _corr_row(trials: int, rng: np.random.Generator) -> BudgetRow:
     t0 = time.perf_counter()
     eta0 = 0.1
     base = Params(n=16, r=6, s=3, field=FieldSpec(4), eta=0.0)
-    keys = chain_keygen(base, 2, rng)
+    chain = chain_keygen(base, 2, rng)
     ms = rng.integers(2, size=trials, dtype=np.uint8)
-    C = encrypt_batch(keys.levels[0][0], np.repeat(ms, 4), rng, eta=eta0 / base.s)
+    pk0 = PublicKey(chain.levels[0].P[0], replace(base, eta=eta0 / base.s))
+    C = encrypt_batch(pk0, np.repeat(ms, 4), rng)
     X = C.reshape(trials, 4, 16).transpose(1, 0, 2)
-    out = chain_eval_arrays(keys.level_params, keys.links, build_corr(2), X)[0]
-    failures = int((decrypt_batch(keys.levels[-1][1], out) != ms).sum())
+    out = chain_eval_arrays(chain.level_params, chain.links, build_corr(2), X)[0]
+    _, sk_top = chain.levels[-1].pair(0)
+    failures = int((decrypt_batch(sk_top, out) != ms).sum())
     return _budget_row(
         "corrected block error <= 6*eta0^2", 6 * eta0 * eta0, trials, failures, t0,
         {"n": 16, "eta0": eta0, "per_input_eta": eta0 / base.s},

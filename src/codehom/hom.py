@@ -120,6 +120,14 @@ class HomKeys:
                 raise UsageError(f"boost {i} does not link level {i} to level {i + 1}")
             if aux.graph.k != k:
                 raise UsageError(f"boost {i} replicates {aux.graph.k} parts, keys say {k}")
+            # Every decryption vector sums to 1, so the XOR of a good exit
+            # link's rows encrypts 1 under the boost's target key: a boost
+            # whose sums another level's key explains better leads elsewhere.
+            sums = np.bitwise_xor.reduce(aux.links[-1], axis=1)
+            ones = [int((decrypt_batch(sk, sums) == 1).sum()) for _, sk in levels]
+            j = int(np.argmax(ones))
+            if 2 * ones[j] >= k and ones[j] > ones[i + 1]:
+                raise UsageError(f"boost {i} leads into level {j}'s key, not level {i + 1}'s")
         self.params = params
         self.k = k
         self.levels = levels

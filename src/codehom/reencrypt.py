@@ -9,14 +9,14 @@ stack. When every row z_i is a valid target encryption of y_i (a "good"
 link), linearity gives ReEnc(c) in Enc'(<y,c>) for arbitrary c, so a
 link repairs proto-homomorphic damage exactly.
 
-A chain is its key pairs and links (ChainKeys). chain_eval_arrays takes
-it as keys.level_params and keys.links, the two fields a BoostAux has,
-so level lengths may differ from link to link, as in a boost. The chains
-chain_keygen builds are flat: every level is a fresh key at one base
-Params. chain_keygen_batch draws T chains in order, one after the
-other, and then computes each level's keys and links for all T at once
-(the draw-then-compute convention of scheme.py); chain_keygen is its
-T = 1 case.
+A chain is a ChainStack: a KeyStack per level, each link stacked as
+(T, n_i, n_{i+1}) like BoostAux.links. chain_eval_arrays takes its
+level_params and links, the two fields a BoostAux has, so level lengths
+may differ from link to link, and a stack of links broadcasts against
+the batch. chain_keygen_batch builds flat chains, every level a fresh
+key at one base Params: it draws T chains in order, then computes each
+level's keys and links for all T at once (the draw-then-compute
+convention of scheme.py). chain_keygen is its stack of one.
 
 chain evaluation convention: circuit.Schedule's, link l being the
 crossing after level l of a chain spanning levels 0..L, run_schedule's
@@ -54,36 +54,6 @@ from .scheme import (
 )
 
 
-@dataclass(frozen=True)
-class ChainKeys:
-    """Key levels as (pk, sk) pairs, as in HomKeys.levels, and the links between them.
-
-    links[i] is the (n_i, n_{i+1}) array whose row j encrypts y_j of level i
-    under level i + 1's key, laid out as each part's link in BoostAux.links.
-    """
-
-    levels: tuple[tuple[PublicKey, SecretKey], ...]
-    links: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.levels) != len(self.links) + 1:
-            raise ParameterError("a chain needs exactly one more level than links")
-        params = self.level_params
-        if any(p.field != params[0].field for p in params):
-            raise ParameterError("chain levels must share one field")
-        for i, Z in enumerate(self.links):
-            if Z.shape != (params[i].n, params[i + 1].n):
-                raise ParameterError(f"link {i} does not match its level sizes")
-
-    @property
-    def level_params(self) -> list[Params]:
-        return [pk.params for pk, _ in self.levels]
-
-    @property
-    def depth(self) -> int:
-        return len(self.links)
-
-
 def aux_gen_basic(sk: SecretKey, pk_next: PublicKey, rng: np.random.Generator) -> np.ndarray:
     """The link from sk's level to pk_next's: row i encrypts y_i under pk_next."""
     if sk.params.field != pk_next.params.field:
@@ -109,14 +79,14 @@ def reencrypt_rows(spec: FieldSpec, Z: np.ndarray, C: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ChainStack:
     """T chains of one shape: levels[i] holds every chain's level-i keys,
-    links[i] is the (T, n, n) stack of their level-i links."""
+    links[i] is the (T, n_i, n_{i+1}) stack of their level-i links."""
 
     levels: tuple[KeyStack, ...]
     links: tuple[np.ndarray, ...]
 
-    def chain(self, t: int) -> ChainKeys:
-        return ChainKeys(tuple(ks.pair(t) for ks in self.levels),
-                         tuple(Z[t] for Z in self.links))
+    @property
+    def level_params(self) -> list[Params]:
+        return [ks.params for ks in self.levels]
 
 
 def chain_keygen_batch(base: Params, d: int, rng: np.random.Generator, trials: int) -> ChainStack:
@@ -138,10 +108,10 @@ def chain_keygen_batch(base: Params, d: int, rng: np.random.Generator, trials: i
     ))
 
 
-def chain_keygen(base: Params, d: int, rng: np.random.Generator) -> ChainKeys:
+def chain_keygen(base: Params, d: int, rng: np.random.Generator) -> ChainStack:
     """d + 1 fresh keys at base, linked by basic aux: chain_keygen_batch's
-    one-chain case."""
-    return chain_keygen_batch(base, d, rng, 1).chain(0)
+    stack of one."""
+    return chain_keygen_batch(base, d, rng, 1)
 
 
 # ---------------------------------------------------------------------------

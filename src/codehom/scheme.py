@@ -272,12 +272,9 @@ def keygen(p: Params, rng: np.random.Generator) -> tuple[PublicKey, SecretKey]:
 # ---------------------------------------------------------------------------
 
 
-def noise_array(p: Params, rng: np.random.Generator, shape, eta: float | None = None) -> np.ndarray:
-    """Per-entry: zero with probability 1-eta, else uniform over the nonzeros."""
-    rate = p.eta if eta is None else eta
-    if not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"noise rate must lie in [0,1], got {rate}")
-    hit = rng.random(shape) < rate
+def noise_array(p: Params, rng: np.random.Generator, shape) -> np.ndarray:
+    """Per-entry: zero with probability 1 - p.eta, else uniform over the nonzeros."""
+    hit = rng.random(shape) < p.eta
     vals = random_nonzero(p.field, rng, shape)
     return np.where(hit, vals, p.field.dtype(0))
 
@@ -289,12 +286,10 @@ def encrypt(pk: PublicKey, m: FieldElement, rng: np.random.Generator) -> np.ndar
     return encrypt_batch(pk, [m.value], rng)[0]
 
 
-def draw_encryption(
-    p: Params, rng: np.random.Generator, rows: int, eta: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def draw_encryption(p: Params, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, ...]:
     """The randomness X (rows, r) and noise E (rows, n) of rows encryptions, in order."""
     X = random_elements(p.field, rng, (rows, p.r))
-    return X, noise_array(p, rng, (rows, p.n), eta=eta)
+    return X, noise_array(p, rng, (rows, p.n))
 
 
 def encrypt_arrays(
@@ -313,13 +308,11 @@ def encrypt_arrays(
     return C ^ ms[..., None] ^ E
 
 
-def encrypt_batch(
-    pk: PublicKey, ms: np.ndarray, rng: np.random.Generator, eta: float | None = None
-) -> np.ndarray:
+def encrypt_batch(pk: PublicKey, ms: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """(T, n) ciphertext block for a (T,) message block; one fresh x, e per row."""
     p = pk.params
     ms = np.asarray(ms, dtype=p.field.dtype)
-    return encrypt_arrays(p.field, pk.P, ms, *draw_encryption(p, rng, ms.shape[0], eta))
+    return encrypt_arrays(p.field, pk.P, ms, *draw_encryption(p, rng, ms.shape[0]))
 
 
 def decrypt(sk: SecretKey, c: np.ndarray) -> FieldElement:

@@ -15,10 +15,12 @@ per part. A full key set is a directory, one file per level key and per
 boost, under a meta file naming the shape.
 
 Loaders validate types, structure and value ranges and raise
-DataFormatError; a file that parses as JSON but violates a constructor
-invariant counts as malformed data too. A secret key file holds S and
-the distinct points a; its M and y are computed from them. A boost file
-holds the majority tree as its leaf row alone.
+DataFormatError, whose message begins with the file's path; a file that
+parses as JSON but violates a constructor invariant, such as a boost
+that leads into another level's key, counts as malformed data too. A
+secret key file holds S and the distinct points a; its M and y are
+computed from them. A boost file holds the majority tree as its leaf
+row alone.
 """
 
 from __future__ import annotations
@@ -356,12 +358,21 @@ def load_json(path) -> dict:
         raise DataFormatError(f"cannot read {path}: JSON nested too deeply") from None
 
 
+def _load(path, decode):
+    """decode(load_json(path)); a DataFormatError from decode begins with the path."""
+    doc = load_json(path)
+    try:
+        return decode(doc)
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+
+
 def save_public_key(pk: PublicKey, path) -> None:
     save_json(encode_public_key(pk), path)
 
 
 def load_public_key(path) -> PublicKey:
-    return decode_public_key(load_json(path))
+    return _load(path, decode_public_key)
 
 
 def save_secret_key(sk: SecretKey, path) -> None:
@@ -369,7 +380,7 @@ def save_secret_key(sk: SecretKey, path) -> None:
 
 
 def load_secret_key(path) -> SecretKey:
-    return decode_secret_key(load_json(path))
+    return _load(path, decode_secret_key)
 
 
 def save_ciphertext(spec: FieldSpec, c: np.ndarray, path) -> None:
@@ -377,7 +388,7 @@ def save_ciphertext(spec: FieldSpec, c: np.ndarray, path) -> None:
 
 
 def load_ciphertext(path) -> tuple[FieldSpec, np.ndarray]:
-    return decode_ciphertext(load_json(path))
+    return _load(path, decode_ciphertext)
 
 
 def save_kciphertext(kc: KCiphertext, path) -> None:
@@ -385,7 +396,7 @@ def save_kciphertext(kc: KCiphertext, path) -> None:
 
 
 def load_kciphertext(path) -> KCiphertext:
-    return decode_kciphertext(load_json(path))
+    return _load(path, decode_kciphertext)
 
 
 def save_hom_keys(hk: HomKeys, directory) -> None:
@@ -410,22 +421,27 @@ def save_hom_keys(hk: HomKeys, directory) -> None:
         save_json(encode_boost_aux(aux), d / f"boost{i}.json")
 
 
-def load_hom_keys(directory) -> HomKeys:
-    d = Path(directory)
-    meta = load_json(d / "meta.json")
-    _expect(meta, "hom-keys", V2)
-    params = decode_params(_get(meta, "params"))
-    k, depth = _int(meta, "k"), _int(meta, "depth")
+def _decode_meta(doc) -> tuple[Params, int, int]:
+    """A hom-keys meta file's params, k and depth."""
+    _expect(doc, "hom-keys", V2)
+    params = decode_params(_get(doc, "params"))
+    k, depth = _int(doc, "k"), _int(doc, "depth")
     try:
         check_key_shape(k, depth)
     except ParameterError as e:
-        raise DataFormatError(f"meta.json: {e}") from None
+        raise DataFormatError(str(e)) from None
+    return params, k, depth
+
+
+def load_hom_keys(directory) -> HomKeys:
+    d = Path(directory)
+    params, k, depth = _load(d / "meta.json", _decode_meta)
     levels = [
         (load_public_key(d / f"level{i}.pk.json"), load_secret_key(d / f"level{i}.sk.json"))
         for i in range(depth + 1)
     ]
-    boosts = [decode_boost_aux(load_json(d / f"boost{i}.json")) for i in range(depth)]
+    boosts = [_load(d / f"boost{i}.json", decode_boost_aux) for i in range(depth)]
     try:
         return HomKeys(params, k, levels, boosts)
     except UsageError as e:
-        raise DataFormatError(f"inconsistent key directory: {e}") from None
+        raise DataFormatError(f"{d}: inconsistent key directory: {e}") from None

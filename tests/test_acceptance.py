@@ -25,6 +25,7 @@ The twelve checks:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from codehom.linalg import dot_arrays, matmul_arrays
 from codehom.reencrypt import aux_gen_basic, aux_is_good, chain_eval_arrays, chain_keygen
 from codehom.scheme import (
     Params,
+    PublicKey,
     decrypt,
     decrypt_batch,
     dec_membership_batch,
@@ -149,7 +151,7 @@ def _constructed_members(pk, sk, ms, rng):
     X = random_elements(p.field, rng, (len(ms), p.r))
     C = dot_arrays(p.field, pk.P, X[:, None, :])
     C ^= np.asarray(ms, dtype=p.field.dtype)[:, None]
-    E = noise_array(p, rng, (len(ms), p.n), eta=0.3)
+    E = noise_array(replace(p, eta=0.3), rng, (len(ms), p.n))
     E[:, np.asarray(sk.S)] = 0
     return C ^ E
 
@@ -247,14 +249,16 @@ def test_c06_correction_tree():
 
     rng = np.random.default_rng(106)
     base = Params(16, 6, 3, GF4, 0.0)
-    keys = chain_keygen(base, 2, rng)
+    chain = chain_keygen(base, 2, rng)
     trials = 100_000
     eta0 = 0.05
     ms = rng.integers(0, 2, trials).astype(GF4.dtype)
-    C = encrypt_batch(keys.levels[0][0], np.repeat(ms, 4), rng, eta=eta0 / base.s)
+    pk0 = PublicKey(chain.levels[0].P[0], replace(base, eta=eta0 / base.s))
+    C = encrypt_batch(pk0, np.repeat(ms, 4), rng)
     Xc = C.reshape(trials, 4, 16).transpose(1, 0, 2)
-    out = chain_eval_arrays(keys.level_params, keys.links, corr, Xc)[0]
-    fails = int((decrypt_batch(keys.levels[-1][1], out) != ms).sum())
+    out = chain_eval_arrays(chain.level_params, chain.links, corr, Xc)[0]
+    _, sk_top = chain.levels[-1].pair(0)
+    fails = int((decrypt_batch(sk_top, out) != ms).sum())
     bound = 6 * eta0**2
     _, hi = wilson_interval(fails, trials)
     cap = bound + _three_sigma(bound, trials)

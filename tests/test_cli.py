@@ -208,6 +208,15 @@ def test_help_exits_clean(capsys):
     capsys.readouterr()
 
 
+@pytest.fixture(scope="module")
+def deep_keys(tmp_path_factory):
+    d = tmp_path_factory.mktemp("deep") / "hk"
+    assert main(["hom-keygen", "--n", "16", "--r", "6", "--s", "3", "--field-k", "4",
+                 "--k", "32", "--d", "2", "--b", "8", "--lambda-target", "0.9",
+                 "--mid-n", "8", "--out", str(d), "--seed", "11"]) == 0
+    return d
+
+
 def test_hom_and_matches_plaintext(mini_keys, tmp_path, capsys):
     net = tmp_path / "and.net"
     net.write_text("inputs x0 x1\nt = AND x0 x1\noutputs t\n")
@@ -380,6 +389,50 @@ def test_boost_graph_over_the_cap_is_data_error(mini_keys, tmp_path, capsys, mon
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (3, "")
     assert "60,000 x 60,000" in err and "over the cap" in err and _one_clean_error(err)
+
+
+def test_swapped_boost_files_are_data_errors(deep_keys, tmp_path, capsys):
+    # Every boost has the set's params, so only the keys tell a swap: the
+    # XOR of an exit link's rows encrypts 1 under the boost's target key.
+    keys = tmp_path / "keys"
+    shutil.copytree(deep_keys, keys)
+    out = tmp_path / "m.kct.json"
+    assert run(capsys, "hom-encrypt", "--keys", keys, "--m", "1", "--out", out)[0] == 0
+    (keys / "boost0.json").rename(keys / "swap.json")
+    (keys / "boost1.json").rename(keys / "boost0.json")
+    (keys / "swap.json").rename(keys / "boost1.json")
+    code, stdout, err = run(capsys, "hom-encrypt", "--keys", keys, "--m", "1", "--out", out)
+    assert (code, stdout) == (3, "")
+    assert "boost 0 leads into level 2's key, not level 1's" in err and _one_clean_error(err)
+
+
+def _bad_hex_row(doc):
+    doc["links"][2]["rows"][0] += "0"
+
+
+def _bad_index_set(doc):
+    doc["S"] = [0, 0, 1]
+
+
+def _bad_part(doc):
+    doc["parts"][3]["c"][0] = "x"
+
+
+@pytest.mark.parametrize("name, corrupt, want", [
+    ("keys/boost1.json", _bad_hex_row, "links[2] rows must each be 16 hex digits"),
+    ("keys/level2.sk.json", _bad_index_set, "S must list 3 increasing row indices below 16"),
+    ("a.kct.json", _bad_part, "c must be a list of integers"),
+], ids=["boost", "sk", "kct part"])
+def test_load_errors_name_the_file(name, corrupt, want, deep_keys, tmp_path, capsys):
+    shutil.copytree(deep_keys, tmp_path / "keys")
+    keys, ct = tmp_path / "keys", tmp_path / "a.kct.json"
+    assert run(capsys, "hom-encrypt", "--keys", keys, "--m", "1", "--out", ct)[0] == 0
+    doc = json.loads((tmp_path / name).read_text())
+    corrupt(doc)
+    (tmp_path / name).write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "hom-decrypt", "--keys", keys, "--ct", ct, "--fresh")
+    assert (code, stdout) == (3, "")
+    assert err == f"error: {tmp_path / name}: {want}\n"
 
 
 def test_analyze_rank_deterministic_branch(capsys):

@@ -176,6 +176,8 @@ def test_homkeys_consistency_checks(mini):
     other = Params(n=16, r=6, s=3, field=GF16, eta=0.01)
     with pytest.raises(UsageError, match="level 0 keys do not match"):
         HomKeys(other, 8, mini.levels, mini.boosts)
+    with pytest.raises(UsageError, match="boost 0 leads into level 2's key, not level 1's"):
+        HomKeys(P16, 8, mini.levels, mini.boosts[::-1])
 
 
 # ---------------------------------------------------------------------------

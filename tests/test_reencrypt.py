@@ -6,6 +6,8 @@ engine guarantees (exact mirroring of the plain evaluation on whatever
 the inputs decrypt to) reduces to that.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from codehom.errors import ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, mul_arrays, random_elements
 from codehom.linalg import matmul_arrays
 from codehom.reencrypt import (
-    ChainKeys,
     aux_gen_basic,
     aux_is_good,
     chain_eval_arrays,
@@ -29,6 +30,7 @@ from codehom.reencrypt import (
 )
 from codehom.scheme import (
     Params,
+    PublicKey,
     decrypt_batch,
     enc_membership_batch,
     encrypt,
@@ -47,9 +49,14 @@ BASE16 = Params(n=16, r=6, s=3, field=GF16, eta=0.0)
 
 @pytest.fixture(scope="module")
 def flat3():
-    # noiseless flat chain, 3 links over 4 equal levels
+    # noiseless flat chain, 3 links over 4 equal levels: a stack of one
     rng = np.random.default_rng(7)
     return chain_keygen(BASE24, 3, rng)
+
+
+def _pair(chain, level):
+    """The (pk, sk) of one level of a stack of one chain."""
+    return chain.levels[level].pair(0)
 
 
 @pytest.fixture(scope="module")
@@ -146,54 +153,45 @@ def test_good_aux_rate():
 
 
 def test_flat_chain_structure(flat3):
-    assert flat3.depth == 3
-    assert len(flat3.levels) == 4
+    assert len(flat3.levels) == 4 and len(flat3.links) == 3
     for p in flat3.level_params:
         assert p.n == 24 and p.field == GF256
     for i, Z in enumerate(flat3.links):
-        assert Z.shape == (24, 24)
-        src_sk = flat3.levels[i][1]
-        tgt_sk = flat3.levels[i + 1][1]
-        assert aux_is_good(Z, src_sk, tgt_sk)
+        assert Z.shape == (1, 24, 24)
+        assert aux_is_good(Z[0], _pair(flat3, i)[1], _pair(flat3, i + 1)[1])
 
 
 def test_chain_keygen_deterministic():
     a = chain_keygen(BASE24, 2, np.random.default_rng(9))
     b = chain_keygen(BASE24, 2, np.random.default_rng(9))
-    for (pka, ska), (pkb, skb) in zip(a.levels, b.levels):
-        assert ska.S == skb.S
-        assert np.array_equal(pka.P, pkb.P)
+    for ka, kb in zip(a.levels, b.levels):
+        assert np.array_equal(ka.S, kb.S)
+        assert np.array_equal(ka.P, kb.P)
     for xa, xb in zip(a.links, b.links):
         assert np.array_equal(xa, xb)
 
 
-def test_chain_keys_invariants():
+def test_chain_depth_check_and_shrinking_link():
     rng = np.random.default_rng(12)
     p16 = Params(n=16, r=6, s=3, field=GF256, eta=0.0)
     pk16, sk16 = keygen(p16, rng)
     pk24, sk24 = keygen(BASE24, rng)
-    with pytest.raises(ParameterError, match="one more level"):
-        ChainKeys(((pk16, sk16), (pk24, sk24)), ())
     with pytest.raises(ParameterError, match="depth"):
         chain_keygen(BASE24, 0, rng)
-    bad_link = np.zeros((16, 16), dtype=GF256.dtype)
-    with pytest.raises(ParameterError, match="link 0"):
-        ChainKeys(((pk16, sk16), (pk24, sk24)), (bad_link,))
-    with pytest.raises(ParameterError, match="one field"):
-        ChainKeys(((pk16, sk16), keygen(BASE16, rng)), (bad_link,))
     # a link may shrink, as a boost's entry link does: an AND through a
-    # 24 -> 16 chain decrypts to the product under the 16-key
-    down = ChainKeys(((pk24, sk24), (pk16, sk16)), (aux_gen_basic(sk24, pk16, rng),))
+    # hand-built 24 -> 16 chain decrypts to the product under the 16-key
+    down = aux_gen_basic(sk24, pk16, rng)
     a, b = random_elements(GF256, rng, 32), random_elements(GF256, rng, 32)
     X = np.stack([encrypt_batch(pk24, a, rng), encrypt_batch(pk24, b, rng)])
     circ = parse_netlist("inputs x y\nz = AND x y\noutputs z\n")
-    (out,) = chain_eval_arrays(down.level_params, down.links, circ, X)
+    (out,) = chain_eval_arrays([BASE24, p16], [down], circ, X)
     assert out.shape == (32, 16)
     assert np.array_equal(decrypt_batch(sk16, out), mul_arrays(GF256, a, b))
 
 
 def _chain_eval(chain, c, X):
-    return chain_eval_arrays(chain.level_params, chain.links, c, X)
+    # a stack of one chain; its links unstacked take an unbatched X
+    return chain_eval_arrays(chain.level_params, [Z[0] for Z in chain.links], c, X)
 
 
 def _encrypt_stack(pk, xs, rng):
@@ -204,8 +202,8 @@ def test_basic_eval_exact_mirror(flat3):
     # noiseless everything: the chain must reproduce eval_plain exactly,
     # and every output must be a genuine top-level encryption
     rng = np.random.default_rng(13)
-    pk0 = flat3.levels[0][0]
-    sk_top = flat3.levels[-1][1]
+    pk0, _ = _pair(flat3, 0)
+    _, sk_top = _pair(flat3, -1)
     done = 0
     while done < 25:
         circ = random_circuit(rng, n_inputs=3, n_gates=10)
@@ -224,7 +222,7 @@ def test_basic_eval_const_circuit(flat3):
     circ = parse_netlist("c1 = CONST1\noutputs c1\n")
     (out,) = _chain_eval(flat3, circ, np.zeros((0, 24), dtype=GF256.dtype))
     assert np.array_equal(out, np.ones(24, dtype=GF256.dtype))
-    assert decrypt_batch(flat3.levels[-1][1], out[None])[0] == 1
+    assert decrypt_batch(_pair(flat3, -1)[1], out[None])[0] == 1
 
 
 def test_basic_eval_bare_final_layer(flat3):
@@ -243,8 +241,8 @@ def test_basic_eval_bare_final_layer(flat3):
     )
     assert compile_schedule(circ, False, 1).depth == 3
     rng = np.random.default_rng(14)
-    pk0 = flat3.levels[0][0]
-    sk_top = flat3.levels[-1][1]
+    pk0, _ = _pair(flat3, 0)
+    _, sk_top = _pair(flat3, -1)
     for _ in range(20):
         xs = [FieldElement(GF256, int(v)) for v in random_elements(GF256, rng, 3)]
         (out,) = _chain_eval(flat3, circ, _encrypt_stack(pk0, xs, rng))
@@ -263,7 +261,7 @@ def test_basic_eval_depth_excess(flat3):
         """
     )
     rng = np.random.default_rng(15)
-    ct = encrypt(flat3.levels[0][0], FieldElement(GF256, 3), rng)
+    ct = encrypt(_pair(flat3, 0)[0], FieldElement(GF256, 3), rng)
     with pytest.raises(UsageError, match="layers"):
         _chain_eval(flat3, circ, ct[None])
 
@@ -271,7 +269,7 @@ def test_basic_eval_depth_excess(flat3):
 def test_basic_eval_input_validation(flat3):
     circ = parse_netlist("inputs x0 x1\ns = XOR x0 x1\noutputs s\n")
     rng = np.random.default_rng(16)
-    ct = encrypt(flat3.levels[0][0], FieldElement(GF256, 3), rng)
+    ct = encrypt(_pair(flat3, 0)[0], FieldElement(GF256, 3), rng)
     with pytest.raises(UsageError, match="inputs"):
         _chain_eval(flat3, circ, ct[None])
     short = np.zeros((2, 23), dtype=GF256.dtype)
@@ -291,12 +289,14 @@ def test_chain_eval_batched_matches_single(flat3):
     )
     lc = layerize(circ)
     rng = np.random.default_rng(17)
-    pk0 = flat3.levels[0][0]
+    pk0, _ = _pair(flat3, 0)
     T = 40
     X = np.stack(
         [encrypt_batch(pk0, random_elements(GF256, rng, T), rng) for _ in range(3)]
     )
-    batch_out = _chain_eval(flat3, lc, X)[0]
+    # the stacked (1, n, n) links broadcast against the batch of T
+    batch_out = chain_eval_arrays(flat3.level_params, flat3.links, lc, X)[0]
+    assert batch_out.shape == (T, 24)
     for t in range(0, T, 7):
         (single,) = _chain_eval(flat3, lc, X[:, t])
         assert np.array_equal(single, batch_out[t])
@@ -349,11 +349,11 @@ def test_chain_raw_circuit_folds_constant_layers():
     )
     chain = chain_keygen(BASE16, 2, np.random.default_rng(20))
     params, links = chain.level_params, chain.links
-    X = encrypt_batch(chain.levels[0][0], np.arange(16), np.random.default_rng(21))[None]
+    X = encrypt_batch(_pair(chain, 0)[0], np.arange(16), np.random.default_rng(21))[None]
     (layered,) = chain_eval_arrays(params, links, layerize(circ), X)
     (out,) = chain_eval_arrays(params, links, circ, X)
     assert np.array_equal(layered, out)
-    assert np.array_equal(decrypt_batch(chain.levels[-1][1], out), np.arange(16) ^ 1)
+    assert np.array_equal(decrypt_batch(_pair(chain, -1)[1], out), np.arange(16) ^ 1)
 
 
 def test_corr2_block_failure_bound():
@@ -363,13 +363,14 @@ def test_corr2_block_failure_bound():
     # bit for bit since the chain itself is noiseless
     rng = np.random.default_rng(18)
     chain = chain_keygen(BASE16, 3, rng)
-    pk0, sk0 = chain.levels[0]
-    sk_top = chain.levels[-1][1]
+    pk0, sk0 = _pair(chain, 0)
+    _, sk_top = _pair(chain, -1)
     eta0 = 0.1
     bit_eta = eta0 / BASE16.s  # union over the s trapdoor rows stays under eta0
     T = 20_000
     b = rng.integers(0, 2, T).astype(GF16.dtype)
-    C = encrypt_batch(pk0, np.repeat(b, 4), rng, eta=bit_eta)
+    noisy_pk0 = PublicKey(pk0.P, replace(BASE16, eta=bit_eta))
+    C = encrypt_batch(noisy_pk0, np.repeat(b, 4), rng)
     X = C.reshape(T, 4, 16).transpose(1, 0, 2)
     out = chain_eval_arrays(chain.level_params, chain.links, build_corr(2), X)[0]
     got = decrypt_batch(sk_top, out)

@@ -7,6 +7,8 @@ closed form is also checked against the canonical solution of the
 collapsed system.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,8 @@ from oracles import tensor_row_array
 F16 = FieldSpec(16)
 
 P_SMALL = Params(n=48, r=12, s=6, field=F16, eta=0.01)
+# P_SMALL without noise; the keys are the same, since keygen never reads eta
+P_QUIET = replace(P_SMALL, eta=0.0)
 
 
 def make_keys(seed=0, p=P_SMALL):
@@ -89,6 +93,8 @@ def test_params_validation():
         Params(n=100, r=12, s=6, field=FieldSpec(4), eta=0.0)  # q < n
     with pytest.raises(ParameterError):
         Params(n=48, r=12, s=6, field=F16, eta=1.5)
+    with pytest.raises(ParameterError):
+        Params(n=48, r=12, s=6, field=F16, eta=-0.1)
 
 
 def test_params_from_alpha_frozen():
@@ -232,35 +238,27 @@ def test_noise_rate_within_3_sigma():
     assert abs(rate - 0.07) < 3 * sigma
 
 
-def test_noise_rate_override():
-    p = Params(n=48, r=12, s=6, field=F16, eta=0.5)
-    rng = np.random.default_rng(9)
-    assert not noise_array(p, rng, 1000, eta=0.0).any()
-    with pytest.raises(ParameterError):
-        noise_array(p, rng, 10, eta=-0.1)
-
-
 # --- encrypt / decrypt ---------------------------------------------------------
 
 
 def test_encrypt_batch_is_px_plus_m():
     # Noiseless, each row is Px + m*1 for the x drawn first from rng; a zero
     # P leaves exactly m*1.
-    pk, sk = make_keys(10)
+    pk, sk = make_keys(10, P_QUIET)
     ms = np.array([0x1234, 0, 7], dtype=F16.dtype)
-    C = encrypt_batch(pk, ms, np.random.default_rng(10), eta=0.0)
+    C = encrypt_batch(pk, ms, np.random.default_rng(10))
     X = random_elements(F16, np.random.default_rng(10), (3, P_SMALL.r))
     assert np.array_equal(C, dot_arrays(F16, pk.P, X[:, None, :]) ^ ms[:, None])
-    zero_pk = PublicKey(np.zeros_like(pk.P), P_SMALL)
-    C = encrypt_batch(zero_pk, ms, np.random.default_rng(10), eta=0.0)
+    zero_pk = PublicKey(np.zeros_like(pk.P), P_QUIET)
+    C = encrypt_batch(zero_pk, ms, np.random.default_rng(10))
     assert C.tolist() == [[int(m)] * P_SMALL.n for m in ms]
 
 
 def test_noiseless_decryption_is_exact():
-    pk, sk = make_keys(11)
+    pk, sk = make_keys(11, P_QUIET)
     rng = np.random.default_rng(11)
     ms = random_elements(F16, rng, 200)
-    assert np.array_equal(decrypt_batch(sk, encrypt_batch(pk, ms, rng, eta=0.0)), ms)
+    assert np.array_equal(decrypt_batch(sk, encrypt_batch(pk, ms, rng)), ms)
 
 
 def test_decrypt_all_m_vector():
