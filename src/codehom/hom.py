@@ -121,13 +121,18 @@ class HomKeys:
             if aux.graph.k != k:
                 raise UsageError(f"boost {i} replicates {aux.graph.k} parts, keys say {k}")
             # Every decryption vector sums to 1, so the XOR of a good exit
-            # link's rows encrypts 1 under the boost's target key: a boost
-            # whose sums another level's key explains better leads elsewhere.
+            # link's rows encrypts 1 under the boost's target key in most
+            # parts: a boost whose sums another level's key explains better
+            # leads elsewhere, and one whose sums no level explains comes
+            # from another key set.
             sums = np.bitwise_xor.reduce(aux.links[-1], axis=1)
             ones = [int((decrypt_batch(sk, sums) == 1).sum()) for _, sk in levels]
             j = int(np.argmax(ones))
             if 2 * ones[j] >= k and ones[j] > ones[i + 1]:
                 raise UsageError(f"boost {i} leads into level {j}'s key, not level {i + 1}'s")
+            if 2 * ones[i + 1] < k:
+                raise UsageError(f"boost {i} does not lead into level {i + 1}'s key: its exit "
+                                 f"link's row sums decrypt to 1 in {ones[i + 1]} of {k} parts")
         self.params = params
         self.k = k
         self.levels = levels

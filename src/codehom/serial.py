@@ -1,18 +1,20 @@
 """JSON envelopes for keys, ciphertexts, and boost material.
 
-Every file is one object tagged with a format and a kind, and each kind
-has one format. Key files (pk, sk, boost-aux and the hom-keys meta) are
-{"format": "codehom/v2", "kind": ...}: each integer array is an object
-{"shape": [...], "rows": [...]}, one hex string per innermost row, each
-entry big-endian in a fixed number of digits: twice the byte width of
-the field's dtype for field elements, 8 for the index arrays adjacency
-and assignment. So a row still diffs as one line, and a desk key
-directory is about a quarter of its decimal size. Ciphertext envelopes
-(ct, kct) are "codehom/v1", whose ciphertext is a list of plain
-integers. The bytes written are json.dumps(doc, indent=1) plus a
-newline. A replicated ciphertext nests one complete ciphertext envelope
-per part. A full key set is a directory, one file per level key and per
-boost, under a meta file naming the shape.
+Every file is one object {"format": "codehom/v2", "kind": ...}, the
+kind one of pk, sk, ct, kct, boost-aux and the hom-keys meta. Each
+integer array is an object {"shape": [...], "rows": [...]}, one hex
+string per innermost row, each entry big-endian in a fixed number of
+digits: twice the byte width of the field's dtype for field elements, 8
+for the index arrays adjacency and assignment. So a row still diffs as
+one line, and a desk key directory is about a quarter of its decimal
+size. A ciphertext (ct) is its field_k and its (n,) array c; a
+replicated ciphertext (kct) is its field_k and one (k, n) array parts,
+a row per part. The bytes written are json.dumps(doc, indent=1) plus a
+newline. A full key set is a directory, one file per level key and per
+boost, under a meta file naming the shape. A file in any other format,
+the v1 files of earlier versions among them (decimal lists, one nested
+ct per part of a kct), is malformed data; the same seed writes the
+same arrays again as v2.
 
 Loaders validate types, structure and value ranges and raise
 DataFormatError, whose message begins with the file's path; a file that
@@ -37,7 +39,6 @@ from .field import FieldSpec
 from .hom import KEY_SET_CAP, HomKeys, KCiphertext, check_key_shape
 from .scheme import Params, PublicKey, SecretKey, check_key_entries, trapdoor_arrays
 
-V1 = "codehom/v1"
 V2 = "codehom/v2"
 
 # Bytes per entry of the v2 index arrays (adjacency, assignment).
@@ -132,15 +133,6 @@ def _field_array(spec: FieldSpec, data, what: str, ndim: int) -> np.ndarray:
     return A.astype(spec.dtype)
 
 
-def _field_list(spec: FieldSpec, data, what: str) -> np.ndarray:
-    """A v1 ciphertext: a list of plain integers, each in the field."""
-    if not isinstance(data, list) or not all(type(x) is int for x in data):
-        raise DataFormatError(f"{what} must be a list of integers")
-    if data and (min(data) < 0 or max(data) >= spec.q):
-        raise DataFormatError(f"{what} holds values outside [0, {spec.q})")
-    return np.array(data, dtype=spec.dtype)
-
-
 def _field_rows(spec: FieldSpec, a: np.ndarray) -> dict:
     return _hex_rows(a, np.dtype(spec.dtype).itemsize)
 
@@ -221,40 +213,37 @@ def decode_secret_key(doc) -> SecretKey:
     return SecretKey(tuple(S), a, M[0], y[0], p)
 
 
-def encode_ciphertext(spec: FieldSpec, c: np.ndarray) -> dict:
-    return {"format": V1, "kind": "ct", "field_k": spec.k, "c": c.tolist()}
+def _encode_block(spec: FieldSpec, kind: str, key: str, A: np.ndarray) -> dict:
+    return {"format": V2, "kind": kind, "field_k": spec.k, key: _field_rows(spec, A)}
 
 
-def decode_ciphertext(doc) -> tuple[FieldSpec, np.ndarray]:
-    _expect(doc, "ct", V1)
+def _decode_block(doc, kind: str, key: str, ndim: int) -> tuple[FieldSpec, np.ndarray]:
+    """A ct or kct envelope's field and its ndim-D array under key, no dimension empty."""
+    _expect(doc, kind, V2)
     try:
         spec = FieldSpec(_int(doc, "field_k"))
     except (ParameterError, UsageError) as e:
         raise DataFormatError(f"invalid field: {e}") from None
-    c = _field_list(spec, _get(doc, "c"), "c")
-    if c.size == 0:
-        raise DataFormatError("empty ciphertext")
-    return spec, c
+    A = _field_array(spec, _get(doc, key), key, ndim)
+    if 0 in A.shape:
+        raise DataFormatError(f"{key} shape {list(A.shape)} has an empty dimension")
+    return spec, A
+
+
+def encode_ciphertext(spec: FieldSpec, c: np.ndarray) -> dict:
+    return _encode_block(spec, "ct", "c", c)
+
+
+def decode_ciphertext(doc) -> tuple[FieldSpec, np.ndarray]:
+    return _decode_block(doc, "ct", "c", 1)
 
 
 def encode_kciphertext(kc: KCiphertext) -> dict:
-    return {
-        "format": V1,
-        "kind": "kct",
-        "parts": [encode_ciphertext(kc.spec, row) for row in kc.P],
-    }
+    return _encode_block(kc.spec, "kct", "parts", kc.P)
 
 
 def decode_kciphertext(doc) -> KCiphertext:
-    _expect(doc, "kct", V1)
-    parts = _get(doc, "parts")
-    if not isinstance(parts, list) or not parts:
-        raise DataFormatError("parts must be a non-empty list of ciphertext envelopes")
-    rows = [decode_ciphertext(d) for d in parts]
-    spec, first = rows[0]
-    if any(s != spec or c.shape != first.shape for s, c in rows):
-        raise DataFormatError("inconsistent parts: parts must share one field and one length")
-    return KCiphertext(spec, np.stack([c for _, c in rows]))
+    return KCiphertext(*_decode_block(doc, "kct", "parts", 2))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import codehom.hom
 import codehom.serial
 from codehom.analysis import MAX_TRIALS
 from codehom.cli import main
+from codehom.field import FieldSpec
 
 
 def run(capsys, *argv):
@@ -48,9 +49,9 @@ def test_encrypt_decrypt_round_trip(base_key, tmp_path, capsys):
     assert code == 0
     assert out.strip() == "1a"
     # a well-formed ciphertext of another length or field does not fit the key
-    doc = json.loads(ct.read_text())
-    for bad in ({**doc, "c": doc["c"][:-1]}, {**doc, "field_k": 16}):
-        ct.write_text(json.dumps(bad))
+    spec, c = codehom.serial.load_ciphertext(ct)
+    for bad in ((spec, c[:-1]), (FieldSpec(16), c)):
+        codehom.serial.save_ciphertext(*bad, ct)
         code, _, err = run(capsys, "decrypt", "--sk", f"{base_key}.sk.json", "--ct", ct)
         assert code == 1
         assert "does not match this key" in err
@@ -122,10 +123,11 @@ def test_secret_key_with_bad_S_is_data_error(base_key, tmp_path, capsys):
     assert run(capsys, "decrypt", "--sk", sk, "--ct", ct)[:2] == (0, "1a\n")
 
 
-def test_tampered_secret_key_is_data_error(base_key, tmp_path, capsys):
+def test_tampered_secret_key_is_data_error(base_key, mini_keys, tmp_path, capsys):
     # the loader computes M and y from S and the points a: a repeated point
     # would divide by zero in y's closed form. A v1 file, which carried M
-    # and y, is not read.
+    # and y, is not read; nor is a v1 ct or kct, whose arrays were lists of
+    # plain integers, one nested ct per part of a kct.
     ct = tmp_path / "ct.json"
     assert run(capsys, "encrypt", "--pk", f"{base_key}.pk.json", "--m", "5a",
                "--out", ct, "--seed", "3")[0] == 0
@@ -143,6 +145,23 @@ def test_tampered_secret_key_is_data_error(base_key, tmp_path, capsys):
         assert why in err and "Traceback" not in err, name
     sk.write_text(json.dumps(good))
     assert run(capsys, "decrypt", "--sk", sk, "--ct", ct)[:2] == (0, "5a\n")
+    kct = tmp_path / "m.kct.json"
+    assert run(capsys, "hom-encrypt", "--keys", mini_keys, "--m", "1", "--out", kct)[0] == 0
+    spec, c = codehom.serial.load_ciphertext(ct)
+    kc = codehom.serial.load_kciphertext(kct)
+
+    def v1_ct(spec, c):
+        return {"format": "codehom/v1", "kind": "ct", "field_k": spec.k, "c": c.tolist()}
+    for path, doc, argv in (
+        (ct, v1_ct(spec, c), ["decrypt", "--sk", f"{base_key}.sk.json", "--ct", ct]),
+        (kct, {"format": "codehom/v1", "kind": "kct",
+               "parts": [v1_ct(kc.spec, row) for row in kc.P]},
+         ["hom-decrypt", "--keys", mini_keys, "--ct", kct, "--fresh"]),
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), doc["kind"]
+        assert "'codehom/v2'" in err and "Traceback" not in err, doc["kind"]
 
 
 def test_missing_file_is_data_error(base_key, tmp_path, capsys):
@@ -252,7 +271,8 @@ def test_hom_decrypt_wrong_part_count_is_usage_error(parts, mini_keys, tmp_path,
     assert run(capsys, "hom-encrypt", "--keys", mini_keys, "--m", "1",
                "--out", ct, "--seed", 2)[0] == 0
     doc = json.loads(ct.read_text())
-    doc["parts"] = (doc["parts"] * 3)[:parts]
+    block = doc["parts"]
+    doc["parts"] = {"shape": [parts, block["shape"][1]], "rows": (block["rows"] * 3)[:parts]}
     ct.write_text(json.dumps(doc))
     for fresh in ([], ["--fresh"]):
         code, out, err = run(capsys, "hom-decrypt", "--keys", mini_keys, "--ct", ct, *fresh)
@@ -406,6 +426,21 @@ def test_swapped_boost_files_are_data_errors(deep_keys, tmp_path, capsys):
     assert "boost 0 leads into level 2's key, not level 1's" in err and _one_clean_error(err)
 
 
+def test_foreign_boost_file_is_data_error(deep_keys, tmp_path, capsys):
+    # A boost from another key set of the same shape leads into none of
+    # this set's keys: its exit link's row sums decrypt to 1 in few parts.
+    other, keys = tmp_path / "other", tmp_path / "keys"
+    assert run(capsys, "hom-keygen", "--n", "16", "--r", "6", "--s", "3", "--field-k", "4",
+               "--k", "32", "--d", "2", "--b", "8", "--lambda-target", "0.9",
+               "--mid-n", "8", "--out", other, "--seed", "12")[0] == 0
+    shutil.copytree(deep_keys, keys)
+    shutil.copy(other / "boost1.json", keys / "boost1.json")
+    out = tmp_path / "m.kct.json"
+    code, stdout, err = run(capsys, "hom-encrypt", "--keys", keys, "--m", "1", "--out", out)
+    assert (code, stdout) == (3, "")
+    assert "boost 1 does not lead into level 2's key" in err and _one_clean_error(err)
+
+
 def _bad_hex_row(doc):
     doc["links"][2]["rows"][0] += "0"
 
@@ -415,13 +450,14 @@ def _bad_index_set(doc):
 
 
 def _bad_part(doc):
-    doc["parts"][3]["c"][0] = "x"
+    rows = doc["parts"]["rows"]
+    rows[3] = "x" + rows[3][1:]
 
 
 @pytest.mark.parametrize("name, corrupt, want", [
     ("keys/boost1.json", _bad_hex_row, "links[2] rows must each be 16 hex digits"),
     ("keys/level2.sk.json", _bad_index_set, "S must list 3 increasing row indices below 16"),
-    ("a.kct.json", _bad_part, "c must be a list of integers"),
+    ("a.kct.json", _bad_part, "parts rows hold a character that is not a hex digit"),
 ], ids=["boost", "sk", "kct part"])
 def test_load_errors_name_the_file(name, corrupt, want, deep_keys, tmp_path, capsys):
     shutil.copytree(deep_keys, tmp_path / "keys")

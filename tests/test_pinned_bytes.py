@@ -5,7 +5,10 @@ sha256 of what it wrote with a recorded digest. Any change to the RNG
 stream, to the key arithmetic or to the JSON bytes shows up here; a
 speed-up of keygen, of encryption, of the boost or of the key writer
 must leave every digest as it is.
-Key files are pinned as this package writes them, in codehom/v2.
+Every file is pinned as this package writes it, in codehom/v2: key
+files, and ciphertexts as one hex-row array (a kct's (k, n) parts, a
+ct's (n,) c). A v1 ciphertext of earlier versions is not read; the same
+seed gives the same arrays, so the same --seed writes the pinned file.
 The error-budget report is pinned by its stdout: its text format carries
 no timings, so the seed fixes every byte of it.
 """
@@ -76,12 +79,12 @@ AND_NETLIST = "inputs x0 x1\nt = AND x0 x1\noutputs t\n"
 # (preset, sha256 of the two hom-encrypt files, sha256 of the hom-eval output)
 CIPHERTEXT_CASES = {
     "desk": (
-        "fb667878a7d6ef9a0848fc6c7a37d6b0f7e631d4210ef8d45310ac3d620b8183",
-        "5fd1f0148f32a5ea7f2a5401339005b3c19a75651280e7f4f35d8b604b247b1b",
+        "4d0b97837e45d35f459d7477e7e61ce54492c9b6a2160632b4d778a5177e2365",
+        "451709709ae9acf4e90e8d47d5b80a7c326285d1d0d86a85f3afdc686c2864c2",
     ),
     "paper-dryrun": (
-        "0ef53f5724ad7ff2d9f8765dbe82c4854300efcb1c04f60d4902a8616c3d5316",
-        "c00b894c238438245bc8d23680d7e6936b12ababd1dc72a9932c3f951704e18a",
+        "37f71891cdf509c67a3ca4676a7ce1c9f0382008859d0eff4696be29b2d3cb9f",
+        "28004c23a9bfceab5c9f0616f58a086be77c069406d01ca868d895cf9d30d99e",
     ),
 }
 
@@ -108,8 +111,8 @@ def test_seeded_ciphertexts_are_pinned(preset, tmp_path, capsys):
 
 # (keygen case, sha256 of the seeded encrypt --m 5a file under that key)
 BASE_CIPHERTEXT_CASES = {
-    "keygen k=8": "29fac283f893cad903b1443d53d29aaff32e91d8269aac3bfcaa38ee2c09a9ae",
-    "keygen k=64": "4e32efdae7c29d23b7c1acd83cd228140620b75a0a197003218437832c2f254d",
+    "keygen k=8": "3246b75e78ca35788dd4a660e8b2b775a256436e65b6093ec74f8c614adbacff",
+    "keygen k=64": "79ba8bf230b12dd59eb907f946c6bc090ad170d49e4a28dff94712cf65be7ff3",
 }
 
 

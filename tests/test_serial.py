@@ -81,15 +81,17 @@ def test_ciphertext_round_trip_decrypts(keypair, tmp_path):
     assert decrypt(sk, back).value == 9
 
 
-def test_kciphertext_nests_ct_envelopes(hom_keys, tmp_path):
+def test_kciphertext_is_one_block(hom_keys, tmp_path):
+    # one (k, n) array of hex rows, a row per part, and no nested envelopes
     kc = hom_encrypt(hom_keys, 1, rng(3))
     serial.save_kciphertext(kc, tmp_path / "kct.json")
     doc = json.loads((tmp_path / "kct.json").read_text())
-    assert doc["kind"] == "kct"
-    assert len(doc["parts"]) == 32
-    assert all(part["kind"] == "ct" for part in doc["parts"])
+    assert list(doc) == ["format", "kind", "field_k", "parts"]
+    assert (doc["format"], doc["kind"], doc["field_k"]) == ("codehom/v2", "kct", 4)
+    assert doc["parts"]["shape"] == [32, 16]
+    assert all(isinstance(row, str) and len(row) == 32 for row in doc["parts"]["rows"])
     back = serial.load_kciphertext(tmp_path / "kct.json")
-    assert np.array_equal(back.P, kc.P)
+    assert back.spec == GF16 and back.P.dtype == GF16.dtype and np.array_equal(back.P, kc.P)
 
 
 def test_hom_keys_round_trip_evaluates_identically(hom_keys, tmp_path):
@@ -205,16 +207,6 @@ def test_rejects_invalid_params(keypair):
         serial.decode_public_key(doc)
 
 
-def test_rejects_inconsistent_parts(hom_keys):
-    kc = hom_encrypt(hom_keys, 0, rng(4))
-    doc = serial.encode_kciphertext(kc)
-    part = doc["parts"][3]
-    for bad in ({**part, "c": part["c"][:-1]}, {**part, "field_k": 16}):
-        doc["parts"][3] = bad
-        with pytest.raises(DataFormatError, match="inconsistent parts"):
-            serial.decode_kciphertext(doc)
-
-
 def test_rejects_non_json_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -328,12 +320,18 @@ def test_gf64_keys_load_and_reject_junk(tmp_path, capsys):
     back = serial.load_secret_key(tmp_path / "sk.json")
     for a, b in ((back_pk.P, pk.P), (back.a, sk.a), (back.M, sk.M), (back.y_dec, sk.y_dec)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    # a ciphertext is a list of plain integers: a non-integer, an entry
-    # outside the field or a ragged nesting is malformed data
-    good = serial.encode_ciphertext(gf64, encrypt(pk, FieldElement(gf64, 2**64 - 1), rng(13)))
-    assert max(good["c"]) >= 2**63
-    bad = [good["c"][:1] + [junk] + good["c"][2:] for junk in (1.5, "x", True, -1, 2**64)]
-    bad.append([good["c"][:7], good["c"][7:]])
+    # a ciphertext is one row of 16 hex digits an entry: a row of plain
+    # integers, a non-hex digit, a sign, a 17-digit entry or a ragged
+    # nesting is malformed data
+    c = encrypt(pk, FieldElement(gf64, 2**64 - 1), rng(13))
+    good = serial.encode_ciphertext(gf64, c)
+    assert int(c.max()) >= 2**63
+    assert np.array_equal(serial.decode_ciphertext(good)[1], c)
+    (row,) = good["c"]["rows"]
+    bad = [{**good["c"], "rows": rows}
+           for rows in ([c.tolist()], ["x" + row[1:]], ["-" + row[1:]], [row + "0"],
+                        [row[:112], row[112:]], [[row]])]
+    bad.append({"shape": [2, 8], "rows": [row[:128], row[128:]]})
     ct, sk_path = tmp_path / "ct.json", str(tmp_path / "sk.json")
     for c in bad:
         with pytest.raises(DataFormatError, match="^c "):
@@ -382,12 +380,10 @@ def test_mutated_ciphertext_fields_are_data_errors(hom_keys, tmp_path):
     good = serial.encode_kciphertext(hom_encrypt(hom_keys, 1, rng(8)))
     ct = tmp_path / "m.kct.json"
     docs = [{**good, field: junk} for field in good for junk in JUNK]
-    docs += [{**good, "parts": [{**good["parts"][0], field: junk}] + good["parts"][1:]}
-             for field in good["parts"][0] for junk in JUNK]
-    # each part well formed on its own: one in another valid field, one an entry short
-    part = good["parts"][3]
-    docs += [{**good, "parts": good["parts"][:3] + [bad] + good["parts"][4:]}
-             for bad in ({**part, "field_k": 16}, {**part, "c": part["c"][:-1]})]
+    docs += [{**good, "parts": {**good["parts"], field: junk}}
+             for field in good["parts"] for junk in JUNK]
+    # rows of one field read under another: GF(2^16) takes 4 digits an entry
+    docs.append({**good, "field_k": 16})
     for doc in docs:
         serial.save_json(doc, ct)
         with pytest.raises(DataFormatError):
@@ -406,34 +402,52 @@ HEX_MUTATIONS = {
     "shape disagrees with rows": lambda a: {**a, "shape": [a["shape"][0] + 1] + a["shape"][1:]},
     "non-list rows": lambda a: {**a, "rows": "".join(a["rows"])},
     "entry >= q": lambda a: {**a, "rows": ["10" + a["rows"][0][2:]] + a["rows"][1:]},
+    "empty first dimension": lambda a: {"shape": [0] + a["shape"][1:],
+                                        "rows": [] if len(a["shape"]) > 1 else [""]},
+    "empty last dimension": lambda a: {"shape": a["shape"][:-1] + [0],
+                                       "rows": [""] * len(a["rows"])},
 }
 
 
 @pytest.mark.parametrize("case", list(HEX_MUTATIONS))
 def test_mutated_hex_rows_are_data_errors(case, keypair, hom_keys, tmp_path, capsys):
+    # one array at a time: a public key's P, a boost's link, a ct's c and a kct's parts
     mutate = HEX_MUTATIONS[case]
-    pk_path = tmp_path / "pk.json"
+    pk, sk = keypair
     keys = tmp_path / "keys"
-    serial.save_public_key(keypair[0], pk_path)
+    pk_path, sk_path, ct_path, kct_path = (
+        str(tmp_path / name) for name in ("pk.json", "sk.json", "ct.json", "m.kct.json"))
+    serial.save_secret_key(sk, sk_path)
     serial.save_hom_keys(hom_keys, keys)
-    doc = serial.load_json(pk_path)
-    serial.save_json({**doc, "P": mutate(doc["P"])}, pk_path)
-    boost = serial.load_json(keys / "boost0.json")
-    boost["links"][1] = mutate(boost["links"][1])
-    serial.save_json(boost, keys / "boost0.json")
-    out = str(tmp_path / "ct.json")
+    boost_path = str(keys / "boost0.json")
+    boost = serial.load_json(boost_path)
+    links = boost["links"][:1] + [mutate(boost["links"][1])] + boost["links"][2:]
+    pk_doc = serial.encode_public_key(pk)
+    ct_doc = serial.encode_ciphertext(GF16, encrypt(pk, FieldElement(GF16, 9), rng(1)))
+    kct_doc = serial.encode_kciphertext(hom_encrypt(hom_keys, 1, rng(3)))
+    out = str(tmp_path / "out.json")
     capsys.readouterr()
-    for argv in (["encrypt", "--pk", str(pk_path), "--m", "1", "--out", out],
-                 ["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]):
-        assert main(argv) == 3
+    for path, good, bad, argv in (
+        (pk_path, pk_doc, {**pk_doc, "P": mutate(pk_doc["P"])},
+         ["encrypt", "--pk", pk_path, "--m", "1", "--out", out]),
+        (boost_path, boost, {**boost, "links": links},
+         ["hom-encrypt", "--keys", str(keys), "--m", "1", "--out", out]),
+        (ct_path, ct_doc, {**ct_doc, "c": mutate(ct_doc["c"])},
+         ["decrypt", "--sk", sk_path, "--ct", ct_path]),
+        (kct_path, kct_doc, {**kct_doc, "parts": mutate(kct_doc["parts"])},
+         ["hom-decrypt", "--keys", str(keys), "--ct", kct_path, "--fresh"]),
+    ):
+        serial.save_json(bad, path)
+        assert main(argv) == 3, argv[0]
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        serial.save_json(good, path)
 
 
 @pytest.mark.parametrize("name", ["meta.json", "level0.pk.json", "level0.sk.json", "boost0.json"])
 def test_key_file_tagged_v1_is_data_error(name, hom_keys, tmp_path, capsys):
-    # key files have one format; v1 is left to ciphertexts
+    # every file has one format, and v1 is none of them
     keys = tmp_path / "keys"
     serial.save_hom_keys(hom_keys, keys)
     doc = serial.load_json(keys / name)
