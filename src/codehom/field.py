@@ -16,6 +16,15 @@ adds a second case, for column-times-row products such as the steps of
 matmul_arrays: a table of every multiple of each row, sliced from the
 product table and gathered a whole row at a time. Above k = 16
 multiplication is a shift-and-reduce bit loop.
+
+Every table lookup is an ndarray.take (_gather). On a desk level-1 gate
+shape, (2048, 3, 32, 16) at k = 8, take runs 1.4-1.8 ns per element
+where indexing the table with the same uint16 index ran 3.1-3.5 ns
+(best of 7, numpy 2.4 on a 2-core Xeon host). take first copies its
+whole index to intp, 8 bytes per element, so a long index is gathered
+in blocks of _GATHER_BLOCK elements: the copy then stays at 512 KB,
+where a 4M-element product would need 32 MB. 2^16 was the fastest of
+the block sizes 2^12 to 2^18 on that shape at k = 8 and k = 16.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ MODULI = {
 
 _TABLE_LIMIT = 16   # largest k that gets log/exp tables
 _PRODUCT_LIMIT = 8  # largest k that gets a q x q product table
+_GATHER_BLOCK = 1 << 16  # index elements _gather converts to intp at a time
 
 # mul_arrays gathers rows from a table of a row operand's multiples whenever
 # that table has no more elements than the output it replaces. Measured at
@@ -217,18 +227,21 @@ def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
     two cases runs:
 
     - element-wise: one gather from the product table at (a << k) | b,
-      formed in uint16 (about 5 ns per element at k = 8, against 11-13
-      ns for log/exp);
+      formed in uint16 (1.4-1.8 ns per element at k = 8 on a desk gate
+      shape, against 9-10 ns for log/exp);
     - column x row: one operand's last axis is 1 and the other's (the
       row operand) is not, as in the steps A[..., :, t, None] *
       B[..., t, None, :] of matmul_arrays. Every multiple of each row is
       sliced from the product table once, and the output is gathered a
-      whole row at a time (0.16-0.3 ns per element in a desk boost).
-      Taken whenever the table has no more elements than the output.
+      whole row at a time (0.18-0.23 ns per element on a desk level-1
+      link step). Taken whenever the table has no more elements than
+      the output.
 
-    For k = 16 the product is exp[log[a] + log[b]], element-wise; above
-    k = 16 it is _mul_bitloop's shift-and-reduce. The result never
-    shares memory with the tables or the inputs.
+    For k = 16 the product is exp[log[a] + log[b]], element-wise (7.4-7.7
+    ns per element on the same gate shape). Above k = 16 it is
+    _mul_bitloop's shift-and-reduce. Every table lookup goes through
+    _gather, so an operand past its table raises IndexError. The result
+    never shares memory with the tables or the inputs.
     """
     a = np.asarray(a, dtype=spec.dtype)
     b = np.asarray(b, dtype=spec.dtype)
@@ -236,14 +249,31 @@ def mul_arrays(spec: FieldSpec, a, b) -> np.ndarray:
         return _mul_bitloop(spec, a, b)
     # asarray: with two 0-d operands a gather gives a numpy scalar.
     if spec._prod is None:
-        return np.asarray(spec._exp[spec._log[a] + spec._log[b]])
+        return np.asarray(_gather(spec._exp, _gather(spec._log, a) + _gather(spec._log, b)))
     if a.ndim and b.ndim and (a.shape[-1] == 1) != (b.shape[-1] == 1):
         col, row = (a, b) if a.shape[-1] == 1 else (b, a)
         rows = math.prod(row.shape[:-1])
         table, out = rows * spec.q * row.shape[-1], np.broadcast(a, b).size
         if table <= out:
             return _mul_rows(spec, col, row, rows)
-    return np.asarray(spec._prod[np.left_shift(a, spec.k, dtype=np.uint16) | b])
+    return np.asarray(_gather(spec._prod, np.left_shift(a, spec.k, dtype=np.uint16) | b))
+
+
+def _gather(table: np.ndarray, idx) -> np.ndarray:
+    """table[idx] for a 1-D table, through ndarray.take.
+
+    An index longer than _GATHER_BLOCK is gathered one contiguous block
+    at a time into a preallocated output. take keeps mode='raise', so an
+    index past the table raises IndexError, as table[idx] does.
+    """
+    if idx.size <= _GATHER_BLOCK:
+        return table.take(idx)
+    idx = np.ascontiguousarray(idx)
+    out = np.empty(idx.shape, dtype=table.dtype)
+    flat, dest = idx.reshape(-1), out.reshape(-1)
+    for i in range(0, idx.size, _GATHER_BLOCK):
+        table.take(flat[i : i + _GATHER_BLOCK], out=dest[i : i + _GATHER_BLOCK])
+    return out
 
 
 def _mul_rows(spec: FieldSpec, col: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
@@ -252,7 +282,7 @@ def _mul_rows(spec: FieldSpec, col: np.ndarray, row: np.ndarray, rows: int) -> n
     flat = row.reshape(rows, n)
     table = spec._prod.reshape(q, q)[flat].transpose(0, 2, 1).reshape(rows * q, n)
     row_base = np.arange(0, rows * q, q, dtype=np.intp).reshape(row.shape[:-1])
-    return np.take(table, row_base + col[..., 0], axis=0)
+    return table.take(row_base + col[..., 0], axis=0)
 
 
 def _mul_bitloop(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,7 +308,7 @@ def inv_arrays(spec: FieldSpec, a) -> np.ndarray:
     if np.any(a == 0):
         raise ZeroDivisionError("zero has no multiplicative inverse")
     if spec._log is not None:
-        return spec._exp[(spec.q - 1) - spec._log[a]]
+        return _gather(spec._exp, (spec.q - 1) - _gather(spec._log, a))
     return pow_arrays(spec, a, spec.q - 2)
 
 

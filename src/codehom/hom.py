@@ -36,6 +36,7 @@ from .errors import ParameterError, UsageError
 from .booster import boost_arrays, boost_aux_gen, build_expander, chain_params
 from .circuit import Circuit, apxmaj_depth, build_apxmaj, compile_schedule, run_schedule
 from .field import FieldElement, FieldSpec
+from .linalg import matmul_arrays
 from .scheme import (
     Params,
     SecretKey,
@@ -115,6 +116,10 @@ class HomKeys:
         for i, (pk, sk) in enumerate(levels):
             if pk.params != params or sk.params != params:
                 raise UsageError(f"level {i} keys do not match the key set's parameters")
+            # P = MR and y_dec . M = 0, so y_dec . P is the zero row whatever
+            # the noise rate: a public key from another key set fails it.
+            if matmul_arrays(params.field, sk.y_dec[None, :], pk.P).any():
+                raise UsageError(f"level {i}'s public key does not match its secret key")
         for i, aux in enumerate(boosts):
             if aux.source_params != params or aux.target_params != params:
                 raise UsageError(f"boost {i} does not link level {i} to level {i + 1}")

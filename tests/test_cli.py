@@ -441,6 +441,26 @@ def test_foreign_boost_file_is_data_error(deep_keys, tmp_path, capsys):
     assert "boost 1 does not lead into level 2's key" in err and _one_clean_error(err)
 
 
+def test_foreign_public_key_is_data_error(tmp_path, capsys):
+    # A level's pk from another key set of the same shape: y_dec . P is
+    # no longer the zero row, and every command that loads the set says so.
+    sets = {}
+    for seed in (11, 12):
+        sets[seed] = tmp_path / f"hk{seed}"
+        assert run(capsys, "hom-keygen", "--n", "16", "--r", "6", "--s", "3", "--field-k", "4",
+                   "--k", "32", "--d", "1", "--b", "8", "--lambda-target", "0.9",
+                   "--mid-n", "8", "--out", sets[seed], "--seed", str(seed))[0] == 0
+    keys, ct = sets[11], tmp_path / "m.kct.json"
+    assert run(capsys, "hom-encrypt", "--keys", keys, "--m", "1", "--out", ct)[0] == 0
+    shutil.copy(sets[12] / "level0.pk.json", keys / "level0.pk.json")
+    for argv in (("hom-decrypt", "--keys", keys, "--ct", ct, "--fresh"),
+                 ("hom-encrypt", "--keys", keys, "--m", "1", "--out", tmp_path / "x.kct.json")):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        assert "level 0's public key does not match its secret key" in err
+        assert str(keys) in err and _one_clean_error(err)
+
+
 def _bad_hex_row(doc):
     doc["links"][2]["rows"][0] += "0"
 

@@ -5,6 +5,8 @@ reduces by long division, sharing no code with the library's table and
 bit-loop kernels. Frozen values were computed by hand from the modulus.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +310,92 @@ def test_mul_arrays_strided_halves_match_bitloop(k, shape, half, zero_rate, seed
     if shape:
         W = sample(f, rng, shape + (2 * half,), zero_rate)
         checked_mul(f, W[..., 1::2], W[..., 0::2])
+
+
+# --- the blocked gather --------------------------------------------------------
+
+BLOCK = field._GATHER_BLOCK
+# Output sizes either side of one block, and several blocks plus a
+# remainder; None makes both operands 0-d.
+GATHER_SIZES = [None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]
+
+
+def operand_pair(f, rng, size, layout, zero_rate):
+    """Two operands whose product holds size elements (2 or 3 times that
+    for "outer" and "transposed"), laid out as the kernels' callers lay
+    them out."""
+    if size is None:
+        return sample(f, rng, (), zero_rate), sample(f, rng, (), zero_rate)
+    if layout == "zero-d":
+        return sample(f, rng, (size,), zero_rate), sample(f, rng, (), zero_rate)
+    if layout == "outer":  # both operands broadcast; the column is too short for the row case
+        return sample(f, rng, (1, size), zero_rate), sample(f, rng, (2, 1), zero_rate)
+    if layout == "halves":  # walk_gtree's V[0::2] x V[1::2]
+        V = sample(f, rng, (2 * size,), zero_rate)
+        return V[0::2], V[1::2]
+    if layout == "transposed":  # Fortran-ordered operands give a Fortran-ordered index
+        X = sample(f, rng, (2, 3, size), zero_rate)
+        return X[0].T, X[1].T
+    return sample(f, rng, (size,), zero_rate), sample(f, rng, (size,), zero_rate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from((4, 8, 16)),
+    size=st.sampled_from(GATHER_SIZES),
+    layout=st.sampled_from(["flat", "zero-d", "outer", "halves", "transposed"]),
+    zero_rate=st.sampled_from([0.0, 0.3]),
+    swap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_gather_matches_bitloop_and_log_exp(k, size, layout, zero_rate, swap, seed):
+    f = SPECS[k]
+    rng = np.random.default_rng(seed)
+    a, b = operand_pair(f, rng, size, layout, zero_rate)
+    if swap:
+        a, b = b, a
+    got = checked_mul(f, a, b)
+    log = f._log.astype(np.int64)
+    assert np.array_equal(got, f._exp[log[a] + log[b]])
+    nz = np.where(a == 0, 1, a)
+    assert np.array_equal(inv_arrays(f, nz), f._exp[(f.q - 1) - log[nz]])
+
+
+def test_blocked_gather_bounds_transient_memory():
+    # The index is uint16, 2 bytes per element; take converts what it is
+    # given to intp, 8 bytes per element. Handed the whole index at once
+    # that alone is 10 bytes per element on top of the output.
+    f = SPECS[8]
+    rng = np.random.default_rng(9000)
+    n = 1 << 22
+    a, b = random_elements(f, rng, n), random_elements(f, rng, n)
+    tracemalloc.start()
+    try:
+        got = mul_arrays(f, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes < 4 * n
+    assert np.array_equal(got[:4096], _mul_bitloop(f, a[:4096], b[:4096]))
+
+
+@pytest.mark.parametrize("size", [BLOCK, 3 * BLOCK + 17])
+def test_non_canonical_operand_raises_index_error(size):
+    # a << 4 | b leaves the 256-entry GF(16) product table once a >= 16,
+    # and a >= 16 leaves the 16-entry log table: in any block of the gather.
+    f = SPECS[4]
+    rng = np.random.default_rng(9100)
+    for at in (0, size // 2, size - 1):
+        a, b = random_nonzero(f, rng, size), random_elements(f, rng, size)
+        a[at] = 16
+        with pytest.raises(IndexError):
+            mul_arrays(f, a, b)
+        with pytest.raises(IndexError):
+            inv_arrays(f, a)
+    with pytest.raises(IndexError):
+        mul_arrays(f, np.uint8(16), np.uint8(1))
+    with pytest.raises(IndexError):
+        inv_arrays(f, np.uint8(16))
 
 
 # --- field axioms -------------------------------------------------------------
