@@ -7,7 +7,7 @@ Run: python3 demos/reencryption_chain.py
 import numpy as np
 
 from codehom.circuit import build_corr
-from codehom.field import FieldElement, FieldSpec, mul_arrays
+from codehom.field import FieldSpec, mul_arrays
 from codehom.reencrypt import (
     aux_gen_basic,
     aux_is_good,
@@ -17,11 +17,9 @@ from codehom.reencrypt import (
 )
 from codehom.scheme import (
     Params,
-    decrypt,
+    dec_membership_batch,
     decrypt_batch,
-    enc_space_contains,
-    dec_space_contains,
-    encrypt,
+    enc_membership_batch,
     encrypt_batch,
     keygen,
 )
@@ -31,26 +29,30 @@ GF16 = FieldSpec(4)
 p = Params(n=16, r=6, s=3, field=GF16, eta=0.0)
 
 pk, sk = keygen(p, rng)
-a, b = FieldElement(GF16, 3), FieldElement(GF16, 7)
-ca, cb = encrypt(pk, a, rng), encrypt(pk, b, rng)
+a, b = 3, 7
+ab = int(mul_arrays(GF16, a, b))
+# one call per one-row block: a two-row call would draw both rows' randomness
+# before either row's noise, and so encrypt differently
+ca, cb = encrypt_batch(pk, [a], rng), encrypt_batch(pk, [b], rng)
 
 s = ca ^ cb
-print(f"xor: decrypts to {decrypt(sk, s).value} (= 3 xor 7),",
-      f"still a valid encryption: {enc_space_contains(sk, a + b, s)}")
+print(f"xor: decrypts to {decrypt_batch(sk, s)[0]} (= 3 xor 7),",
+      f"still a valid encryption: {enc_membership_batch(sk, [a ^ b], s)[0]}")
 
 prod = mul_arrays(GF16, ca, cb)
-print(f"mul: decrypts to {decrypt(sk, prod).value} (= 3*7 in GF(16)),",
-      f"decryptable member: {dec_space_contains(sk, a * b, prod)}")
+print(f"mul: decrypts to {decrypt_batch(sk, prod)[0]} (= 3*7 in GF(16)),",
+      f"decryptable member: {dec_membership_batch(sk, [ab], prod)[0]}")
 
 # Products decrypt correctly but generically fall out of the encryption
 # space (the rare survivors below are chance hits, ~2/q of pairs).
 pairs = 200
 in_enc = in_dec = 0
 for _ in range(pairs):
-    u, v = (FieldElement(GF16, int(x)) for x in rng.integers(0, GF16.q, 2))
-    pr = mul_arrays(GF16, encrypt(pk, u, rng), encrypt(pk, v, rng))
-    in_enc += enc_space_contains(sk, u * v, pr)
-    in_dec += dec_space_contains(sk, u * v, pr)
+    u, v = (int(x) for x in rng.integers(0, GF16.q, 2))
+    pr = mul_arrays(GF16, encrypt_batch(pk, [u], rng), encrypt_batch(pk, [v], rng))
+    uv = [mul_arrays(GF16, u, v)]
+    in_enc += int(enc_membership_batch(sk, uv, pr)[0])
+    in_dec += int(dec_membership_batch(sk, uv, pr)[0])
 print(f"over {pairs} random products: decryptable {in_dec}/{pairs},",
       f"still valid encryptions {in_enc}/{pairs}")
 
@@ -58,8 +60,8 @@ pk2, sk2 = keygen(p, rng)
 link = aux_gen_basic(sk, pk2, rng)
 print(f"\naux generated under a fresh key; good: {aux_is_good(link, sk, sk2)}")
 back = reencrypt_rows(GF16, link, prod)
-print(f"reencrypted product: decrypts to {decrypt(sk2, back).value},",
-      f"valid encryption again: {enc_space_contains(sk2, a * b, back)}")
+print(f"reencrypted product: decrypts to {decrypt_batch(sk2, back)[0]},",
+      f"valid encryption again: {enc_membership_batch(sk2, [ab], back)[0]}")
 
 # The same mechanism, chained, drives error correction: CORR_2 takes four
 # copies of a bit, one possibly ruined, and returns the bit.

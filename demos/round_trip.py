@@ -5,8 +5,8 @@ Run: python3 demos/round_trip.py
 
 import numpy as np
 
-from codehom.field import FieldElement, FieldSpec, random_elements
-from codehom.scheme import Params, decrypt, decrypt_batch, encrypt, encrypt_batch, keygen
+from codehom.field import FieldSpec, random_elements
+from codehom.scheme import Params, decrypt_batch, encrypt_batch, keygen
 
 rng = np.random.default_rng(7)
 GF256 = FieldSpec(8)
@@ -16,10 +16,10 @@ pk, sk = keygen(p, rng)
 print(f"key pair over GF(2^{GF256.k}): ciphertexts are length-{p.n} vectors,")
 print(f"randomness has length r={p.r}, the hidden trapdoor set is S={sk.S}")
 
-m = FieldElement(GF256, 0x5A)
-c = encrypt(pk, m, rng)
-print(f"\nencrypt(0x{m.value:02x}) -> first coords {c[:6].tolist()}...")
-print(f"decrypt -> 0x{decrypt(sk, c).value:02x} (noiseless, always exact)")
+m = 0x5A
+c = encrypt_batch(pk, [m], rng)[0]  # a ciphertext is its (n,) row
+print(f"\nencrypt(0x{m:02x}) -> first coords {c[:6].tolist()}...")
+print(f"decrypt -> 0x{decrypt_batch(sk, c[None])[0]:02x} (noiseless, always exact)")
 
 noisy = Params(n=24, r=9, s=3, field=GF256, eta=0.05)
 pk2, sk2 = keygen(noisy, rng)

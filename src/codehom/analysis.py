@@ -38,7 +38,7 @@ from .errors import UsageError
 from .booster import boost_arrays
 from .circuit import build_corr
 from .field import FieldSpec, random_distinct_batch, random_elements
-from .hom import BoostConfig, KCiphertext, enc_k_contains, hom_encrypt, hom_keygen
+from .hom import BoostConfig, enc_k_contains, hom_encrypt, hom_keygen
 from .linalg import rank_batch, vandermonde_array
 from .reencrypt import chain_eval_arrays, chain_keygen, chain_keygen_batch
 from .scheme import (
@@ -316,8 +316,7 @@ def _boost_row(trials: int, rng: np.random.Generator) -> BudgetRow:
         m = int(rng.integers(2))
         C = hom_encrypt(hk, m, rng).P
         C[rng.choice(k, size=bad, replace=False)] = random_elements(p.field, rng, (bad, p.n))
-        out = KCiphertext(p.field, boost_arrays(hk.boosts[0], C))
-        failures += not enc_k_contains(hk.sk_top, m, out)
+        failures += not enc_k_contains(hk.sk_top, m, boost_arrays(hk.boosts[0], C))
     return _budget_row(
         "boost contract at k/16 corruption", 0.0, trials, failures, t0,
         {"n": p.n, "k": k, "b": 16, "corrupted": bad},

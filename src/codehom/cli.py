@@ -43,9 +43,9 @@ from .analysis import (
     to_json,
 )
 from .circuit import parse_netlist
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .hom import BoostConfig, hdec, hom_decrypt, hom_encrypt, hom_eval, hom_keygen
-from .scheme import Params, decrypt, encrypt, keygen, params_from_alpha
+from .scheme import Params, decrypt_batch, encrypt_batch, keygen, params_from_alpha
 from .serial import (
     load_ciphertext,
     load_hom_keys,
@@ -131,8 +131,8 @@ def _cmd_keygen(args) -> None:
 
 def _cmd_encrypt(args) -> None:
     pk = load_public_key(args.pk)
-    m = FieldElement(pk.params.field, _parse_hex(args.m))
-    save_ciphertext(m.spec, encrypt(pk, m, np.random.default_rng(args.seed)), args.out)
+    C = encrypt_batch(pk, [_parse_hex(args.m)], np.random.default_rng(args.seed))
+    save_ciphertext(pk.params.field, C[0], args.out)
     print(f"wrote {args.out}")
 
 
@@ -141,7 +141,7 @@ def _cmd_decrypt(args) -> None:
     spec, c = load_ciphertext(args.ct)
     if spec != sk.params.field or len(c) != sk.params.n:
         raise UsageError("ciphertext does not match this key's field and length")
-    print(f"{decrypt(sk, c).value:x}")
+    print(f"{decrypt_batch(sk, c[None])[0]:x}")
 
 
 _DESK = dict(n=128, r=48, s=12, field_k=8, eta=0.0, parts=32, depth=2,
@@ -245,10 +245,10 @@ def _cmd_selftest(args) -> None:
         save_public_key(pk, f"{d}/pk.json")
         save_secret_key(sk, f"{d}/sk.json")
         pk, sk = load_public_key(f"{d}/pk.json"), load_secret_key(f"{d}/sk.json")
-    for want in range(256):
-        ct = encrypt(pk, FieldElement(p.field, want), rng)
-        if decrypt(sk, ct).value != want:
-            raise BoundFailure(f"selftest: noiseless round-trip lost message {want:#x}")
+    ms = np.arange(p.field.q)
+    lost = np.flatnonzero(decrypt_batch(sk, encrypt_batch(pk, ms, rng)) != ms)
+    if lost.size:
+        raise BoundFailure(f"selftest: noiseless round-trip lost message {lost[0]:#x}")
     print("ok -- noiseless encrypt/decrypt round-trip, keys through files")
 
     report = _run_split(

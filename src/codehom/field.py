@@ -2,9 +2,10 @@
 
 Elements are stored as integer bit patterns: bit j of the value is the
 coefficient of gamma^j, where gamma is the residue of the indeterminate in
-F_2[x]/(modulus). Scalar work goes through FieldElement; bulk work goes
-through the *_arrays kernels, which operate on numpy integer arrays and
-carry no per-element Python overhead.
+F_2[x]/(modulus). Arithmetic runs through the *_arrays kernels, which
+operate on numpy integer arrays and carry no per-element Python
+overhead. FieldElement, one value and its field, is the scalar that
+circuit.eval_plain computes with and that hom.hdec returns.
 
 For k <= 16 multiplication runs on tables cached per k and shared,
 read-only, by every spec of that degree. Zero gets the sentinel log
@@ -166,15 +167,6 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(k={self.k}, modulus={self.modulus:#x})"
 
-    @property
-    def gamma(self) -> "FieldElement":
-        """The residue of the indeterminate; an F_2-generator of the field."""
-        return FieldElement(self, 2)
-
-    @property
-    def hex_digits(self) -> int:
-        return (self.k + 3) // 4
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -191,8 +183,6 @@ class FieldElement:
         _check_same(self, other)
         return FieldElement(self.spec, self.value ^ other.value)
 
-    __sub__ = __add__  # characteristic 2
-
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         _check_same(self, other)
         return FieldElement(
@@ -200,14 +190,8 @@ class FieldElement:
             _scalar_mul(self.value, other.value, self.spec.k, self.spec.modulus),
         )
 
-    def __bool__(self):
-        return self.value != 0
-
-    def hex(self) -> str:
-        return format(self.value, f"0{self.spec.hex_digits}x")
-
     def __repr__(self):
-        return f"FieldElement({self.hex()})"
+        return f"FieldElement({self.value:0{(self.spec.k + 3) // 4}x})"
 
 
 def _check_same(a: FieldElement, b: FieldElement):

@@ -42,6 +42,7 @@ from .scheme import (
     SecretKey,
     check_entries,
     check_key_entries,
+    check_messages,
     dec_membership_batch,
     decrypt_batch,
     enc_membership_batch,
@@ -233,25 +234,16 @@ def hom_keygen(
     return HomKeys(p, k, levels, boosts)
 
 
-def _as_value(spec: FieldSpec, m) -> int:
-    if isinstance(m, FieldElement):
-        if m.spec != spec:
-            raise UsageError("message comes from a different field")
-        return m.value
-    return FieldElement(spec, int(m)).value
-
-
-def hom_encrypt(hk: HomKeys, m, rng: np.random.Generator) -> KCiphertext:
+def hom_encrypt(hk: HomKeys, m: int, rng: np.random.Generator) -> KCiphertext:
     """k independent level-0 encryptions of one message.
 
     With boosts present the message must be a bit; anything wider
     survives encryption and voting but not evaluation.
     """
-    value = _as_value(hk.params.field, m)
-    if hk.boosts and value > 1:
-        raise UsageError(f"boosted keys carry bits, got message {value}")
-    C = encrypt_batch(hk.levels[0][0], np.full(hk.k, value), rng)
-    return KCiphertext(hk.params.field, C)
+    ms = check_messages(hk.params.field, [m] * hk.k)
+    if hk.boosts and ms[0] > 1:
+        raise UsageError(f"boosted keys carry bits, got message {m}")
+    return KCiphertext(hk.params.field, encrypt_batch(hk.levels[0][0], ms, rng))
 
 
 def _fits(hk: HomKeys, kc: KCiphertext) -> bool:
@@ -279,18 +271,15 @@ def hdec(hk: HomKeys, kc: KCiphertext) -> FieldElement:
     return _plurality(hk, hk.sk_top, kc)
 
 
-def enc_k_contains(sk: SecretKey, m, kc: KCiphertext) -> bool:
-    """At least ceil(31k/32) parts in the strict encryption space of m."""
-    value = _as_value(sk.params.field, m)
-    good = int(enc_membership_batch(sk, np.full(kc.k, value), kc.P).sum())
-    return good >= enc_k_threshold(kc.k)
+def enc_k_contains(sk: SecretKey, m: int, P: np.ndarray) -> bool:
+    """At least ceil(31k/32) of the k parts of the (k, n) block P in the
+    strict encryption space of m."""
+    return int(enc_membership_batch(sk, [m] * len(P), P).sum()) >= enc_k_threshold(len(P))
 
 
-def dec_k_contains(sk: SecretKey, m, kc: KCiphertext) -> bool:
-    """At least ceil(15k/16) parts decrypting to m."""
-    value = _as_value(sk.params.field, m)
-    good = int(dec_membership_batch(sk, np.full(kc.k, value), kc.P).sum())
-    return good >= dec_k_threshold(kc.k)
+def dec_k_contains(sk: SecretKey, m: int, P: np.ndarray) -> bool:
+    """At least ceil(15k/16) of the k parts of the (k, n) block P decrypting to m."""
+    return int(dec_membership_batch(sk, [m] * len(P), P).sum()) >= dec_k_threshold(len(P))
 
 
 def hom_eval(

@@ -37,9 +37,11 @@ A key is its arrays: PublicKey.P is the (n, r) array P, and SecretKey
 holds a (n,), M (n, r) and y_dec (n,), all of the field's dtype, next to
 the index tuple S. KeyStack.pair hands out row t of each stacked array.
 
-A ciphertext is its length-n row, and a block of them a (T, n) array.
-Pointwise operations on rows are the homomorphic ones. The sum c ^ d of
-two valid encryptions is again a valid encryption. The product
+A message is an int in [0, q), and a block of them a (T,) integer array;
+check_messages holds that rule, and encrypt_batch and the membership
+audits apply it. A ciphertext is its length-n row, and a block of them
+a (T, n) array. Pointwise operations on rows are the homomorphic ones.
+The sum c ^ d of two valid encryptions is again a valid encryption. The product
 mul_arrays(spec, c, d) is weaker: it decrypts to the product but lands
 outside the encryption space (the noiseless part picks up tensor
 structure the key matrix cannot express), which is exactly what
@@ -57,7 +59,6 @@ import numpy as np
 from .errors import ParameterError, UsageError
 from .field import (
     MODULI,
-    FieldElement,
     FieldSpec,
     inv_arrays,
     mul_arrays,
@@ -279,11 +280,19 @@ def noise_array(p: Params, rng: np.random.Generator, shape) -> np.ndarray:
     return np.where(hit, vals, p.field.dtype(0))
 
 
-def encrypt(pk: PublicKey, m: FieldElement, rng: np.random.Generator) -> np.ndarray:
-    """encrypt_batch's one-row case: the same draws from rng, the same (n,) row."""
-    if m.spec != pk.params.field:
-        raise UsageError("message must live in the key's field")
-    return encrypt_batch(pk, [m.value], rng)[0]
+def check_messages(spec: FieldSpec, ms) -> np.ndarray:
+    """ms as an array of spec's dtype; UsageError unless it is a nonempty
+    (T,) integer array with every value in [0, q)."""
+    ms = np.asarray(ms)
+    # numpy holds an int past 64 bits as an object, and a list mixing
+    # negatives with ints past 2^63 as floats
+    if ms.dtype.kind not in "iu" or ms.ndim != 1 or not ms.size:
+        raise UsageError(f"messages must be a nonempty (T,) integer array, got {ms.dtype} "
+                         f"of shape {ms.shape}")
+    lo, hi = int(ms.min()), int(ms.max())
+    if lo < 0 or hi >= spec.q:
+        raise UsageError(f"message {lo if lo < 0 else hi} outside field of size {spec.q}")
+    return ms.astype(spec.dtype, copy=False)
 
 
 def draw_encryption(p: Params, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, ...]:
@@ -311,16 +320,12 @@ def encrypt_arrays(
 def encrypt_batch(pk: PublicKey, ms: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """(T, n) ciphertext block for a (T,) message block; one fresh x, e per row."""
     p = pk.params
-    ms = np.asarray(ms, dtype=p.field.dtype)
+    ms = check_messages(p.field, ms)
     return encrypt_arrays(p.field, pk.P, ms, *draw_encryption(p, rng, ms.shape[0]))
 
 
-def decrypt(sk: SecretKey, c: np.ndarray) -> FieldElement:
-    """<y, c> as one row of decrypt_batch; correctness is probabilistic, the value is defined."""
-    return FieldElement(sk.params.field, int(decrypt_batch(sk, c[None])[0]))
-
-
 def decrypt_batch(sk: SecretKey, C: np.ndarray) -> np.ndarray:
+    """<y, c> for each row c of C; correctness is probabilistic, the value is defined."""
     spec = sk.params.field
     return dot_arrays(spec, sk.y_dec[None, :], np.asarray(C, dtype=spec.dtype))
 
@@ -354,19 +359,11 @@ def enc_membership_arrays(
 
 def enc_membership_batch(sk: SecretKey, ms: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Row t is True iff C[t] is a noiseless-on-S encryption of ms[t]."""
-    S = np.asarray(sk.S)[None]
-    return enc_membership_arrays(sk.params, sk.M[None], S, np.asarray(ms)[None],
+    ms = check_messages(sk.params.field, ms)
+    return enc_membership_arrays(sk.params, sk.M[None], np.asarray(sk.S)[None], ms[None],
                                  np.asarray(C)[None])[0]
 
 
-def enc_space_contains(sk: SecretKey, m: FieldElement, c: np.ndarray) -> bool:
-    return bool(enc_membership_batch(sk, [m.value], c[None])[0])
-
-
 def dec_membership_batch(sk: SecretKey, ms: np.ndarray, C: np.ndarray) -> np.ndarray:
-    spec = sk.params.field
-    return decrypt_batch(sk, C) == np.asarray(ms, dtype=spec.dtype)
-
-
-def dec_space_contains(sk: SecretKey, m: FieldElement, c: np.ndarray) -> bool:
-    return decrypt(sk, c).value == m.value
+    """Row t is True iff C[t] decrypts to ms[t]."""
+    return decrypt_batch(sk, C) == check_messages(sk.params.field, ms)

@@ -62,7 +62,7 @@ SPECS = {k: FieldSpec(k) for k in MODULI}
 
 def test_gf4_frozen():
     f = SPECS[2]
-    g = f.gamma
+    g = FieldElement(f, 2)  # gamma, the residue of x
     assert (g * g).value == 3                   # x^2 = x + 1
     assert int(inv_arrays(f, g.value)) == 3     # x(x+1) = x^2 + x = 1
     assert int(pow_arrays(f, g.value, 3)) == 1  # multiplicative order 3
@@ -486,7 +486,7 @@ def test_decompose_is_gamma_expansion():
     acc = 0
     for j in range(f.k):
         if (a >> j) & 1:
-            acc ^= int(pow_arrays(f, f.gamma.value, j))
+            acc ^= int(pow_arrays(f, 2, j))
     assert acc == a
 
 
@@ -528,18 +528,12 @@ def test_zero_inverse_rejected():
 
 
 def test_hex_round_trip():
-    f = SPECS[16]
-    el = FieldElement(f, 0x00B)
-    assert el.hex() == "000b"
-    assert FieldElement(f, int("000b", 16)).value == el.value
-    assert f.hex_digits == 4
-    f64 = SPECS[64]
-    v = FieldElement(f64, (1 << 63) | 5)
-    assert FieldElement(f64, int(v.hex(), 16)).value == v.value
-
-
-def test_gamma_small_fields():
-    assert SPECS[2].gamma.value == 2
+    # repr prints the value in hex, zero-padded to the field's ceil(k/4) digits
+    assert repr(FieldElement(SPECS[16], 0x00B)) == "FieldElement(000b)"
+    assert repr(FieldElement(SPECS[2], 2)) == "FieldElement(2)"
+    v = FieldElement(SPECS[64], (1 << 63) | 5)
+    assert repr(v) == "FieldElement(8000000000000005)"
+    assert FieldElement(SPECS[64], int(repr(v)[13:-1], 16)) == v
 
 
 # --- random sampling helpers --------------------------------------------------

@@ -363,7 +363,7 @@ def test_rref_shape_properties():
 # --- vandermonde and tensor ----------------------------------------------------
 
 def test_vandermonde_frozen_gf4():
-    g = F4.gamma                       # gamma^4 = gamma, order 3
+    g = FieldElement(F4, 2)            # gamma: gamma^4 = gamma, order 3
     M = vandermonde_array(F4, arr(F4, [g.value, (g * g).value]), 2)
     assert M.tolist() == [[2, 3], [3, 2]]
 

@@ -33,7 +33,6 @@ from codehom.scheme import (
     PublicKey,
     decrypt_batch,
     enc_membership_batch,
-    encrypt,
     encrypt_batch,
     keygen,
 )
@@ -194,10 +193,6 @@ def _chain_eval(chain, c, X):
     return chain_eval_arrays(chain.level_params, [Z[0] for Z in chain.links], c, X)
 
 
-def _encrypt_stack(pk, xs, rng):
-    return np.stack([encrypt(pk, x, rng) for x in xs])
-
-
 def test_basic_eval_exact_mirror(flat3):
     # noiseless everything: the chain must reproduce eval_plain exactly,
     # and every output must be a genuine top-level encryption
@@ -210,8 +205,9 @@ def test_basic_eval_exact_mirror(flat3):
         if compile_schedule(circ, False, 1).depth > 2:
             continue
         done += 1
-        xs = [FieldElement(GF256, int(v)) for v in random_elements(GF256, rng, 3)]
-        X = _encrypt_stack(pk0, xs, rng)
+        vals = random_elements(GF256, rng, 3)
+        xs = [FieldElement(GF256, int(v)) for v in vals]
+        X = encrypt_batch(pk0, vals, rng)
         want = np.array([w.value for w in eval_plain(circ, xs)], dtype=GF256.dtype)
         outs = np.stack(_chain_eval(flat3, circ, X))
         assert np.array_equal(decrypt_batch(sk_top, outs), want)
@@ -244,8 +240,9 @@ def test_basic_eval_bare_final_layer(flat3):
     pk0, _ = _pair(flat3, 0)
     _, sk_top = _pair(flat3, -1)
     for _ in range(20):
-        xs = [FieldElement(GF256, int(v)) for v in random_elements(GF256, rng, 3)]
-        (out,) = _chain_eval(flat3, circ, _encrypt_stack(pk0, xs, rng))
+        vals = random_elements(GF256, rng, 3)
+        xs = [FieldElement(GF256, int(v)) for v in vals]
+        (out,) = _chain_eval(flat3, circ, encrypt_batch(pk0, vals, rng))
         assert decrypt_batch(sk_top, out[None])[0] == eval_plain(circ, xs)[0].value
 
 
@@ -261,17 +258,17 @@ def test_basic_eval_depth_excess(flat3):
         """
     )
     rng = np.random.default_rng(15)
-    ct = encrypt(_pair(flat3, 0)[0], FieldElement(GF256, 3), rng)
+    C = encrypt_batch(_pair(flat3, 0)[0], [3], rng)
     with pytest.raises(UsageError, match="layers"):
-        _chain_eval(flat3, circ, ct[None])
+        _chain_eval(flat3, circ, C)
 
 
 def test_basic_eval_input_validation(flat3):
     circ = parse_netlist("inputs x0 x1\ns = XOR x0 x1\noutputs s\n")
     rng = np.random.default_rng(16)
-    ct = encrypt(_pair(flat3, 0)[0], FieldElement(GF256, 3), rng)
+    C = encrypt_batch(_pair(flat3, 0)[0], [3], rng)
     with pytest.raises(UsageError, match="inputs"):
-        _chain_eval(flat3, circ, ct[None])
+        _chain_eval(flat3, circ, C)
     short = np.zeros((2, 23), dtype=GF256.dtype)
     with pytest.raises(UsageError, match="length"):
         _chain_eval(flat3, circ, short)

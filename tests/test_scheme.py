@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from codehom.errors import ParameterError, UsageError
 from codehom.field import FieldElement, FieldSpec, random_distinct, random_elements
+from codehom.hom import HomKeys, dec_k_contains, enc_k_contains, hom_decrypt, hom_encrypt
 from codehom.linalg import (
     dot_arrays,
     rank_batch,
@@ -25,13 +26,9 @@ from codehom.scheme import (
     PublicKey,
     SecretKey,
     _decryption_support_vector,
-    decrypt,
     decrypt_batch,
     dec_membership_batch,
-    dec_space_contains,
     enc_membership_batch,
-    enc_space_contains,
-    encrypt,
     encrypt_batch,
     keygen,
     noise_array,
@@ -263,18 +260,15 @@ def test_noiseless_decryption_is_exact():
 
 def test_decrypt_all_m_vector():
     _, sk = make_keys(12)
-    m = FieldElement(F16, 777)
-    c = np.full(P_SMALL.n, m.value, dtype=F16.dtype)
-    assert decrypt(sk, c).value == m.value
+    C = np.full((1, P_SMALL.n), 777, dtype=F16.dtype)
+    assert decrypt_batch(sk, C).tolist() == [777]
 
 
 def test_decrypt_linear():
     pk, sk = make_keys(13)
-    rng = np.random.default_rng(13)
-    c1 = encrypt(pk, FieldElement(F16, 3), rng)
-    c2 = encrypt(pk, FieldElement(F16, 9), rng)
-    lhs = decrypt(sk, c1 ^ c2)
-    assert lhs.value == (decrypt(sk, c1) + decrypt(sk, c2)).value
+    C = encrypt_batch(pk, [3, 9], np.random.default_rng(13))
+    d1, d2 = decrypt_batch(sk, C)
+    assert decrypt_batch(sk, C[:1] ^ C[1:]).tolist() == [d1 ^ d2]
 
 
 def test_decryption_failure_rate_bounded():
@@ -300,29 +294,40 @@ def test_encrypt_batch_matches_single():
 
 
 def test_encrypt_dimension_errors():
+    # a message is an int, not a FieldElement, even one of the key's field
     pk, _ = make_keys(18)
     with pytest.raises(UsageError):
-        encrypt(pk, FieldElement(FieldSpec(8), 1), np.random.default_rng(18))
+        encrypt_batch(pk, [FieldElement(F16, 1)], np.random.default_rng(18))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    k=st.sampled_from([4, 8, 16, 32, 64]),
-    eta=st.sampled_from([0.0, 0.3]),
-    m=st.integers(0, 2**64 - 1),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_scalar_path_is_one_row_batch(k, eta, m, seed):
-    spec = FieldSpec(k)
-    m %= spec.q
-    p = Params(n=12, r=6, s=3, field=spec, eta=eta)
-    pk, sk = keygen(p, np.random.default_rng(seed))
-    rng, rng2 = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    c = encrypt(pk, FieldElement(spec, m), rng)
-    row = encrypt_batch(pk, [m], rng2)[0]
-    assert np.array_equal(c, row)
-    assert rng.bit_generator.state == rng2.bit_generator.state
-    assert decrypt(sk, c).value == int(decrypt_batch(sk, row[None, :])[0])
+@pytest.mark.parametrize("k, ms, refusal", [
+    (4, [20], "outside field"),
+    (8, [256], "outside field"),
+    (64, [2**64 - 1], None),
+    (64, [2**64], "integer array"),  # numpy makes it an object array
+    (8, [-1], "outside field"),
+    (8, [1.5], "integer array"),
+    (8, [], "integer array"),
+    (8, [[1]], "integer array"),  # a block of messages is (T,)
+])
+def test_messages_are_ints_in_the_field(k, ms, refusal):
+    p = Params(n=12, r=6, s=3, field=FieldSpec(k), eta=0.0)
+    pk, sk = keygen(p, np.random.default_rng(k))
+    hk = HomKeys(p, 32, [(pk, sk)], [])  # no boosts: any field value is a message
+    rng = np.random.default_rng(1)
+    if refusal is None:
+        assert decrypt_batch(sk, encrypt_batch(pk, ms, rng)).tolist() == ms
+        kc = hom_encrypt(hk, ms[0], rng)
+        assert hom_decrypt(hk, kc).value == ms[0] and enc_k_contains(sk, ms[0], kc.P)
+        return
+    with pytest.raises(UsageError, match=refusal):
+        encrypt_batch(pk, ms, rng)
+    for m in ms:
+        with pytest.raises(UsageError, match=refusal):
+            hom_encrypt(hk, m, rng)
+        for contains in (enc_k_contains, dec_k_contains):
+            with pytest.raises(UsageError, match=refusal):
+                contains(sk, m, np.zeros((32, p.n), dtype=p.field.dtype))
 
 
 # --- membership ----------------------------------------------------------------
@@ -330,10 +335,9 @@ def test_scalar_path_is_one_row_batch(k, eta, m, seed):
 
 def test_all_m_vector_in_enc_space():
     _, sk = make_keys(20)
-    m = FieldElement(F16, 42)
-    c = np.full(P_SMALL.n, m.value, dtype=F16.dtype)
-    assert enc_space_contains(sk, m, c)
-    assert dec_space_contains(sk, m, c)
+    C = np.full((1, P_SMALL.n), 42, dtype=F16.dtype)
+    assert enc_membership_batch(sk, [42], C)[0]
+    assert dec_membership_batch(sk, [42], C)[0]
 
 
 def test_enc_subset_of_dec():
@@ -352,9 +356,9 @@ def test_noiseless_encrypt_always_member():
     p = Params(n=48, r=12, s=6, field=F16, eta=0.0)
     pk, sk = keygen(p, np.random.default_rng(23))
     rng = np.random.default_rng(24)
-    c = encrypt(pk, FieldElement(F16, 99), rng)
-    assert enc_space_contains(sk, FieldElement(F16, 99), c)
-    assert not enc_space_contains(sk, FieldElement(F16, 98), c)
+    C = encrypt_batch(pk, [99], rng)
+    assert enc_membership_batch(sk, [99], C)[0]
+    assert not enc_membership_batch(sk, [98], C)[0]
 
 
 def test_corrupting_s_coordinate_breaks_membership():
@@ -364,11 +368,11 @@ def test_corrupting_s_coordinate_breaks_membership():
     broke = 0
     trials = 300
     for _ in range(trials):
-        m = FieldElement(F16, int(rng.integers(F16.q)))
-        c = encrypt(pk, m, rng)
+        m = int(rng.integers(F16.q))
+        C = encrypt_batch(pk, [m], rng)
         i = sk.S[int(rng.integers(p.s))]
-        c[i] ^= int(rng.integers(1, F16.q))
-        if not enc_membership_batch(sk, np.array([m.value], dtype=F16.dtype), c[None, :])[0]:
+        C[0, i] ^= int(rng.integers(1, F16.q))
+        if not enc_membership_batch(sk, [m], C)[0]:
             broke += 1
     # rank coincidences are rare; the corruption should almost always show
     assert broke >= trials * 0.9
@@ -393,7 +397,7 @@ def test_encryption_error_rate_bound():
 def test_dec_spaces_partition(m1, m2, seed):
     _, sk = make_keys(30)
     rng = np.random.default_rng(seed)
-    c = random_elements(F16, rng, P_SMALL.n)
-    got = decrypt(sk, c).value
-    assert dec_space_contains(sk, FieldElement(F16, m1), c) == (m1 == got)
-    assert dec_space_contains(sk, FieldElement(F16, m2), c) == (m2 == got)
+    C = random_elements(F16, rng, (1, P_SMALL.n))
+    got = decrypt_batch(sk, C)[0]
+    assert dec_membership_batch(sk, [m1], C)[0] == (m1 == got)
+    assert dec_membership_batch(sk, [m2], C)[0] == (m2 == got)

@@ -10,9 +10,9 @@ from codehom import serial
 from codehom.circuit import format_netlist, parse_netlist
 from codehom.cli import main
 from codehom.errors import DataFormatError, UsageError
-from codehom.field import FieldElement, FieldSpec
+from codehom.field import FieldSpec
 from codehom.hom import BoostConfig, hdec, hom_encrypt, hom_eval, hom_keygen
-from codehom.scheme import Params, decrypt, draw_key, encrypt, key_stack, keygen
+from codehom.scheme import Params, decrypt_batch, draw_key, encrypt_batch, key_stack, keygen
 
 from oracles import gtree_circuit
 
@@ -73,12 +73,12 @@ def test_keys_are_bare_field_arrays(tmp_path):
 
 def test_ciphertext_round_trip_decrypts(keypair, tmp_path):
     pk, sk = keypair
-    c = encrypt(pk, FieldElement(GF16, 9), rng(1))
+    c = encrypt_batch(pk, [9], rng(1))[0]
     serial.save_ciphertext(GF16, c, tmp_path / "ct.json")
     spec, back = serial.load_ciphertext(tmp_path / "ct.json")
     assert spec == GF16
     assert back.dtype == GF16.dtype and np.array_equal(back, c)
-    assert decrypt(sk, back).value == 9
+    assert decrypt_batch(sk, back[None]).tolist() == [9]
 
 
 def test_kciphertext_is_one_block(hom_keys, tmp_path):
@@ -323,7 +323,7 @@ def test_gf64_keys_load_and_reject_junk(tmp_path, capsys):
     # a ciphertext is one row of 16 hex digits an entry: a row of plain
     # integers, a non-hex digit, a sign, a 17-digit entry or a ragged
     # nesting is malformed data
-    c = encrypt(pk, FieldElement(gf64, 2**64 - 1), rng(13))
+    c = encrypt_batch(pk, [2**64 - 1], rng(13))[0]
     good = serial.encode_ciphertext(gf64, c)
     assert int(c.max()) >= 2**63
     assert np.array_equal(serial.decode_ciphertext(good)[1], c)
@@ -423,7 +423,7 @@ def test_mutated_hex_rows_are_data_errors(case, keypair, hom_keys, tmp_path, cap
     boost = serial.load_json(boost_path)
     links = boost["links"][:1] + [mutate(boost["links"][1])] + boost["links"][2:]
     pk_doc = serial.encode_public_key(pk)
-    ct_doc = serial.encode_ciphertext(GF16, encrypt(pk, FieldElement(GF16, 9), rng(1)))
+    ct_doc = serial.encode_ciphertext(GF16, encrypt_batch(pk, [9], rng(1))[0])
     kct_doc = serial.encode_kciphertext(hom_encrypt(hom_keys, 1, rng(3)))
     out = str(tmp_path / "out.json")
     capsys.readouterr()

@@ -26,7 +26,6 @@ KEPT = {
     "linalg.rref_array": "the elimination under solve_canonical_array, which perfbench traces",
     "linalg.random_unimodular_array": TRACED,
     "hom.dec_k_contains": "the decodable-space audit hom-eval --report builds on (ROADMAP item 4)",
-    "scheme.dec_membership_batch": "the per-part audit under dec_k_contains (ROADMAP item 4)",
     "circuit.format_netlist": "the public writer of the netlist format parse_netlist reads",
 }
 
