@@ -3,8 +3,9 @@
 Every stochastic claim is measured the same way: count successes over
 trials, wrap a Wilson 95% interval around the rate, and compare failure
 rates against their stated bound with a 3-sigma tolerance computed at
-the bound itself. Reports merge associatively, so trial batches can be
-split across seeds or workers and recombined.
+the bound itself. A report depends on its generator alone. The rank
+experiment eliminates its trials on one thread per core; each trial
+eliminates alone, so the core count changes no count.
 
 The error budget's reenc and chain rows both audit flat chains, of
 depth 1 and 3: a reenc trial is a source key, a target key and the link
@@ -29,7 +30,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -127,14 +130,6 @@ def _report(name: str, parameters: dict, trials: int, successes: int,
     )
 
 
-def merge_reports(a: ExperimentReport, b: ExperimentReport) -> ExperimentReport:
-    """Combine two trial batches of the same experiment."""
-    if a.name != b.name or a.parameters != b.parameters:
-        raise UsageError("only batches of the same experiment merge")
-    return _report(a.name, a.parameters, a.trials + b.trials, a.successes + b.successes,
-                   a.seconds + b.seconds)
-
-
 # ---------------------------------------------------------------------------
 # Named experiments.
 
@@ -146,8 +141,10 @@ def rank_experiment(
 
     Trapdoored rows keep only their first s/3 columns, so s/3 + 1 of
     them are already dependent; the deterministic deficiency criterion
-    is s_overlap >= s/3 + 1 + max(t - r, 0).
+    is s_overlap >= s/3 + 1 + max(t - r, 0). All trials are drawn from
+    rng in order; their elimination is split over os.cpu_count() threads.
     """
+    check_trials(trials)
     if not 1 <= t <= p.n:
         raise UsageError(f"t={t} must lie in [1, n={p.n}]")
     if not 0 <= s_overlap <= min(t, p.s):
@@ -165,7 +162,10 @@ def rank_experiment(
     M = vandermonde_array(spec, pts, p.r)
     M[:, :s_overlap, p.s // 3 :] = 0
     full = min(t, p.r)
-    successes = int((rank_batch(spec, M) == full).sum())
+    workers = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ranks = pool.map(lambda B: rank_batch(spec, B), np.array_split(M, workers))
+        successes = sum(int((r == full).sum()) for r in ranks)
     parameters = {
         "n": p.n, "r": p.r, "s": p.s, "k": spec.k, "q": spec.q,
         "t": t, "s_overlap": s_overlap,
@@ -175,8 +175,7 @@ def rank_experiment(
 
 
 def rank_deficiency_constant(report: ExperimentReport) -> float:
-    """deficiency * q / r^2 from a rank report; kept out of the report's
-    parameters so trial batches stay mergeable."""
+    """deficiency * q / r^2 from a rank report."""
     q, r = report.parameters["q"], report.parameters["r"]
     return (1.0 - report.estimate) * q / (r * r)
 
@@ -190,6 +189,7 @@ def randomness_recovery_experiment(
     the encryption randomness; only that window of the noise is drawn,
     coordinates being independent. Expected rate (1-eta)^r.
     """
+    check_trials(trials)
     check_entries("the noise experiment's trials x r windows", (trials, p.r), EXPERIMENT_ENTRY_CAP)
     t0 = time.perf_counter()
     E = noise_array(p, rng, (trials, p.r))

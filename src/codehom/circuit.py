@@ -406,7 +406,7 @@ def verify_apxmaj(
     m: int,
     trials: int,
     rng: np.random.Generator,
-    spec: FieldSpec | None = None,
+    spec: FieldSpec,
 ) -> bool:
     """Check the 7/8-agreement contract of the G-tree with this leaf row.
 
@@ -418,8 +418,6 @@ def verify_apxmaj(
     positions random nonzero field values. A sample draws b, then
     len(pos), then pos, then the values.
     """
-    if spec is None:
-        spec = FieldSpec(4)
     flips = m // 8
 
     def sampled(n: int, field: bool):
@@ -453,8 +451,8 @@ def apxmaj_depth(m: int) -> int:
 def build_apxmaj(
     m: int,
     rng: np.random.Generator,
+    spec: FieldSpec,
     verify_trials: int = 200,
-    spec: FieldSpec | None = None,
 ) -> np.ndarray:
     """Approximate majority on m wires: the leaf row of a randomly wired CORR_{2 log m + 4}.
 
@@ -467,6 +465,6 @@ def build_apxmaj(
             f"input count must be a power of two in [8, {APXMAJ_MAX_INPUTS}], got {m}")
     for _ in range(64):
         leaves = rng.integers(m, size=1 << apxmaj_depth(m))
-        if verify_apxmaj(leaves, m, verify_trials, rng, spec=spec):
+        if verify_apxmaj(leaves, m, verify_trials, rng, spec):
             return leaves
     raise ConstructionError(f"no verified wiring for m={m} after 64 attempts")

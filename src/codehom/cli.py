@@ -3,11 +3,9 @@
 Exit codes: 0 success, 1 usage, 2 parameter validation, 3 malformed
 data, 4 violated bound. An explicit --seed makes any command
 bit-reproducible; no environment variable is consulted, seeds are
-always spelled out. --jobs changes only how experiment trials are
-chunked; the chunk count enters seed derivation, so one (seed, jobs)
-pair always produces one output. The chunks run on at most os.cpu_count()
-worker threads. No experiment takes more than MAX_TRIALS trials, per run
-or per budget row; larger counts exit 1 before anything is allocated.
+always spelled out, and a report depends on its seed alone. No
+experiment takes more than MAX_TRIALS trials, per run or per budget
+row; larger counts exit 1 before anything is allocated.
 
 Two hom-keygen presets exist. `desk` is the configuration everything
 else in the artifact uses: noiseless, sized to run in seconds. In
@@ -20,11 +18,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import tempfile
-from functools import reduce
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,9 +27,7 @@ from .errors import BoundFailure, CodehomError, DataFormatError, UsageError
 from .analysis import (
     BUDGET_TRIALS,
     budget_text,
-    check_trials,
     error_budget,
-    merge_reports,
     rank_deficiency_constant,
     rank_experiment,
     randomness_recovery_experiment,
@@ -76,23 +69,11 @@ def _load_circuit(path):
         raise DataFormatError(f"bad netlist {path}: {e}") from None
 
 
-def _split_trials(trials: int, jobs: int) -> list[int]:
-    jobs = min(jobs, trials)  # both are >= 1: argparse and check_trials see to it
-    base, rem = divmod(trials, jobs)
-    return [base + (i < rem) for i in range(jobs)]
-
-
-def _run_split(fn, trials: int, seed, jobs: int):
-    """fn(trials, rng) on split RNG streams, merged associatively."""
-    check_trials(trials)
-    chunks = _split_trials(trials, jobs)
+def _report_rng(seed) -> np.random.Generator:
+    """The stream an experiment report draws from."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = ss.spawn(len(chunks))
-    if len(chunks) == 1:
-        return fn(trials, np.random.default_rng(seeds[0]))
-    with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-        parts = list(pool.map(lambda n, s: fn(n, np.random.default_rng(s)), chunks, seeds))
-    return reduce(merge_reports, parts)
+    # the first spawned child: the stream --jobs 1 used, so old reports keep their bytes
+    return np.random.default_rng(ss.spawn(1)[0])
 
 
 def _emit_report(report, fmt: str) -> None:
@@ -204,10 +185,7 @@ def _analyze_params(args) -> Params:
 def _cmd_analyze_rank(args) -> None:
     p = _analyze_params(args)
     t = p.r if args.t is None else args.t
-    report = _run_split(
-        lambda tr, rng: rank_experiment(p, t, args.s_overlap, tr, rng),
-        args.trials, args.seed, args.jobs,
-    )
+    report = rank_experiment(p, t, args.s_overlap, args.trials, _report_rng(args.seed))
     _emit_report(report, args.format)
     if args.format == "text":
         print(f"deficiency constant (x q/r^2): {rank_deficiency_constant(report):.4f}")
@@ -215,10 +193,7 @@ def _cmd_analyze_rank(args) -> None:
 
 def _cmd_analyze_noise(args) -> None:
     p = _analyze_params(args)
-    report = _run_split(
-        lambda tr, rng: randomness_recovery_experiment(p, tr, rng),
-        args.trials, args.seed, args.jobs,
-    )
+    report = randomness_recovery_experiment(p, args.trials, _report_rng(args.seed))
     _emit_report(report, args.format)
 
 
@@ -251,16 +226,12 @@ def _cmd_selftest(args) -> None:
         raise BoundFailure(f"selftest: noiseless round-trip lost message {lost[0]:#x}")
     print("ok -- noiseless encrypt/decrypt round-trip, keys through files")
 
-    report = _run_split(
-        lambda tr, rng: rank_experiment(p, 9, 2, tr, rng), 300, seeds[1], args.jobs
-    )
+    report = rank_experiment(p, 9, 2, 300, _report_rng(seeds[1]))
     if report.estimate != 0.0:
         raise BoundFailure("selftest: deterministic rank deficiency criterion missed")
     print("ok -- deterministic rank deficiency branch")
 
-    report = _run_split(
-        lambda tr, rng: randomness_recovery_experiment(p, tr, rng), 300, seeds[2], args.jobs
-    )
+    report = randomness_recovery_experiment(p, 300, _report_rng(seeds[2]))
     if report.estimate != 1.0:
         raise BoundFailure("selftest: noiseless encryption showed a noisy window")
     print("ok -- noiseless randomness-recovery window")
@@ -293,20 +264,14 @@ def _cmd_selftest(args) -> None:
 # Parser.
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type: an integer >= low, refused naming what it expected."""
-    def parse(text: str) -> int:
-        try:
-            if int(text) >= low:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-    return parse
-
-
-_seed = _int_at_least(0, "a non-negative integer")  # SeedSequence refuses negatives
-_jobs = _int_at_least(1, "an integer >= 1")
+def _seed(text: str) -> int:
+    """An argparse type: a non-negative integer, as SeedSequence demands."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def _add_seed(sp) -> None:
@@ -316,8 +281,6 @@ def _add_seed(sp) -> None:
 
 def _add_report_flags(sp) -> None:
     sp.add_argument("--trials", type=int, default=2000, help="Monte Carlo trial count")
-    sp.add_argument("--jobs", type=_jobs, default=1,
-                    help="worker threads; trials are chunked per job with split seeds")
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     _add_seed(sp)
 
@@ -432,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_analyze_budget)
 
     sp = sub.add_parser("selftest", help="desk-scale functional checks; exit 4 on any failure")
-    sp.add_argument("--jobs", type=_jobs, default=1, help="worker threads for the experiments")
     _add_seed(sp)
     sp.set_defaults(func=_cmd_selftest)
 

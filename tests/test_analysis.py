@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codehom import analysis
 from codehom.analysis import (
+    MAX_TRIALS,
     BudgetRow,
     ExperimentReport,
     budget_text,
     error_budget,
-    merge_reports,
     rank_deficiency_constant,
     rank_experiment,
     randomness_recovery_experiment,
@@ -67,30 +68,6 @@ def test_report_rejects_impossible_counts():
         ExperimentReport("x", {}, 10, 11, 1.1, (0.0, 1.0), 0.0)
     with pytest.raises(UsageError, match="interval"):
         ExperimentReport("x", {}, 10, 5, 0.5, (0.6, 1.0), 0.0)
-
-
-def test_merge_reports_combines_batches():
-    a = rank_experiment(P24, 9, 0, 700, rng(4))
-    b = rank_experiment(P24, 9, 0, 1300, rng(5))
-    m = merge_reports(a, b)
-    assert m.trials == 2000
-    assert m.successes == a.successes + b.successes
-    assert m.estimate == pytest.approx(m.successes / 2000)
-    assert m.seconds == pytest.approx(a.seconds + b.seconds)
-
-
-def test_merge_reports_associative():
-    parts = [rank_experiment(P24, 9, 0, 300, rng(s)) for s in (1, 2, 3)]
-    left = merge_reports(merge_reports(parts[0], parts[1]), parts[2])
-    right = merge_reports(parts[0], merge_reports(parts[1], parts[2]))
-    assert left == right
-
-
-def test_merge_reports_rejects_mismatch():
-    a = rank_experiment(P24, 9, 0, 100, rng(1))
-    b = rank_experiment(P24, 9, 1, 100, rng(2))
-    with pytest.raises(UsageError, match="same experiment"):
-        merge_reports(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +138,20 @@ def test_rank_experiment_validation():
         rank_experiment(P24, 9, 4, 10, rng(0))
     with pytest.raises(UsageError, match="infeasible"):
         rank_experiment(P24, 24, 2, 10, rng(0))
+
+
+@pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1])
+def test_experiments_refuse_trials_outside_the_cap(trials, monkeypatch):
+    # refused before the first draw, so before anything is allocated
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an experiment drew its trials")
+    monkeypatch.setattr(analysis, "random_distinct_batch", must_not_run)
+    monkeypatch.setattr(analysis, "noise_array", must_not_run)
+    p = Params(n=4, r=3, s=3, field=FieldSpec(4), eta=0.0)
+    with pytest.raises(UsageError, match=rf"trials must lie in \[1, {MAX_TRIALS:,}\]"):
+        rank_experiment(p, 1, 0, trials, rng(0))
+    with pytest.raises(UsageError, match=rf"trials must lie in \[1, {MAX_TRIALS:,}\]"):
+        randomness_recovery_experiment(p, trials, rng(0))
 
 
 # ---------------------------------------------------------------------------

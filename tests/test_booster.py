@@ -33,7 +33,7 @@ P_TGT = Params(n=12, r=5, s=3, field=GF16, eta=0.0)
 
 @pytest.fixture(scope="module")
 def maj8():
-    return build_apxmaj(8, np.random.default_rng(3))
+    return build_apxmaj(8, np.random.default_rng(3), GF16)
 
 
 @pytest.fixture(scope="module")

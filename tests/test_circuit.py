@@ -313,9 +313,9 @@ def test_corr4_absorbs_corruption_blocks():
 def test_apxmaj_validation():
     rng = np.random.default_rng(7)
     with pytest.raises(ParameterError):
-        build_apxmaj(6, rng)
+        build_apxmaj(6, rng, F16)
     with pytest.raises(ParameterError):
-        build_apxmaj(4, rng)
+        build_apxmaj(4, rng, F16)
 
 
 def test_apxmaj_input_cap(monkeypatch):
@@ -324,12 +324,12 @@ def test_apxmaj_input_cap(monkeypatch):
         raise AssertionError("build_apxmaj verified a wiring")
     monkeypatch.setattr(circuit, "verify_apxmaj", must_not_run)
     with pytest.raises(ParameterError, match=r"\[8, 64\], got 128"):
-        build_apxmaj(128, np.random.default_rng(7))
+        build_apxmaj(128, np.random.default_rng(7), F16)
 
 
 def test_apxmaj_size_and_unanimity():
     rng = np.random.default_rng(8)
-    c = gtree_circuit(8, build_apxmaj(8, rng))
+    c = gtree_circuit(8, build_apxmaj(8, rng, F16))
     assert c.size == 16 * 64 - 1  # 1023
     assert len(c.inputs) == 8
     for b in (0, 1):
@@ -338,7 +338,7 @@ def test_apxmaj_size_and_unanimity():
 
 def test_apxmaj_agreement_patterns():
     rng = np.random.default_rng(9)
-    c = gtree_circuit(8, build_apxmaj(8, rng))
+    c = gtree_circuit(8, build_apxmaj(8, rng, F16))
     # all 18 boolean patterns with >= 7 of 8 agreeing
     for b in (0, 1):
         for flip in [None] + list(range(8)):
@@ -350,7 +350,7 @@ def test_apxmaj_agreement_patterns():
 
 def test_apxmaj_field_corruptions():
     rng = np.random.default_rng(10)
-    c = gtree_circuit(8, build_apxmaj(8, rng))
+    c = gtree_circuit(8, build_apxmaj(8, rng, F16))
     for _ in range(300):
         b = int(rng.integers(2))
         vals = [b] * 8
@@ -361,22 +361,22 @@ def test_apxmaj_field_corruptions():
 def test_verify_rejects_single_wire_tap():
     # every leaf reads input 0: flipping coordinate 0 flips the output
     bad = np.zeros(16 * 64, dtype=np.int64)
-    assert not verify_apxmaj(bad, 8, 0, np.random.default_rng(11))
+    assert not verify_apxmaj(bad, 8, 0, np.random.default_rng(11), F16)
 
 
 def test_verify_trials_zero_runs_boolean_part():
     rng = np.random.default_rng(12)
-    c = build_apxmaj(8, rng)
-    assert verify_apxmaj(c, 8, 0, rng)
+    c = build_apxmaj(8, rng, F16)
+    assert verify_apxmaj(c, 8, 0, rng, F16)
 
 
 def test_verify_apxmaj_walks_in_bounded_blocks(monkeypatch):
     # m = 16 with 5,000 trials gathers 4,096 leaves x 5,000 patterns, 20 MB
     # at once; walked in blocks the whole check stays well below that
-    good = build_apxmaj(16, np.random.default_rng(14))
+    good = build_apxmaj(16, np.random.default_rng(14), F16)
     tracemalloc.start()
     try:
-        assert verify_apxmaj(good, 16, 5000, np.random.default_rng(15))
+        assert verify_apxmaj(good, 16, 5000, np.random.default_rng(15), F16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,7 +391,7 @@ def test_verify_apxmaj_walks_in_bounded_blocks(monkeypatch):
         for block in (default, 1 << 62, 7 * len(leaves)):
             monkeypatch.setattr(circuit, "APXMAJ_BLOCK", block)
             rng = np.random.default_rng(16)
-            got.append((verify_apxmaj(leaves, 16, 300, rng), int(rng.integers(1 << 62))))
+            got.append((verify_apxmaj(leaves, 16, 300, rng, F16), int(rng.integers(1 << 62))))
         assert got[0][0] is want and got[1:] == got[:1] * 2
 
 

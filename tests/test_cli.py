@@ -509,7 +509,7 @@ def test_analyze_rank_all_field_points(capsys):
 
 def test_analyze_seed_reproducibility(capsys):
     argv = ["analyze", "rank", "--t", "9", "--trials", "1500",
-            "--seed", "9", "--jobs", "3", "--format", "json"]
+            "--seed", "9", "--format", "json"]
     code, out1, _ = run(capsys, *argv)
     assert code == 0
     _, out2, _ = run(capsys, *argv)
@@ -548,7 +548,7 @@ def test_analyze_budget_exit_codes(capsys):
     ["analyze", "budget", "--scale", "1e15", "--seed", "1"],
     ["analyze", "budget", "--scale", "1e300", "--seed", "1", "--format", "json"],
     ["analyze", "rank", "--trials", str(MAX_TRIALS + 1), "--seed", "1"],
-    ["analyze", "noise", "--trials", "10000000000000", "--jobs", "1000000000000"],
+    ["analyze", "noise", "--trials", "10000000000000"],
     ["analyze", "noise", "--trials", "0"],
 ])
 def test_analyze_trial_counts_outside_the_cap_exit_1(argv, capsys, monkeypatch):
@@ -557,8 +557,8 @@ def test_analyze_trial_counts_outside_the_cap_exit_1(argv, capsys, monkeypatch):
         raise AssertionError("an experiment ran")
     for name in ("_encfail_row", "_reenc_row", "_corr_row", "_chain_row", "_boost_row"):
         monkeypatch.setattr(codehom.analysis, name, must_not_run)
-    monkeypatch.setattr(codehom.cli, "rank_experiment", must_not_run)
-    monkeypatch.setattr(codehom.cli, "randomness_recovery_experiment", must_not_run)
+    monkeypatch.setattr(codehom.analysis, "random_distinct_batch", must_not_run)
+    monkeypatch.setattr(codehom.analysis, "noise_array", must_not_run)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -662,20 +662,6 @@ def test_hom_keygen_oversized_key_material_exits_2(argv, size, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "rank", "--trials", "3", "--jobs", "-5"],
-    ["analyze", "rank", "--trials", "3", "--jobs", "0"],
-    ["analyze", "noise", "--trials", "3", "--jobs", "0"],
-    ["selftest", "--jobs", "0"],
-], ids=["analyze-rank-negative", "analyze-rank", "analyze-noise", "selftest"])
-def test_jobs_below_1_is_usage_error(argv, capsys):
-    code, out, err = run(capsys, *argv, "--seed", "1")
-    assert code == 1
-    assert out == ""
-    assert "argument --jobs: expected an integer >= 1" in err
-    assert "Traceback" not in err
-
-
 class RecordingPool:
     """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
 
@@ -694,33 +680,30 @@ class RecordingPool:
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("jobs,cpus,workers", [(8, 2, 2), (1000, 2, 2), (3, 16, 3), (8, None, 1)])
-def test_jobs_run_on_at_most_cpu_count_threads(jobs, cpus, workers, capsys, monkeypatch):
-    monkeypatch.setattr(codehom.cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(codehom.cli.os, "cpu_count", lambda: cpus)
+# (trials, successes) of each report, fixed by its seed whatever the core
+# count or pool; 5 trials on 16 workers leave empty blocks.
+REPORT_PINS = [
+    (["rank", "--trials", "100", "--seed", "3"], (100, 100)),
+    (["rank", "--t", "9", "--trials", "1500", "--seed", "9"], (1500, 1445)),
+    (["noise", "--eta", "0.1", "--trials", "400", "--seed", "2"], (400, 142)),
+    (["rank", "--trials", "5", "--seed", "3"], (5, 5)),
+]
+
+
+@pytest.mark.parametrize("pool", ["real", "serial"])
+@pytest.mark.parametrize("cpus", [None, 1, 2, 16])
+@pytest.mark.parametrize("argv,want", REPORT_PINS, ids=["rank", "rank-t9", "noise", "rank-5"])
+def test_report_depends_on_seed_alone(argv, want, cpus, pool, capsys, monkeypatch):
+    monkeypatch.setattr(codehom.analysis.os, "cpu_count", lambda: cpus)
+    if pool == "serial":
+        monkeypatch.setattr(codehom.analysis, "ThreadPoolExecutor", RecordingPool)
     RecordingPool.workers = []
-    code, out, _ = run(capsys, "analyze", "rank", "--trials", "100", "--jobs", jobs,
-                       "--seed", "3", "--format", "json")
+    code, out, _ = run(capsys, "analyze", *argv, "--format", "json")
     assert code == 0
-    assert RecordingPool.workers == [workers]
-    assert json.loads(out)["trials"] == 100
-
-
-def test_jobs_output_is_fixed_by_seed_and_jobs(capsys, monkeypatch):
-    # The chunk split, and so the output, depends on --jobs alone, never on
-    # the worker count: 8 chunks over 2 threads (the real pool) or run
-    # serially give the report recorded before the pool was capped.
-    argv = ["analyze", "rank", "--trials", "100", "--jobs", "8", "--seed", "3",
-            "--format", "json"]
-    monkeypatch.setattr(codehom.cli.os, "cpu_count", lambda: 2)
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    real = json.loads(out)
-    monkeypatch.setattr(codehom.cli, "ThreadPoolExecutor", RecordingPool)
-    serial = json.loads(run(capsys, *argv)[1])
-    real.pop("seconds"), serial.pop("seconds")
-    assert real == serial
-    assert (real["trials"], real["successes"]) == (100, 99)
+    report = json.loads(out)
+    assert (report["trials"], report["successes"]) == want
+    if pool == "serial" and argv[0] == "rank":
+        assert RecordingPool.workers == [cpus or 1]
 
 
 def test_selftest_passes(capsys):

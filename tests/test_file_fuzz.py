@@ -111,7 +111,7 @@ ARGV_JUNK = ("0", "-1", "1e400", "nan", "inf", "", "x", "0x10", "2147483648", st
 HOM_SHAPE = ["--n", "16", "--r", "6", "--s", "3", "--field-k", "4", "--eta", "0", "--k", "32",
              "--d", "1", "--b", "8", "--lambda-target", "0.9", "--mid-n", "4"]
 ANALYZE = ["--n", "24", "--r", "9", "--s", "3", "--k", "8", "--eta", "0", "--trials", "50",
-           "--jobs", "1", "--format", "text", "--seed", "1"]
+           "--format", "text", "--seed", "1"]
 # Each subcommand with every flag it is given spelled out; inputs come
 # from the seeded directory, one level up from the working directory.
 COMMANDS = (

@@ -49,7 +49,7 @@ P16 = Params(n=16, r=6, s=3, field=GF16, eta=0.0)
 def _hand_keys(d: int, seed: int = 5) -> HomKeys:
     rng = np.random.default_rng(seed)
     graph = build_expander(8, 8, 1e-6, rng)
-    apx = build_apxmaj(8, rng, verify_trials=40)
+    apx = build_apxmaj(8, rng, GF16, verify_trials=40)
     levels = [keygen(P16, rng) for _ in range(d + 1)]
     boosts = [
         boost_aux_gen(levels[i][1], levels[i + 1][0], graph, apx, rng)
